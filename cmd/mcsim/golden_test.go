@@ -8,13 +8,14 @@ import (
 	"testing"
 )
 
-// The golden files under testdata/ were captured from the pair-shaped
-// (pre-adjudicator) CLI at fixed seeds. These tests assert the refactor's
-// core compatibility promise: a legacy 1-out-of-2 invocation renders
-// byte-identical output after the generalisation to N-version pools —
-// same variate sequence, same summation order, same report text. Worker
-// counts are pinned (-workers 4) because the buffered/streaming splits
-// depend on them.
+// The golden files under testdata/ were captured at fixed seeds: the
+// dense, streaming, sparse and rare-event files from the pair-shaped
+// (pre-adjudicator) CLI, the batched, correlated and 2oo3 files from the
+// CLI before the replication loops were unified into one bitset pipeline.
+// These tests assert the refactors' core compatibility promise: every
+// invocation renders byte-identical output — same variate sequence, same
+// summation order, same report text. Worker counts are pinned
+// (-workers 4) because the buffered/streaming splits depend on them.
 func TestGoldenLegacyOutputs(t *testing.T) {
 	t.Parallel()
 
@@ -38,6 +39,31 @@ func TestGoldenLegacyOutputs(t *testing.T) {
 			name:   "sparse",
 			args:   []string{"-model", model, "-reps", "20000", "-seed", "3", "-workers", "4", "-sparse"},
 			golden: "golden_sparse.txt",
+		},
+		{
+			name:   "batched",
+			args:   []string{"-model", model, "-reps", "20000", "-seed", "3", "-workers", "4", "-batch", "64"},
+			golden: "golden_batch.txt",
+		},
+		{
+			name:   "streaming batched",
+			args:   []string{"-model", model, "-reps", "20000", "-seed", "3", "-workers", "4", "-stream", "-batch", "64"},
+			golden: "golden_stream_batch.txt",
+		},
+		{
+			name:   "correlated",
+			args:   []string{"-model", model, "-reps", "20000", "-seed", "3", "-workers", "4", "-correlation", "0.2"},
+			golden: "golden_correlated.txt",
+		},
+		{
+			name:   "correlated streaming",
+			args:   []string{"-model", model, "-reps", "20000", "-seed", "3", "-workers", "4", "-correlation", "0.2", "-stream"},
+			golden: "golden_correlated_stream.txt",
+		},
+		{
+			name:   "2oo3 pool",
+			args:   []string{"-model", model, "-reps", "20000", "-seed", "3", "-workers", "4", "-versions", "3", "-adjudicator", "2oo3"},
+			golden: "golden_2oo3.txt",
 		},
 		{
 			name:   "rare-event",

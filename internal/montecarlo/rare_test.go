@@ -1,10 +1,13 @@
 package montecarlo
 
 import (
+	"context"
 	"math"
 	"testing"
 
 	"diversity/internal/faultmodel"
+	"diversity/internal/scenario"
+	"diversity/internal/system"
 )
 
 func rareFaultSet(t *testing.T) *faultmodel.FaultSet {
@@ -181,6 +184,97 @@ func TestEstimateRareValidation(t *testing.T) {
 	}
 	if _, err := EstimateNaiveSystemFault(fs, 2, 1, 1); err == nil {
 		t.Error("naive 1 rep succeeded, want error")
+	}
+}
+
+// TestRareEstimatorBitPins pins both estimators' safety-grade outputs bit
+// for bit, dense and batched, under the 1-out-of-2 and 2-out-of-3 rules:
+// refactors of the replication loops must not move a single variate or
+// change any summation order.
+func TestRareEstimatorBitPins(t *testing.T) {
+	t.Parallel()
+
+	sc, err := scenario.SafetyGrade(1)
+	if err != nil {
+		t.Fatalf("SafetyGrade: %v", err)
+	}
+	pins := []struct {
+		estimator, adj string
+		width          int
+		prob, se, hit  uint64
+	}{
+		{"is", "1oon", 0, 0x3f5045b12c4b8d31, 0x3ef648e0859c1d47, 0x3fee2f837b4a233a},
+		{"naive", "1oon", 0, 0x3f5205bc01a36e2f, 0x3f2eb8e1f07dbf7d, 0x3f5205bc01a36e2f},
+		{"is", "1oon", 64, 0x3f50696d8faed616, 0x3ef661205279ba4e, 0x3fee339c0ebedfa4},
+		{"naive", "1oon", 64, 0x3f4bda5119ce075f, 0x3f2b027b9b38e632, 0x3f4bda5119ce075f},
+		{"is", "2oo3", 0, 0x3f6824cb401773ef, 0x3f107f25c55c0980, 0x3fee2f837b4a233a},
+		{"naive", "2oo3", 0, 0x3f682a9930be0ded, 0x3f3921e6a8e4720e, 0x3f682a9930be0ded},
+		{"is", "2oo3", 64, 0x3f68597bfa2f37ad, 0x3f10911104c1e46a, 0x3fee339c0ebedfa4},
+		{"naive", "2oo3", 64, 0x3f6a36e2eb1c432d, 0x3f3a2c23efd0eed9, 0x3f6a36e2eb1c432d},
+	}
+	ctx := context.Background()
+	for _, pin := range pins {
+		adj, err := system.ParseAdjudicator(pin.adj)
+		if err != nil {
+			t.Fatalf("ParseAdjudicator(%q): %v", pin.adj, err)
+		}
+		m := 2
+		if pin.adj == "2oo3" {
+			m = 3
+		}
+		opts := RareOptions{Adjudicator: adj, BatchWidth: pin.width}
+		var est RareEventEstimate
+		if pin.estimator == "is" {
+			est, err = EstimateRareSystemFaultOpts(ctx, sc.FaultSet, m, 20000, 2, 0.3, opts)
+		} else {
+			est, err = EstimateNaiveSystemFaultOpts(ctx, sc.FaultSet, m, 20000, 2, opts)
+		}
+		if err != nil {
+			t.Fatalf("%s %s width=%d: %v", pin.estimator, pin.adj, pin.width, err)
+		}
+		got := [3]uint64{math.Float64bits(est.Probability), math.Float64bits(est.StdErr), math.Float64bits(est.HitFraction)}
+		if want := [3]uint64{pin.prob, pin.se, pin.hit}; got != want {
+			t.Errorf("%s %s width=%d: bits %#x, pinned %#x (%+v)", pin.estimator, pin.adj, pin.width, got, want, est)
+		}
+	}
+}
+
+// TestRareCertainFault: a fault present with probability 1 defeats every
+// system without consuming a variate, exactly as Bernoulli(1) does, so the
+// dense estimators keep their pinned outputs and every replication hits.
+func TestRareCertainFault(t *testing.T) {
+	t.Parallel()
+
+	fs, err := faultmodel.New([]faultmodel.Fault{
+		{P: 0.003, Q: 0.001}, {P: 1, Q: 0.002}, {P: 0.002, Q: 0.001}, {P: 0.0005, Q: 0.003},
+	})
+	if err != nil {
+		t.Fatalf("faultmodel.New: %v", err)
+	}
+	ctx := context.Background()
+	is, err := EstimateRareSystemFaultOpts(ctx, fs, 2, 5000, 4, 0.3, RareOptions{})
+	if err != nil {
+		t.Fatalf("importance sampling: %v", err)
+	}
+	if got, want := [3]uint64{math.Float64bits(is.Probability), math.Float64bits(is.StdErr), math.Float64bits(is.HitFraction)},
+		[3]uint64{0x3feef482ccc97248, 0x3f93e12118701973, 0x3ff0000000000000}; got != want {
+		t.Errorf("importance sampling bits %#x, pinned %#x (%+v)", got, want, is)
+	}
+	for _, width := range []int{0, 64} {
+		naive, err := EstimateNaiveSystemFaultOpts(ctx, fs, 2, 5000, 4, RareOptions{BatchWidth: width})
+		if err != nil {
+			t.Fatalf("naive width=%d: %v", width, err)
+		}
+		if naive != (RareEventEstimate{Probability: 1, HitFraction: 1}) {
+			t.Errorf("naive width=%d: %+v, want certain hits", width, naive)
+		}
+	}
+	batched, err := EstimateRareSystemFaultOpts(ctx, fs, 2, 5000, 4, 0.3, RareOptions{BatchWidth: 64})
+	if err != nil {
+		t.Fatalf("batched importance sampling: %v", err)
+	}
+	if batched.HitFraction != 1 || math.Abs(batched.Probability-1) > 5*batched.StdErr {
+		t.Errorf("batched importance sampling %+v, want every replication hit and an estimate near 1", batched)
 	}
 }
 
