@@ -2,7 +2,7 @@
 // the measurements as JSON (see docs/PERFORMANCE.md for methodology and
 // for how the checked-in report in the repository root is regenerated).
 //
-// Two matrices are measured:
+// The report covers these matrices:
 //
 //   - the aggregation matrix — replication counts × worker counts ×
 //     buffered/streaming aggregation over the commercial-grade scenario —
@@ -13,8 +13,9 @@
 //     skip-sampling kernel's O(k)-per-replication claim;
 //   - the batch matrix — tile widths (configurable with -batch-widths,
 //     width 1 = kernel off baseline) over the commercial-grade scenario
-//     and over the large-universe sizes × dense/sparse — which tracks the
-//     batched replication kernel's throughput and zero-alloc claims.
+//     and over the large-universe sizes with the dense kernel — which
+//     tracks the batched replication kernel's throughput and zero-alloc
+//     claims.
 //
 // Each cell runs in-process with a fresh telemetry registry. Throughput
 // is read back from that registry (the same montecarlo.replications_*
@@ -237,8 +238,10 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	}
 	// The batch matrix sweeps tile widths over the commercial-grade
 	// scenario (the throughput headline) and over the large-universe
-	// sizes × dense/sparse kernels. Width 1 rows run with the kernel off
+	// sizes with the dense kernel. Width 1 rows run with the kernel off
 	// and are the direct baseline for the wider rows of the same shape.
+	// Sparse runs ignore the batch width, so sparse × width cells would
+	// only repeat the kernel matrix's sparse rows.
 	for _, width := range batchWidths {
 		cell := cellConfig{
 			scenario: sc.Name, n: sc.FaultSet.N(), proc: proc,
@@ -254,19 +257,16 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 			return err
 		}
 		luProc := devsim.NewIndependentProcess(lu.FaultSet)
-		for _, sparse := range []bool{false, true} {
-			for _, width := range batchWidths {
-				if width == 1 {
-					continue // the kernel matrix above already measures these shapes
-				}
-				cell := cellConfig{
-					scenario: lu.Name, n: n, proc: luProc,
-					reps: sparseReps(n, *quick), workers: 0, streaming: true,
-					sparse: sparse, batch: width,
-				}
-				if err := appendCell(ctx, &rep, cell, *seed); err != nil {
-					return err
-				}
+		for _, width := range batchWidths {
+			if width == 1 {
+				continue // the kernel matrix above already measures this shape
+			}
+			cell := cellConfig{
+				scenario: lu.Name, n: n, proc: luProc,
+				reps: sparseReps(n, *quick), workers: 0, streaming: true, batch: width,
+			}
+			if err := appendCell(ctx, &rep, cell, *seed); err != nil {
+				return err
 			}
 		}
 	}
@@ -466,21 +466,47 @@ func runCell(ctx context.Context, cell cellConfig, seed uint64) (Row, error) {
 
 // gitCommit resolves the benchmarked revision: the VCS stamp from build
 // info when present (go build of a committed tree), otherwise git itself
-// (go run / go test builds are not stamped). Best-effort — an empty string
-// means neither source was available.
+// (go run / go test builds are not stamped). A tree with uncommitted
+// changes gets a "-dirty" suffix, so a report never passes off local
+// edits as the named commit. Best-effort — an empty string means neither
+// source was available.
 func gitCommit() string {
+	var settings []debug.BuildSetting
 	if info, ok := debug.ReadBuildInfo(); ok {
-		for _, s := range info.Settings {
-			if s.Key == "vcs.revision" {
-				return s.Value
-			}
+		settings = info.Settings
+	}
+	return resolveCommit(settings, func(args ...string) (string, error) {
+		out, err := exec.Command("git", args...).Output()
+		return string(out), err
+	})
+}
+
+// resolveCommit is gitCommit over injected build settings and a git
+// runner: vcs.revision and vcs.modified when stamped, else
+// git rev-parse HEAD and a non-empty git status --porcelain.
+func resolveCommit(settings []debug.BuildSetting, git func(args ...string) (string, error)) string {
+	rev, modified := "", false
+	for _, s := range settings {
+		switch s.Key {
+		case "vcs.revision":
+			rev = s.Value
+		case "vcs.modified":
+			modified = s.Value == "true"
 		}
 	}
-	out, err := exec.Command("git", "rev-parse", "HEAD").Output()
-	if err != nil {
-		return ""
+	if rev == "" {
+		out, err := git("rev-parse", "HEAD")
+		if err != nil {
+			return ""
+		}
+		rev = strings.TrimSpace(out)
+		status, err := git("status", "--porcelain")
+		modified = err == nil && strings.TrimSpace(status) != ""
 	}
-	return strings.TrimSpace(string(out))
+	if modified {
+		rev += "-dirty"
+	}
+	return rev
 }
 
 // resetPeakRSS asks the kernel to restart peak-RSS accounting for this

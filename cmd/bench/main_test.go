@@ -3,8 +3,10 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
+	"runtime/debug"
 	"strings"
 	"testing"
 )
@@ -77,15 +79,18 @@ func TestBenchMatrix(t *testing.T) {
 		}
 	}
 	// The two modes sample the same population, so their means agree
-	// exactly; streaming must allocate far less than buffered.
+	// exactly; neither allocates per replication, but buffered keeps two
+	// float64 samples per replication and streaming keeps none.
 	if buffered.MeanSystemPFD != streaming.MeanSystemPFD {
 		t.Errorf("means diverged across modes: %v vs %v", buffered.MeanSystemPFD, streaming.MeanSystemPFD)
 	}
-	if streaming.AllocsPerRep >= buffered.AllocsPerRep {
-		t.Errorf("streaming allocs/rep %v not below buffered %v", streaming.AllocsPerRep, buffered.AllocsPerRep)
+	if streaming.BytesPerRep >= buffered.BytesPerRep {
+		t.Errorf("streaming bytes/rep %v not below buffered %v", streaming.BytesPerRep, buffered.BytesPerRep)
 	}
-	if streaming.AllocsPerRep > 1 {
-		t.Errorf("streaming allocs/rep = %v, want (amortised) below 1", streaming.AllocsPerRep)
+	for _, row := range rep.Rows {
+		if row.AllocsPerRep > 1 {
+			t.Errorf("streaming=%v allocs/rep = %v, want (amortised) below 1", row.Streaming, row.AllocsPerRep)
+		}
 	}
 }
 
@@ -226,6 +231,41 @@ func TestBenchStdout(t *testing.T) {
 	}
 	if len(rep.Rows) != 2 {
 		t.Errorf("got %d rows, want 2", len(rep.Rows))
+	}
+}
+
+func TestResolveCommit(t *testing.T) {
+	t.Parallel()
+
+	const rev = "0123456789abcdef0123456789abcdef01234567"
+	fail := errors.New("not a git checkout")
+	git := func(head, status string, headErr, statusErr error) func(args ...string) (string, error) {
+		return func(args ...string) (string, error) {
+			if args[0] == "rev-parse" {
+				return head, headErr
+			}
+			return status, statusErr
+		}
+	}
+	stamped := func(modified string) []debug.BuildSetting {
+		return []debug.BuildSetting{{Key: "vcs.revision", Value: rev}, {Key: "vcs.modified", Value: modified}}
+	}
+	for _, tc := range []struct {
+		name     string
+		settings []debug.BuildSetting
+		git      func(args ...string) (string, error)
+		want     string
+	}{
+		{"stamped clean", stamped("false"), git("", "", fail, fail), rev},
+		{"stamped modified", stamped("true"), git("", "", fail, fail), rev + "-dirty"},
+		{"git clean", nil, git(rev+"\n", "", nil, nil), rev},
+		{"git dirty", nil, git(rev+"\n", " M cmd/bench/main.go\n", nil, nil), rev + "-dirty"},
+		{"git status fails", nil, git(rev+"\n", "", nil, fail), rev},
+		{"no source", nil, git("", "", fail, fail), ""},
+	} {
+		if got := resolveCommit(tc.settings, tc.git); got != tc.want {
+			t.Errorf("%s: resolveCommit = %q, want %q", tc.name, got, tc.want)
+		}
 	}
 }
 

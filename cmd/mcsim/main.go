@@ -123,6 +123,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 			Seed:        *seed,
 			TiltTarget:  0.3,
 			Sparse:      *sparse,
+			BatchWidth:  *batch,
 			Adjudicator: *adjName,
 		}))
 		if err != nil {

@@ -3,12 +3,17 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
+	"diversity/internal/faultmodel"
+	"diversity/internal/montecarlo"
+	"diversity/internal/report"
 	"diversity/internal/telemetry"
 )
 
@@ -112,6 +117,36 @@ func TestRunRareEstimation(t *testing.T) {
 	for _, want := range []string{"rare-event estimation", "importance sampling", "naive Monte Carlo", "closed form"} {
 		if !strings.Contains(text, want) {
 			t.Errorf("output missing %q:\n%s", want, text)
+		}
+	}
+}
+
+// TestRunRareBatchForwarded: -rare -batch must run both estimators with
+// the batched tile loop, so the report shows exactly the batched
+// estimates, not the unbatched ones.
+func TestRunRareBatchForwarded(t *testing.T) {
+	t.Parallel()
+
+	path := writeModel(t, `{"name": "rare", "faults": [{"p": 0.003, "q": 0.001}, {"p": 0.002, "q": 0.002}, {"p": 0.001, "q": 0.001}]}`)
+	fs, err := faultmodel.New([]faultmodel.Fault{{P: 0.003, Q: 0.001}, {P: 0.002, Q: 0.002}, {P: 0.001, Q: 0.001}})
+	if err != nil {
+		t.Fatalf("faultmodel.New: %v", err)
+	}
+	ctx := context.Background()
+	for _, width := range []int{0, 64} {
+		var out strings.Builder
+		args := []string{"-model", path, "-reps", "20000", "-seed", "7", "-rare", "-batch", strconv.Itoa(width)}
+		if err := run(ctx, args, &out); err != nil {
+			t.Fatalf("run(%v): %v", args, err)
+		}
+		is, err := montecarlo.EstimateRareSystemFaultOpts(ctx, fs, 2, 20000, 7, 0.3, montecarlo.RareOptions{BatchWidth: width})
+		if err != nil {
+			t.Fatalf("EstimateRareSystemFaultOpts: %v", err)
+		}
+		want := fmt.Sprintf("importance sampling %s %s %s",
+			report.Fmt(is.Probability), report.Fmt(is.StdErr), report.Fmt(is.HitFraction))
+		if !strings.Contains(strings.Join(strings.Fields(out.String()), " "), want) {
+			t.Errorf("-batch %d: output lacks the width-%d estimate %q:\n%s", width, width, want, out.String())
 		}
 	}
 }

@@ -6,15 +6,15 @@ import (
 )
 
 // Bitset is a fault-presence mask packed 64 faults per uint64 word — the
-// sparse counterpart of the []bool masks used by MaskDeveloper. Beyond the
-// packed words it tracks which words have ever been set since the last
-// Reset, so that clearing a million-fault mask between replications and
-// walking its set bits both cost O(k) in the number of present faults, not
-// O(n) in the universe size. That bound is what keeps sub-microsecond
-// replications possible at n = 10^6.
+// only mask representation the development processes and evaluation
+// kernels share. Beyond the packed words it tracks which words have ever
+// been set since the last Reset, so that clearing a million-fault mask
+// between replications and walking its set bits both cost O(k) in the
+// number of present faults, not O(n) in the universe size. That bound is
+// what keeps sub-microsecond replications possible at n = 10^6.
 //
 // A Bitset is not safe for concurrent use; the Monte-Carlo harness keeps
-// one per worker, like its []bool scratch masks.
+// one set of columns per worker.
 type Bitset struct {
 	n     int
 	words []uint64
@@ -51,6 +51,29 @@ func (b *Bitset) Set(i int) {
 		b.touched = append(b.touched, int32(w))
 	}
 	b.words[w] |= 1 << (uint(i) & 63)
+}
+
+// orWord sets the bits of x in word w, recording a 0 -> nonzero
+// transition in the touched list exactly like Set.
+func (b *Bitset) orWord(w int, x uint64) {
+	if x == 0 {
+		return
+	}
+	if b.words[w] == 0 {
+		b.touched = append(b.touched, int32(w))
+	}
+	b.words[w] |= x
+}
+
+// fillWords resets b and rebuilds it one word at a time in ascending
+// order, so Touched comes out ascending: word(lo, hi) returns the presence
+// bits of faults [lo, hi), bit j for fault lo + j. Earlier words are
+// already stored when word runs, so it may read them with Test.
+func (b *Bitset) fillWords(word func(lo, hi int) uint64) {
+	b.Reset()
+	for lo := 0; lo < b.n; lo += 64 {
+		b.orWord(lo>>6, word(lo, min(lo+64, b.n)))
+	}
 }
 
 // Test reports whether bit i is set. It panics if i is out of range,

@@ -71,39 +71,25 @@ func NewCommonCauseProcess(fs *faultmodel.FaultSet, rho, boost float64) (*Common
 }
 
 // Develop implements Process.
-func (p *CommonCauseProcess) Develop(r *randx.Stream) *Version {
-	present := make([]bool, p.fs.N())
-	p.DevelopInto(r, present)
-	return newVersion(p.fs, present)
-}
+func (p *CommonCauseProcess) Develop(r *randx.Stream) *Version { return develop(p, r) }
 
-// DevelopInto implements MaskDeveloper: the same draws as Develop, into a
-// caller-owned mask.
-func (p *CommonCauseProcess) DevelopInto(r *randx.Stream, present []bool) {
+// DevelopInto implements Process: one latent bad-day coin, then one
+// Bernoulli draw per fault at the day's conditional probability, in
+// ascending fault order.
+func (p *CommonCauseProcess) DevelopInto(r *randx.Stream, mask *Bitset) {
 	probs := p.lo
 	if r.Bernoulli(p.rho) {
 		probs = p.hi
 	}
-	for i := range present {
-		present[i] = r.Bernoulli(probs[i])
-	}
-}
-
-// DevelopSparse implements SparseDeveloper by replaying the exact draw
-// sequence of DevelopInto into the bitset: for a fixed stream the sparse
-// and dense masks are identical, only the representation differs.
-func (p *CommonCauseProcess) DevelopSparse(r *randx.Stream, mask *Bitset) int {
-	mask.Reset()
-	probs := p.lo
-	if r.Bernoulli(p.rho) {
-		probs = p.hi
-	}
-	for i := range probs {
-		if r.Bernoulli(probs[i]) {
-			mask.Set(i)
+	mask.fillWords(func(lo, hi int) uint64 {
+		var x uint64
+		for j, pi := range probs[lo:hi] {
+			if r.Bernoulli(pi) {
+				x |= 1 << uint(j)
+			}
 		}
-	}
-	return 0
+		return x
+	})
 }
 
 // FaultSet implements Process.
@@ -147,61 +133,38 @@ func NewResourceShiftProcess(fs *faultmodel.FaultSet, shift float64) (*ResourceS
 }
 
 // Develop implements Process.
-func (p *ResourceShiftProcess) Develop(r *randx.Stream) *Version {
-	present := make([]bool, p.fs.N())
-	p.DevelopInto(r, present)
-	return newVersion(p.fs, present)
-}
+func (p *ResourceShiftProcess) Develop(r *randx.Stream) *Version { return develop(p, r) }
 
-// DevelopInto implements MaskDeveloper: the same draws as Develop, into a
-// caller-owned mask.
-func (p *ResourceShiftProcess) DevelopInto(r *randx.Stream, present []bool) {
-	n := p.fs.N()
-	for pair := 0; pair+1 < n; pair += 2 {
-		// Within each pair, one member gets the scrutiny this
-		// development; the coin is per pair, so distinct pairs stay
-		// independent and the induced correlation is purely negative.
-		favourFirst := r.BernoulliValidated(0.5)
-		for offset := 0; offset < 2; offset++ {
-			i := pair + offset
-			pi := p.fs.Fault(i).P
-			if (offset == 0) == favourFirst {
-				pi *= 1 - p.shift
-			} else {
-				pi *= 1 + p.shift
-			}
-			present[i] = r.Bernoulli(pi)
-		}
-	}
-	if n%2 == 1 {
-		present[n-1] = r.Bernoulli(p.fs.Fault(n - 1).P)
-	}
-}
-
-// DevelopSparse implements SparseDeveloper by replaying the exact draw
-// sequence of DevelopInto into the bitset.
-func (p *ResourceShiftProcess) DevelopSparse(r *randx.Stream, mask *Bitset) int {
-	mask.Reset()
-	n := p.fs.N()
-	for pair := 0; pair+1 < n; pair += 2 {
-		favourFirst := r.BernoulliValidated(0.5)
-		for offset := 0; offset < 2; offset++ {
-			i := pair + offset
-			pi := p.fs.Fault(i).P
-			if (offset == 0) == favourFirst {
-				pi *= 1 - p.shift
-			} else {
-				pi *= 1 + p.shift
-			}
-			if r.Bernoulli(pi) {
-				mask.Set(i)
+// DevelopInto implements Process: per pair, one fair coin picks the
+// favoured member, then each member draws at its shifted probability;
+// the trailing unpaired fault of an odd universe draws at its plain
+// probability. Pairs start at even indices, so none straddles a word.
+func (p *ResourceShiftProcess) DevelopInto(r *randx.Stream, mask *Bitset) {
+	mask.fillWords(func(lo, hi int) uint64 {
+		var x uint64
+		i := lo
+		for ; i+1 < hi; i += 2 {
+			// Within each pair, one member gets the scrutiny this
+			// development; the coin is per pair, so distinct pairs stay
+			// independent and the induced correlation is purely negative.
+			favourFirst := r.BernoulliValidated(0.5)
+			for offset := 0; offset < 2; offset++ {
+				pi := p.fs.Fault(i + offset).P
+				if (offset == 0) == favourFirst {
+					pi *= 1 - p.shift
+				} else {
+					pi *= 1 + p.shift
+				}
+				if r.Bernoulli(pi) {
+					x |= 1 << uint(i+offset-lo)
+				}
 			}
 		}
-	}
-	if n%2 == 1 && r.Bernoulli(p.fs.Fault(n-1).P) {
-		mask.Set(n - 1)
-	}
-	return 0
+		if i < hi && r.Bernoulli(p.fs.Fault(i).P) {
+			x |= 1 << uint(i-lo)
+		}
+		return x
+	})
 }
 
 // FaultSet implements Process.

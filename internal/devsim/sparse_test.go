@@ -8,9 +8,9 @@ import (
 	"diversity/internal/randx"
 )
 
-// TestSparseFallbackMatchesDense: the correlated and tied processes
-// implement DevelopSparse by replaying the dense draw sequence, so for a
-// fixed seed the sparse mask must equal the dense mask bit for bit.
+// TestSparseFallbackMatchesDense: the correlated and tied processes have
+// no geometric sampler, so their sparse kernel is DevelopInto itself — the
+// historical dense draw sequence, bit for bit.
 func TestSparseFallbackMatchesDense(t *testing.T) {
 	t.Parallel()
 
@@ -35,16 +35,14 @@ func TestSparseFallbackMatchesDense(t *testing.T) {
 		"resource-shift": shift,
 		"tied-pairs":     tied,
 	} {
-		sparse := proc.(SparseDeveloper)
-		dense := proc.(MaskDeveloper)
+		if _, ok := proc.(SparseDeveloper); ok {
+			t.Fatalf("%s: replays dense draws, so it must not claim a sparse sampler", name)
+		}
 		mask := NewBitset(fs.N())
-		present := make([]bool, fs.N())
 		for seed := uint64(1); seed <= 50; seed++ {
 			a, b := randx.NewStream(seed), randx.NewStream(seed)
-			if skips := sparse.DevelopSparse(a, mask); skips != 0 {
-				t.Fatalf("%s: fallback reported %d geometric skips, want 0", name, skips)
-			}
-			dense.DevelopInto(b, present)
+			proc.DevelopInto(a, mask)
+			present := refDevelop(proc, b)
 			for i := range present {
 				if mask.Test(i) != present[i] {
 					t.Fatalf("%s seed=%d: bit %d sparse=%v dense=%v", name, seed, i, mask.Test(i), present[i])
@@ -252,11 +250,11 @@ func BenchmarkDevelopIntoDense100k(b *testing.B) {
 	}
 	proc := NewIndependentProcess(fs)
 	r := randx.NewStream(1)
-	present := make([]bool, n)
+	mask := NewBitset(n)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		proc.DevelopInto(r, present)
+		proc.DevelopInto(r, mask)
 	}
 }
 

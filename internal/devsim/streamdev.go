@@ -2,42 +2,18 @@ package devsim
 
 import "diversity/internal/randx"
 
-// MaskDeveloper is an optional Process extension for allocation-free
-// simulation: DevelopInto samples one development's fault-presence mask
-// into a caller-owned scratch slice, drawing exactly the same variates in
-// the same order as Develop. For a fixed random stream the two entry
-// points therefore produce identical version populations; the Monte-Carlo
-// harness relies on this in streaming mode to drop the per-replication
-// Version allocation without changing any sampled value.
-//
-// All processes in this package implement MaskDeveloper; Develop is a
-// thin wrapper that allocates a mask and delegates to DevelopInto.
-type MaskDeveloper interface {
-	// DevelopInto overwrites present — which must have length
-	// FaultSet().N() — with one development's fault-presence mask.
-	DevelopInto(r *randx.Stream, present []bool)
-}
-
-// The conformance guards keep every process on the allocation-free
-// streaming path; removing one silently falls back to per-replication
-// Version allocation in streaming Monte-Carlo runs.
-var (
-	_ MaskDeveloper = (*IndependentProcess)(nil)
-	_ MaskDeveloper = (*CommonCauseProcess)(nil)
-	_ MaskDeveloper = (*ResourceShiftProcess)(nil)
-	_ MaskDeveloper = (*TiedPairsProcess)(nil)
-)
-
 // SparseDeveloper is an optional Process extension for O(k) simulation
 // over large fault universes: DevelopSparse samples one development's
 // fault mask into a caller-owned Bitset (clearing it first) and returns
-// the number of geometric skip draws used, zero on dense fallback paths.
+// the number of geometric skip draws used.
 //
-// Unlike MaskDeveloper, implementations may draw a different — but
+// Unlike DevelopInto, implementations may draw a different — but
 // distributionally identical — variate sequence from Develop. Sparse
 // results are therefore exactly reproducible for a fixed seed, yet not
 // bitwise comparable with dense runs; the Monte-Carlo harness keeps dense
 // as its default and enables this path only on request (Config.Sparse).
+// Processes without the extension have no cheaper sampler than their
+// O(n) draws, so for them the sparse kernel is DevelopInto itself.
 type SparseDeveloper interface {
 	// DevelopSparse overwrites mask — which must have Len() equal to
 	// FaultSet().N() — with one development's fault-presence mask and
@@ -45,14 +21,6 @@ type SparseDeveloper interface {
 	DevelopSparse(r *randx.Stream, mask *Bitset) int
 }
 
-// Every process implements SparseDeveloper: the independent process with
-// the geometric skip kernel, the correlated and tied processes by
-// replaying their dense draw sequence into the bitset (they are O(n) in
-// draws regardless, so sparseness there buys O(k) mask handling, not
-// O(k) sampling).
-var (
-	_ SparseDeveloper = (*IndependentProcess)(nil)
-	_ SparseDeveloper = (*CommonCauseProcess)(nil)
-	_ SparseDeveloper = (*ResourceShiftProcess)(nil)
-	_ SparseDeveloper = (*TiedPairsProcess)(nil)
-)
+// The independent process samples by geometric gap-skipping within
+// equal-p groups.
+var _ SparseDeveloper = (*IndependentProcess)(nil)

@@ -59,52 +59,31 @@ func NewTiedPairsProcess(fs *faultmodel.FaultSet, pairs [][2]int) (*TiedPairsPro
 }
 
 // Develop implements Process.
-func (p *TiedPairsProcess) Develop(r *randx.Stream) *Version {
-	present := make([]bool, p.fs.N())
-	p.DevelopInto(r, present)
-	return newVersion(p.fs, present)
-}
+func (p *TiedPairsProcess) Develop(r *randx.Stream) *Version { return develop(p, r) }
 
-// DevelopInto implements MaskDeveloper: the same draws as Develop, into a
-// caller-owned mask.
-func (p *TiedPairsProcess) DevelopInto(r *randx.Stream, present []bool) {
-	for i := range present {
-		partner := p.pairOf[i]
-		switch {
-		case partner == -1:
-			present[i] = r.Bernoulli(p.fs.Fault(i).P)
-		case partner > i:
-			// This fault drives the pair's single coin.
-			hit := r.Bernoulli(p.fs.Fault(i).P)
-			present[i] = hit
-			present[partner] = hit
-		default:
-			// Already decided by the partner's coin.
-		}
-	}
-}
-
-// DevelopSparse implements SparseDeveloper by replaying the exact draw
-// sequence of DevelopInto into the bitset. A pair's partner may sit at a
-// higher index, so bits are set out of order — the Bitset's touched-word
-// tracking handles that without any ordering requirement.
-func (p *TiedPairsProcess) DevelopSparse(r *randx.Stream, mask *Bitset) int {
-	mask.Reset()
-	for i := 0; i < p.fs.N(); i++ {
-		partner := p.pairOf[i]
-		switch {
-		case partner == -1:
-			if r.Bernoulli(p.fs.Fault(i).P) {
-				mask.Set(i)
+// DevelopInto implements Process: untied faults and each pair's driver
+// (its smaller index) draw one Bernoulli variate in ascending order; the
+// partner copies the driver's bit when the loop reaches it — from the word
+// being built, or from an earlier word already stored in the mask.
+func (p *TiedPairsProcess) DevelopInto(r *randx.Stream, mask *Bitset) {
+	mask.fillWords(func(lo, hi int) uint64 {
+		var x uint64
+		for i := lo; i < hi; i++ {
+			var hit bool
+			switch partner := p.pairOf[i]; {
+			case partner < 0 || partner > i:
+				hit = r.Bernoulli(p.fs.Fault(i).P)
+			case partner >= lo:
+				hit = x>>uint(partner-lo)&1 == 1
+			default:
+				hit = mask.Test(partner)
 			}
-		case partner > i:
-			if r.Bernoulli(p.fs.Fault(i).P) {
-				mask.Set(i)
-				mask.Set(partner)
+			if hit {
+				x |= 1 << uint(i-lo)
 			}
 		}
-	}
-	return 0
+		return x
+	})
 }
 
 // FaultSet implements Process.

@@ -31,35 +31,32 @@ type Version struct {
 	count int
 }
 
-// newVersion computes the PFD and fault count from a presence mask,
-// packing it into a Bitset. The sum over q_i runs in ascending fault
-// order, matching the historical []bool loop bit for bit.
-func newVersion(fs *faultmodel.FaultSet, present []bool) *Version {
-	v := &Version{mask: NewBitset(len(present))}
-	for i, has := range present {
-		if has {
-			v.mask.Set(i)
-			v.pfd += fs.Fault(i).Q
-			v.count++
-		}
-	}
-	return v
-}
-
-// newVersionFromBitset computes the PFD and fault count from a packed
-// mask. The mask is retained, not copied: callers hand over ownership.
-// The q_i sum runs in ascending fault order (word by word), the same
-// order newVersion uses.
-func newVersionFromBitset(fs *faultmodel.FaultSet, mask *Bitset) *Version {
-	v := &Version{mask: mask}
-	for w := 0; w < mask.NumWords(); w++ {
+// BitsetPFD sums the region probabilities of the faults present in a
+// packed mask and counts them — the PFD of the version the mask
+// describes. It walks only the touched words, so the cost is O(k) in the
+// present faults regardless of universe size; for masks filled in
+// ascending word order (DevelopInto, DevelopBatch) the q_i sum runs in
+// ascending fault order.
+func BitsetPFD(fs *faultmodel.FaultSet, mask *Bitset) (pfd float64, count int) {
+	for _, tw := range mask.Touched() {
+		w := int(tw)
 		x := mask.Word(w)
-		v.count += bits.OnesCount64(x)
+		count += bits.OnesCount64(x)
 		for x != 0 {
-			v.pfd += fs.Fault(w<<6 + bits.TrailingZeros64(x)).Q
+			pfd += fs.Fault(w<<6 + bits.TrailingZeros64(x)).Q
 			x &= x - 1
 		}
 	}
+	return pfd, count
+}
+
+// develop is every process's Develop: one DevelopInto into a fresh mask,
+// which the returned Version keeps.
+func develop(p Process, r *randx.Stream) *Version {
+	fs := p.FaultSet()
+	v := &Version{mask: NewBitset(fs.N())}
+	p.DevelopInto(r, v.mask)
+	v.pfd, v.count = BitsetPFD(fs, v.mask)
 	return v
 }
 
@@ -150,8 +147,15 @@ func CommonFaultCount(fs *faultmodel.FaultSet, versions ...*Version) (int, error
 // each supplying its own random stream — the Monte-Carlo harness relies on
 // this to shard replications across workers.
 type Process interface {
-	// Develop produces one version using randomness from r.
+	// Develop produces one version using randomness from r. It is
+	// DevelopInto into a fresh mask, so both draw the same variates.
 	Develop(r *randx.Stream) *Version
+	// DevelopInto overwrites mask — which must have Len() equal to
+	// FaultSet().N() — with one development's fault-presence mask,
+	// without allocating. The mask's words are filled in ascending order,
+	// so its touched words are ascending and every bitset PFD walk sums
+	// in ascending fault order.
+	DevelopInto(r *randx.Stream, mask *Bitset)
 	// FaultSet returns the potential-fault universe the process samples
 	// from.
 	FaultSet() *faultmodel.FaultSet
@@ -169,8 +173,9 @@ type IndependentProcess struct {
 	sparseOnce sync.Once
 	groups     []faultGroup
 
-	// Batched-kernel state, built lazily on first DevelopBatch: one
-	// integer Bernoulli threshold per fault (see bernoulliThreshold).
+	// Dense and batched kernel state, built lazily on first DevelopInto
+	// or DevelopBatch: one integer Bernoulli threshold per fault (see
+	// BernoulliThreshold).
 	batchOnce  sync.Once
 	thresholds []uint64
 }
@@ -211,19 +216,26 @@ func NewIndependentProcess(fs *faultmodel.FaultSet) *IndependentProcess {
 }
 
 // Develop implements Process.
-func (p *IndependentProcess) Develop(r *randx.Stream) *Version {
-	present := make([]bool, p.fs.N())
-	p.DevelopInto(r, present)
-	return newVersion(p.fs, present)
-}
+func (p *IndependentProcess) Develop(r *randx.Stream) *Version { return develop(p, r) }
 
-// DevelopInto implements MaskDeveloper: the same draws as Develop, into a
-// caller-owned mask. Each p_i was validated into [0, 1] when the fault
-// set was built, so the loop uses the clamp-free Bernoulli form.
-func (p *IndependentProcess) DevelopInto(r *randx.Stream, present []bool) {
-	for i := range present {
-		present[i] = r.BernoulliValidated(p.fs.Fault(i).P)
-	}
+// DevelopInto implements Process with one variate per fault in ascending
+// order — the draws of BernoulliValidated(p_i), since each p_i was
+// validated into [0, 1] when the fault set was built. Each mask word is
+// built in a register: one FillUint64 of up to 64 variates, compared
+// branch-free against the faults' integer thresholds (BernoulliThreshold
+// decides exactly like the float compare).
+func (p *IndependentProcess) DevelopInto(r *randx.Stream, mask *Bitset) {
+	thr := p.batchThresholds()
+	var d [64]uint64
+	mask.fillWords(func(lo, hi int) uint64 {
+		lanes := d[:hi-lo]
+		r.FillUint64(lanes)
+		var x uint64
+		for j, u := range lanes {
+			x |= hitBit(u, thr[lo+j]) << uint(j)
+		}
+		return x
+	})
 }
 
 // sparseGroups builds (once) the equal-p fault groups the sparse kernel

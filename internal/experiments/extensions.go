@@ -159,8 +159,7 @@ func runE19NVersion(ctx context.Context, cfg Config) (*Result, error) {
 	type arrangement struct {
 		name     string
 		versions int
-		arch     system.Architecture
-		adj      system.Adjudicator // when set, overrides arch
+		adj      system.Adjudicator
 		model    float64
 	}
 	mu2, err := fs.MeanPFD(2)
@@ -179,10 +178,10 @@ func runE19NVersion(ctx context.Context, cfg Config) (*Result, error) {
 		majority += (3*p*p*(1-p) + p*p*p) * q
 	}
 	arrangements := []arrangement{
-		{name: "1 version", versions: 1, arch: system.Arch1OutOfM, model: mu1},
-		{name: "1-out-of-2", versions: 2, arch: system.Arch1OutOfM, model: mu2},
-		{name: "1-out-of-3", versions: 3, arch: system.Arch1OutOfM, model: mu3},
-		{name: "2-out-of-3 majority", versions: 3, arch: system.ArchMajority, model: majority},
+		{name: "1 version", versions: 1, adj: system.OneOutOfN{}, model: mu1},
+		{name: "1-out-of-2", versions: 2, adj: system.OneOutOfN{}, model: mu2},
+		{name: "1-out-of-3", versions: 3, adj: system.OneOutOfN{}, model: mu3},
+		{name: "2-out-of-3 majority", versions: 3, adj: system.MajorityVote{}, model: majority},
 	}
 	// Config.Versions/Adjudicator request one extra arrangement: the
 	// generalised k-of-N closed form (system.MeanSystemPFD) against its own
@@ -202,18 +201,13 @@ func runE19NVersion(ctx context.Context, cfg Config) (*Result, error) {
 	}
 	means := make([]float64, len(arrangements))
 	for i, arr := range arrangements {
-		mcCfg := montecarlo.Config{
-			Process:  devsim.NewIndependentProcess(fs),
-			Versions: arr.versions,
-			Arch:     arr.arch,
-			Reps:     reps,
-			Seed:     cfg.Seed + 95,
-		}
-		if arr.adj != nil {
-			mcCfg.Arch = 0
-			mcCfg.Adjudicator = arr.adj
-		}
-		mc, err := montecarlo.RunContext(ctx, mcCfg)
+		mc, err := montecarlo.RunContext(ctx, montecarlo.Config{
+			Process:     devsim.NewIndependentProcess(fs),
+			Versions:    arr.versions,
+			Adjudicator: arr.adj,
+			Reps:        reps,
+			Seed:        cfg.Seed + 95,
+		})
 		if err != nil {
 			return nil, err
 		}

@@ -101,7 +101,7 @@ func TestBatchedMatchesDenseNVersionPool(t *testing.T) {
 	}
 	proc := devsim.NewIndependentProcess(sc.FaultSet)
 	assertBatchedMatchesDense(t, Config{
-		Process: proc, Versions: 3, Arch: system.ArchMajority,
+		Process: proc, Versions: 3, Adjudicator: system.MajorityVote{},
 		Reps: 30000, Seed: 7, Workers: 4, Streaming: true,
 	}, 64)
 }
@@ -191,10 +191,10 @@ func TestBatchedBufferedMatchesBatchedStreaming(t *testing.T) {
 	}
 }
 
-// TestSparseBatchedByteIdenticalToSparse: in sparse mode the batched
-// harness only tiles the evaluation — the draw sequence is the plain
-// sparse kernel's — so results must be bitwise identical to
-// BatchWidth = 0, in both aggregation modes.
+// TestSparseBatchedByteIdenticalToSparse: the sparse kernel takes
+// precedence over BatchWidth — geometric gaps are sequential per
+// replication, so tiling them bought nothing — and results must be
+// bitwise identical to BatchWidth = 0, in both aggregation modes.
 func TestSparseBatchedByteIdenticalToSparse(t *testing.T) {
 	t.Parallel()
 
@@ -213,8 +213,9 @@ func TestSparseBatchedByteIdenticalToSparse(t *testing.T) {
 		if err != nil {
 			t.Fatalf("sparse batched Run: %v", err)
 		}
-		if !batched.Batched || !batched.Sparse {
-			t.Fatal("sparse batched run did not report both kernels")
+		if batched.Batched || batched.BatchWidth != 0 || !batched.Sparse {
+			t.Fatalf("sparse run with a batch width reports batched=%v width=%d sparse=%v, want the sparse kernel alone",
+				batched.Batched, batched.BatchWidth, batched.Sparse)
 		}
 		if plain.SparseSkips != batched.SparseSkips {
 			t.Errorf("skip counts diverged: plain %d, batched %d", plain.SparseSkips, batched.SparseSkips)
@@ -265,8 +266,8 @@ func TestBatchWidthOffIsByteIdenticalToDense(t *testing.T) {
 	}
 }
 
-// TestBatchedFallbackProcess: a process with neither bitset kernel runs
-// dense (and says so) rather than failing.
+// TestBatchedFallbackProcess: a process without the BatchDeveloper
+// extension runs its dense DevelopInto (and says so) rather than failing.
 func TestBatchedFallbackProcess(t *testing.T) {
 	t.Parallel()
 
@@ -409,6 +410,18 @@ func TestBatchedMetrics(t *testing.T) {
 	}
 	if snap.Gauges["montecarlo.replications_per_second.sparse"] != 0 {
 		t.Error("sparse-mode gauge moved during a batched run")
+	}
+
+	// The width gauge describes the latest run: a dense job after the
+	// batched one must read 0, not the stale 64.
+	if _, err := Run(Config{
+		Process: proc, Versions: 2, Reps: 1000, Seed: 3, Workers: 2,
+		Streaming: true, Metrics: reg,
+	}); err != nil {
+		t.Fatalf("dense Run: %v", err)
+	}
+	if got := reg.Snapshot().Gauges["montecarlo.batch_width"]; got != 0 {
+		t.Errorf("batch_width = %v after a dense run, want 0", got)
 	}
 }
 

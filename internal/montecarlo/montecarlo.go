@@ -50,12 +50,9 @@ type Config struct {
 	// Versions is the number of versions per replication (the paper's
 	// system has 2). Must be at least 1.
 	Versions int
-	// Arch combines the versions into a system. Defaults to
-	// system.Arch1OutOfM when zero. Ignored when Adjudicator is set.
-	Arch system.Architecture
-	// Adjudicator, when non-nil, selects the voting rule combining the
-	// versions into a system — any system.Adjudicator, including k-of-N
-	// rules the Arch enum cannot express. Nil falls back to Arch.
+	// Adjudicator selects the voting rule combining the versions into a
+	// system — any system.Adjudicator, including k-of-N rules. Nil means
+	// 1-out-of-N (system.OneOutOfN).
 	Adjudicator system.Adjudicator
 	// Reps is the number of replications. Must be at least 1.
 	Reps int
@@ -72,19 +69,21 @@ type Config struct {
 	// only the representation changes. Use Result.VersionSummary and
 	// Result.SystemSummary to read statistics uniformly in either mode.
 	Streaming bool
-	// Sparse selects the sparse development kernel
-	// (devsim.SparseDeveloper): replications sample packed Bitset fault
-	// masks — by geometric gap-skipping for the independent process, so
+	// Sparse selects the sparse development kernel: processes with the
+	// devsim.SparseDeveloper extension (the independent process) sample
+	// each replication's masks by geometric gap-skipping, so
 	// per-replication cost scales with the expected fault count rather
-	// than the universe size — and reduce them by word-wise AND +
-	// popcount. The sparse path draws a different (but distributionally
-	// identical) variate sequence from the dense default, so fixed-seed
-	// results are reproducible within a mode yet not bitwise comparable
-	// across modes; it therefore ships opt-in. It composes with both
-	// aggregation modes, and for the same seed and worker count the
+	// than the universe size. That draws a different (but
+	// distributionally identical) variate sequence from the dense
+	// default, so fixed-seed results are reproducible within a mode yet
+	// not bitwise comparable across modes; it therefore ships opt-in.
+	// Every other process has no cheaper sampler than its dense
+	// DevelopInto, which is then its sparse kernel. Sparse composes with
+	// both aggregation modes, and for the same seed and worker count the
 	// sparse buffered and sparse streaming runs observe exactly the same
-	// PFD population. Processes without the SparseDeveloper extension
-	// fall back to the dense path.
+	// PFD population. It takes precedence over BatchWidth: geometric gaps
+	// are sequential per replication, so sparse runs develop one column
+	// at a time.
 	Sparse bool
 	// BatchWidth, when at least 2, selects the batched replication kernel:
 	// each worker tiles its replications into columns of up to BatchWidth
@@ -95,14 +94,12 @@ type Config struct {
 	// per worker shard, so the steady state performs no allocations. Like
 	// the sparse kernel, the batched path consumes a different (but
 	// distributionally identical) variate sequence from the dense
-	// default, so it ships opt-in: 0 or 1 leaves the existing paths
+	// default, so it ships opt-in: 0 or 1 leaves the dense kernel
 	// untouched byte for byte. It composes with both aggregation modes
-	// and with Sparse (sparse draws stay per-replication — identical to
-	// the unbatched sparse sequence — and only the evaluation is tiled).
-	// Processes without the BatchDeveloper extension fall back to the
-	// dense path. Wide tiles over large fault universes are clamped to a
-	// fixed per-worker arena budget; Result.BatchWidth reports the width
-	// actually used.
+	// and is ignored when Sparse is set. Processes without the
+	// BatchDeveloper extension fall back to the dense kernel. Wide tiles
+	// over large fault universes are clamped to a fixed per-worker arena
+	// budget; Result.BatchWidth reports the width actually used.
 	BatchWidth int
 	// Progress, when non-nil, is called as replications complete with the
 	// total completed so far and the configured total. It is invoked from
@@ -134,16 +131,17 @@ type Result struct {
 	// buffered runs fill VersionPFD/SystemPFD, streaming runs fill
 	// VersionAgg/SystemAgg.
 	Streaming bool
-	// Sparse reports whether the sparse development kernel actually ran —
-	// false when Config.Sparse was set but the process lacks the
-	// SparseDeveloper extension and the run fell back to the dense path.
+	// Sparse reports whether the run used the sparse development kernel
+	// (Config.Sparse); for processes without the SparseDeveloper
+	// extension that kernel is their dense DevelopInto.
 	Sparse bool
 	// SparseSkips is the total number of geometric skip draws the sparse
-	// kernel consumed (0 for dense runs and dense-replay fallbacks).
+	// kernel consumed (0 for dense runs and for processes whose sparse
+	// kernel is DevelopInto).
 	SparseSkips int64
 	// Batched reports whether the batched replication kernel actually ran
-	// — false when Config.BatchWidth was set but the process supports
-	// neither bitset kernel and the run fell back to the dense path.
+	// — false when Config.BatchWidth was unset, Config.Sparse was set, or
+	// the process lacks the BatchDeveloper extension.
 	Batched bool
 	// BatchWidth is the tile width the batched kernel used
 	// (Config.BatchWidth clamped to the replication count and the
@@ -237,14 +235,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	}
 	adj := cfg.Adjudicator
 	if adj == nil {
-		arch := cfg.Arch
-		if arch == 0 {
-			arch = system.Arch1OutOfM
-		}
-		var err error
-		if adj, err = arch.Adjudicator(); err != nil {
-			return nil, fmt.Errorf("montecarlo: %w", err)
-		}
+		adj = system.OneOutOfN{}
 	}
 	if err := adj.Validate(cfg.Versions); err != nil {
 		return nil, fmt.Errorf("montecarlo: %w", err)
@@ -260,45 +251,26 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		return nil, fmt.Errorf("montecarlo: run cancelled before start: %w", err)
 	}
 
-	// The sparse kernel needs the SparseDeveloper extension; without it
-	// the run falls back to the dense path (mirroring the streaming
-	// mode's MaskDeveloper fallback).
-	var sparseDev devsim.SparseDeveloper
-	if cfg.Sparse {
-		sparseDev, _ = cfg.Process.(devsim.SparseDeveloper)
-	}
-
 	fs := cfg.Process.FaultSet()
-
-	// The batched kernel tiles replications into bitset columns, which
-	// the sparse kernel always produces and the dense path gets from the
-	// BatchDeveloper extension; a process with neither falls back to the
-	// unbatched dense path.
-	batchWidth := 0
-	var batchDev devsim.BatchDeveloper
-	if cfg.BatchWidth > 1 {
-		if sparseDev == nil {
-			batchDev, _ = cfg.Process.(devsim.BatchDeveloper)
-		}
-		if sparseDev != nil || batchDev != nil {
-			batchWidth = cfg.BatchWidth
-			if batchWidth > cfg.Reps {
-				batchWidth = cfg.Reps
-			}
-			batchWidth = effectiveBatchWidth(batchWidth, cfg.Versions, fs.N())
+	k := kernel{proc: cfg.Process, width: 1}
+	switch {
+	case cfg.Sparse:
+		k.sparse, _ = cfg.Process.(devsim.SparseDeveloper)
+	case cfg.BatchWidth > 1:
+		if bd, ok := cfg.Process.(devsim.BatchDeveloper); ok {
+			k.batch = bd
+			k.width = effectiveBatchWidth(min(cfg.BatchWidth, cfg.Reps), cfg.Versions, fs.N())
 		}
 	}
 
 	res := &Result{
 		Reps: cfg.Reps, Versions: cfg.Versions, Adjudicator: adj.Name(),
-		Streaming: cfg.Streaming, Sparse: sparseDev != nil,
-		Batched: batchWidth > 0, BatchWidth: batchWidth,
+		Streaming: cfg.Streaming, Sparse: cfg.Sparse, Batched: k.batch != nil,
 	}
-	var vAggs, sAggs []Agg
-	if cfg.Streaming {
-		vAggs = make([]Agg, workers)
-		sAggs = make([]Agg, workers)
-	} else {
+	if res.Batched {
+		res.BatchWidth = k.width
+	}
+	if !cfg.Streaming {
 		res.VersionPFD = make([]float64, cfg.Reps)
 		res.SystemPFD = make([]float64, cfg.Reps)
 	}
@@ -320,14 +292,9 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		start += size
 	}
 
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-	)
+	var wg sync.WaitGroup
 	var done atomic.Int64
-	counts := make([][2]int, workers)     // per-worker (versionFaultFree, systemFaultFree)
-	workerSkips := make([]int64, workers) // per-worker geometric skip draws (sparse mode)
+	tiles := make([]*tileWorker, workers)
 
 	// The cancellation watcher timestamps the moment the context is
 	// cancelled so the drain latency — cancellation to last worker exit —
@@ -346,6 +313,9 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	}
 	shardElapsed := make([]time.Duration, workers)
 
+	// A chunk is never smaller than a tile, so batched tiles only shrink
+	// at the shard tail, not at every context check.
+	chunk := max(ctxCheckEvery, k.width)
 	for w := 0; w < workers; w++ {
 		w := w
 		wg.Add(1)
@@ -357,176 +327,19 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 			}
 			shardStart := time.Now()
 			defer func() { shardElapsed[w] = time.Since(shardStart) }()
-			r := streams[w]
-
-			// Each mode supplies one simulate(rep) step — or, for the
-			// batched kernel, one simulateBatch(lo, hi) tile step — and
-			// the chunk loop below (context checks, progress) is shared.
-			// The streaming fast path reuses per-worker presence masks
-			// through devsim.MaskDeveloper, so a replication performs no
-			// allocations at all; processes without that extension fall
-			// back to Develop, still at constant memory in Reps. The
-			// sparse kernel likewise reuses per-worker Bitset masks, in
-			// either aggregation mode, allocation-free per replication.
-			var simulate func(rep int) error
-			var simulateBatch func(lo, hi int) error
-			switch {
-			case res.Batched:
-				bw := newBatchWorker(fs, adj, r, cfg.Versions, batchWidth, batchDev, sparseDev)
-				bw.skips = &workerSkips[w]
-				bw.counts = &counts[w]
-				if cfg.Streaming {
-					bw.vAgg, bw.sAgg = &vAggs[w], &sAggs[w]
-				} else {
-					bw.versionPFD, bw.systemPFD = res.VersionPFD, res.SystemPFD
-				}
-				simulateBatch = bw.run
-			case sparseDev != nil:
-				masks := make([]*devsim.Bitset, cfg.Versions)
-				for i := range masks {
-					masks[i] = devsim.NewBitset(fs.N())
-				}
-				if cfg.Streaming {
-					vAgg, sAgg := &vAggs[w], &sAggs[w]
-					simulate = func(int) error {
-						skips := 0
-						for _, mask := range masks {
-							skips += sparseDev.DevelopSparse(r, mask)
-						}
-						workerSkips[w] += int64(skips)
-						vpfd, vcount := sparsePFD(fs, masks[0])
-						spfd, scount := system.BitsetSystemPFD(fs, adj, masks)
-						vAgg.Observe(vpfd)
-						sAgg.Observe(spfd)
-						if vcount == 0 {
-							counts[w][0]++
-						}
-						if scount == 0 {
-							counts[w][1]++
-						}
-						return nil
-					}
-				} else {
-					simulate = func(rep int) error {
-						skips := 0
-						for _, mask := range masks {
-							skips += sparseDev.DevelopSparse(r, mask)
-						}
-						workerSkips[w] += int64(skips)
-						vpfd, vcount := sparsePFD(fs, masks[0])
-						spfd, scount := system.BitsetSystemPFD(fs, adj, masks)
-						res.VersionPFD[rep] = vpfd
-						res.SystemPFD[rep] = spfd
-						if vcount == 0 {
-							counts[w][0]++
-						}
-						if scount == 0 {
-							counts[w][1]++
-						}
-						return nil
-					}
-				}
-			case cfg.Streaming:
-				vAgg, sAgg := &vAggs[w], &sAggs[w]
-				if md, ok := cfg.Process.(devsim.MaskDeveloper); ok {
-					masks := make([][]bool, cfg.Versions)
-					for i := range masks {
-						masks[i] = make([]bool, fs.N())
-					}
-					simulate = func(int) error {
-						for _, mask := range masks {
-							md.DevelopInto(r, mask)
-						}
-						vpfd, vcount := maskPFD(fs, masks[0])
-						spfd, scount := system.MaskSystemPFD(fs, adj, masks)
-						vAgg.Observe(vpfd)
-						sAgg.Observe(spfd)
-						if vcount == 0 {
-							counts[w][0]++
-						}
-						if scount == 0 {
-							counts[w][1]++
-						}
-						return nil
-					}
-				} else {
-					versions := make([]*devsim.Version, cfg.Versions)
-					simulate = func(int) error {
-						for i := range versions {
-							versions[i] = cfg.Process.Develop(r)
-						}
-						sys, err := system.NewVoted(fs, adj, versions...)
-						if err != nil {
-							return err
-						}
-						vAgg.Observe(versions[0].PFD())
-						sAgg.Observe(sys.PFD())
-						if versions[0].FaultCount() == 0 {
-							counts[w][0]++
-						}
-						if sys.SystemFaultCount() == 0 {
-							counts[w][1]++
-						}
-						return nil
-					}
-				}
-			default:
-				versions := make([]*devsim.Version, cfg.Versions)
-				simulate = func(rep int) error {
-					for i := range versions {
-						versions[i] = cfg.Process.Develop(r)
-					}
-					sys, err := system.NewVoted(fs, adj, versions...)
-					if err != nil {
-						return err
-					}
-					res.VersionPFD[rep] = versions[0].PFD()
-					res.SystemPFD[rep] = sys.PFD()
-					if versions[0].FaultCount() == 0 {
-						counts[w][0]++
-					}
-					if sys.SystemFaultCount() == 0 {
-						counts[w][1]++
-					}
-					return nil
-				}
+			tw := newTileWorker(fs, adj, streams[w], cfg.Versions, k)
+			if cfg.Streaming {
+				tw.vAgg, tw.sAgg = new(Agg), new(Agg)
+			} else {
+				tw.versionPFD, tw.systemPFD = res.VersionPFD, res.SystemPFD
 			}
-
-			// A chunk is never smaller than a tile, so batched tiles only
-			// shrink at the shard tail, not at every context check.
-			chunk := ctxCheckEvery
-			if batchWidth > chunk {
-				chunk = batchWidth
-			}
+			tiles[w] = tw
 			for lo := shards[w].lo; lo < shards[w].hi; lo += chunk {
 				if ctx.Err() != nil {
 					return
 				}
-				hi := lo + chunk
-				if hi > shards[w].hi {
-					hi = shards[w].hi
-				}
-				if simulateBatch != nil {
-					if err := simulateBatch(lo, hi); err != nil {
-						mu.Lock()
-						if firstErr == nil {
-							firstErr = err
-						}
-						mu.Unlock()
-						return
-					}
-				} else {
-					for rep := lo; rep < hi; rep++ {
-						if err := simulate(rep); err != nil {
-							mu.Lock()
-							if firstErr == nil {
-								firstErr = err
-							}
-							mu.Unlock()
-							return
-						}
-					}
-				}
+				hi := min(lo+chunk, shards[w].hi)
+				tw.run(lo, hi)
 				completed := done.Add(int64(hi - lo))
 				if cfg.Progress != nil {
 					cfg.Progress(int(completed), cfg.Reps)
@@ -535,34 +348,28 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		}()
 	}
 	wg.Wait()
-	for _, s := range workerSkips {
-		res.SparseSkips += s
+	for _, tw := range tiles {
+		res.SparseSkips += tw.skips
 	}
 	if cfg.Metrics != nil {
 		close(watcherStop)
-		recordRunMetrics(cfg.Metrics, runStart, done.Load(), shardElapsed, cancelledAt.Load(), res.Sparse, res.SparseSkips, res.Batched, res.BatchWidth, res.Adjudicator)
-		if cfg.Streaming {
-			cfg.Metrics.Counter("montecarlo.streaming_runs_total").Add(1)
-		}
-	}
-	if firstErr != nil {
-		return nil, fmt.Errorf("montecarlo: replication failed: %w", firstErr)
+		recordRunMetrics(cfg.Metrics, res, runStart, done.Load(), shardElapsed, cancelledAt.Load())
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("montecarlo: run cancelled after %d of %d replications: %w", done.Load(), cfg.Reps, err)
 	}
-	for _, c := range counts {
-		res.VersionFaultFree += c[0]
-		res.SystemFaultFree += c[1]
+	for _, tw := range tiles {
+		res.VersionFaultFree += tw.counts[0]
+		res.SystemFaultFree += tw.counts[1]
 	}
 	if cfg.Streaming {
 		// Reduce the per-worker aggregates in shard order: the merge is
 		// deterministic, so a fixed seed and worker count reproduces
 		// results bit for bit.
-		res.VersionAgg, res.SystemAgg = new(Agg), new(Agg)
-		for i := range vAggs {
-			res.VersionAgg.Merge(&vAggs[i])
-			res.SystemAgg.Merge(&sAggs[i])
+		res.VersionAgg, res.SystemAgg = tiles[0].vAgg, tiles[0].sAgg
+		for _, tw := range tiles[1:] {
+			res.VersionAgg.Merge(tw.vAgg)
+			res.SystemAgg.Merge(tw.sAgg)
 		}
 	}
 	return res, nil
@@ -587,34 +394,31 @@ func PreRegisterMetrics(reg *telemetry.Registry) {
 	reg.Counter("montecarlo.replications_total." + system.MajorityVote{}.Name())
 }
 
-// recordRunMetrics publishes a run's throughput and shard measurements;
-// replications are additionally counted under the run's adjudicator name
+// recordRunMetrics publishes a run's throughput and shard measurements:
+// replications completed — also counted under the run's adjudicator name
 // (montecarlo.replications_total.<adjudicator>), so mixed workloads
-// expose how much simulation each voting rule consumed:
-// replications completed, replications per second over the whole run
-// (both unlabelled and under the kernel-mode suffix
-// .dense/.sparse/.batched — sparse wins the label when the two kernels
-// compose, since the sparse kernel does the drawing), the tile width of
-// the latest batched run, shard imbalance ((max-min)/max shard wall
-// time — 0 means perfectly balanced), sparse-kernel skip draws, and,
-// for cancelled runs, the latency between cancellation and the last
-// worker draining.
-func recordRunMetrics(reg *telemetry.Registry, runStart time.Time, completed int64, shardElapsed []time.Duration, cancelledNanos int64, sparse bool, sparseSkips int64, batched bool, batchWidth int, adjudicator string) {
+// expose how much simulation each voting rule consumed — replications per
+// second over the whole run (both unlabelled and under the kernel-mode
+// suffix .dense/.sparse/.batched), the run's tile width (0 unless
+// batched), shard imbalance ((max-min)/max shard wall time — 0 means
+// perfectly balanced), sparse-kernel skip draws, whether the run
+// streamed, and, for cancelled runs, the latency between cancellation and
+// the last worker draining.
+func recordRunMetrics(reg *telemetry.Registry, res *Result, runStart time.Time, completed int64, shardElapsed []time.Duration, cancelledNanos int64) {
 	elapsed := time.Since(runStart)
 	reg.Counter("montecarlo.replications_total").Add(completed)
-	if adjudicator != "" {
-		reg.Counter("montecarlo.replications_total." + adjudicator).Add(completed)
-	}
+	reg.Counter("montecarlo.replications_total." + res.Adjudicator).Add(completed)
 	mode := "dense"
 	switch {
-	case sparse:
+	case res.Sparse:
 		mode = "sparse"
-		reg.Counter("montecarlo.sparse_skips_total").Add(sparseSkips)
-	case batched:
+		reg.Counter("montecarlo.sparse_skips_total").Add(res.SparseSkips)
+	case res.Batched:
 		mode = "batched"
 	}
-	if batched {
-		reg.Gauge("montecarlo.batch_width").Set(float64(batchWidth))
+	reg.Gauge("montecarlo.batch_width").Set(float64(res.BatchWidth))
+	if res.Streaming {
+		reg.Counter("montecarlo.streaming_runs_total").Add(1)
 	}
 	if secs := elapsed.Seconds(); secs > 0 {
 		rate := float64(completed) / secs

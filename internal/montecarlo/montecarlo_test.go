@@ -189,11 +189,11 @@ func TestRunMajorityArchitecture(t *testing.T) {
 
 	proc := testProcess(t)
 	res, err := Run(Config{
-		Process:  proc,
-		Versions: 3,
-		Arch:     system.ArchMajority,
-		Reps:     50000,
-		Seed:     13,
+		Process:     proc,
+		Versions:    3,
+		Adjudicator: system.MajorityVote{},
+		Reps:        50000,
+		Seed:        13,
 	})
 	if err != nil {
 		t.Fatalf("Run: %v", err)

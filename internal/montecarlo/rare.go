@@ -194,9 +194,9 @@ func EstimateRareSystemFaultOpts(ctx context.Context, fs *faultmodel.FaultSet, m
 	var mom stats.Moments
 	hits := 0
 	var skips int64
-	if !opts.Sparse && opts.BatchWidth > 1 {
+	if !opts.Sparse {
 		var err error
-		if hits, err = rareTiltedBatched(ctx, r, &mom, reps, opts.BatchWidth, tilted, logHit, logStay, opts); err != nil {
+		if hits, err = tiltedTiles(ctx, "rare-event estimation", r, &mom, reps, tilted, logHit, logStay, opts); err != nil {
 			return RareEventEstimate{}, err
 		}
 	} else {
@@ -207,31 +207,16 @@ func EstimateRareSystemFaultOpts(ctx context.Context, fs *faultmodel.FaultSet, m
 				}
 				opts.report(rep, reps)
 			}
-			logW := 0.0
+			logW := baseLogW
 			event := false
-			if opts.Sparse {
-				logW = baseLogW
-				for gi := range groups {
-					g := &groups[gi]
-					for pos := g.sampler.Next(r); pos < g.size; pos += 1 + g.sampler.Next(r) {
-						event = true
-						logW += g.logDelta
-						skips++
-					}
+			for gi := range groups {
+				g := &groups[gi]
+				for pos := g.sampler.Next(r); pos < g.size; pos += 1 + g.sampler.Next(r) {
+					event = true
+					logW += g.logDelta
 					skips++
 				}
-			} else {
-				for i := 0; i < n; i++ {
-					if tilted[i] == 0 {
-						continue
-					}
-					if r.Bernoulli(tilted[i]) {
-						event = true
-						logW += logHit[i]
-					} else {
-						logW += logStay[i]
-					}
-				}
+				skips++
 			}
 			w := 0.0
 			if event {
@@ -255,26 +240,33 @@ func EstimateRareSystemFaultOpts(ctx context.Context, fs *faultmodel.FaultSet, m
 	}, nil
 }
 
-// rareTiltedBatched is the batched inner loop of the importance-sampled
-// estimator: active faults are compacted into parallel threshold/weight
-// arrays and each fault's draws for a whole tile of replications come
-// from one FillUint64 batch. Per replication it applies exactly the
-// dense loop's arithmetic — logHit on a hit, logStay on a miss — so the
-// estimate's distribution is identical; only the draw order (fault-major
-// within a tile) differs.
-func rareTiltedBatched(ctx context.Context, r *randx.Stream, mom *stats.Moments, reps, width int, tilted, logHit, logStay []float64, opts RareOptions) (hits int, err error) {
-	if width > reps {
-		width = reps
-	}
+// tiltedTiles is the dense importance-sampling loop. Replications run in
+// tiles of opts.BatchWidth (one replication when unset), and each active
+// fault's draws for a tile come from one FillUint64 batch compared
+// against its integer threshold, which decides exactly like the float
+// compare in Stream.Bernoulli (devsim.BernoulliThreshold). Per
+// replication it adds logHit on a hit and logStay on a miss in ascending
+// fault order, so a one-replication tile draws and sums exactly like a
+// per-replication Bernoulli scan. Like Bernoulli, faults with tilted
+// probability 0 never hit and faults with tilted probability 1 always
+// hit, neither consuming a draw; the latter add logHit = 0, which leaves
+// the sum unchanged, so they only set the tile's starting event flag.
+// The naive estimator runs the same loop with zero log-weights.
+func tiltedTiles(ctx context.Context, what string, r *randx.Stream, mom *stats.Moments, reps int, tilted, logHit, logStay []float64, opts RareOptions) (hits int, err error) {
+	width := max(1, min(opts.BatchWidth, reps))
 	var thr []uint64
 	var hitW, stayW []float64
-	for i := range tilted {
-		if tilted[i] == 0 {
-			continue
+	certain := false
+	for i, t := range tilted {
+		switch {
+		case t == 0:
+		case t >= 1:
+			certain = true
+		default:
+			thr = append(thr, devsim.BernoulliThreshold(t))
+			hitW = append(hitW, logHit[i])
+			stayW = append(stayW, logStay[i])
 		}
-		thr = append(thr, devsim.BernoulliThreshold(tilted[i]))
-		hitW = append(hitW, logHit[i])
-		stayW = append(stayW, logStay[i])
 	}
 	draws := make([]uint64, width)
 	logW := make([]float64, width)
@@ -283,19 +275,16 @@ func rareTiltedBatched(ctx context.Context, r *randx.Stream, mom *stats.Moments,
 	for base := 0; base < reps; base += width {
 		if base >= nextCheck {
 			if err := ctx.Err(); err != nil {
-				return hits, fmt.Errorf("montecarlo: rare-event estimation cancelled after %d of %d replications: %w", base, reps, err)
+				return hits, fmt.Errorf("montecarlo: %s cancelled after %d of %d replications: %w", what, base, reps, err)
 			}
 			opts.report(base, reps)
 			nextCheck += ctxCheckEvery
 		}
-		b := width
-		if base+b > reps {
-			b = reps - base
-		}
+		b := min(width, reps-base)
 		d := draws[:b]
 		for j := 0; j < b; j++ {
 			logW[j] = 0
-			event[j] = false
+			event[j] = certain
 		}
 		for k, t := range thr {
 			r.FillUint64(d)
@@ -315,57 +304,6 @@ func rareTiltedBatched(ctx context.Context, r *randx.Stream, mom *stats.Moments,
 				w = math.Exp(logW[j])
 			}
 			mom.Add(w)
-		}
-	}
-	return hits, nil
-}
-
-// rareNaiveBatched is the batched inner loop of the naive estimator.
-// Unlike the dense scan it cannot break out of a replication at its
-// first hit — every active fault draws for the whole tile — but the
-// per-replication hit indicator is the same OR of independent
-// Bernoullis, so the estimate's distribution is unchanged.
-func rareNaiveBatched(ctx context.Context, r *randx.Stream, reps, width int, probs []float64, opts RareOptions) (hits int, err error) {
-	if width > reps {
-		width = reps
-	}
-	var thr []uint64
-	for _, p := range probs {
-		if p > 0 {
-			thr = append(thr, devsim.BernoulliThreshold(p))
-		}
-	}
-	draws := make([]uint64, width)
-	event := make([]bool, width)
-	nextCheck := 0
-	for base := 0; base < reps; base += width {
-		if base >= nextCheck {
-			if err := ctx.Err(); err != nil {
-				return hits, fmt.Errorf("montecarlo: naive estimation cancelled after %d of %d replications: %w", base, reps, err)
-			}
-			opts.report(base, reps)
-			nextCheck += ctxCheckEvery
-		}
-		b := width
-		if base+b > reps {
-			b = reps - base
-		}
-		d := draws[:b]
-		for j := 0; j < b; j++ {
-			event[j] = false
-		}
-		for _, t := range thr {
-			r.FillUint64(d)
-			for j, u := range d {
-				if u>>11 < t {
-					event[j] = true
-				}
-			}
-		}
-		for j := 0; j < b; j++ {
-			if event[j] {
-				hits++
-			}
 		}
 	}
 	return hits, nil
@@ -440,8 +378,12 @@ func EstimateNaiveSystemFaultOpts(ctx context.Context, fs *faultmodel.FaultSet, 
 	hits := 0
 	var skips int64
 	if !opts.Sparse && opts.BatchWidth > 1 {
+		// A tile cannot stop at its first hit, so only the event flags of
+		// the shared loop matter here; zero log-weights keep it cheap.
+		zeros := make([]float64, n)
+		var unused stats.Moments
 		var err error
-		if hits, err = rareNaiveBatched(ctx, r, reps, opts.BatchWidth, probs, opts); err != nil {
+		if hits, err = tiltedTiles(ctx, "naive estimation", r, &unused, reps, probs, zeros, zeros, opts); err != nil {
 			return RareEventEstimate{}, err
 		}
 	} else {

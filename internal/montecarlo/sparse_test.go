@@ -156,7 +156,7 @@ func TestSparseMatchesDenseMajority(t *testing.T) {
 
 	proc := devsim.NewIndependentProcess(groupedFaultSet(t, 400))
 	assertSparseMatchesDense(t, Config{
-		Process: proc, Versions: 3, Arch: system.ArchMajority,
+		Process: proc, Versions: 3, Adjudicator: system.MajorityVote{},
 		Reps: 20000, Seed: 7, Workers: 4, Streaming: true,
 	})
 }
@@ -219,34 +219,48 @@ func TestSparseBufferedMatchesSparseStreaming(t *testing.T) {
 }
 
 // TestSparseFallbackProcess: a process without the SparseDeveloper
-// extension must run dense (and say so) rather than fail.
+// extension has no cheaper sampler than its dense DevelopInto, which is
+// then its sparse kernel: the run reports the sparse kernel with zero
+// skips and reproduces the dense run bit for bit.
 func TestSparseFallbackProcess(t *testing.T) {
 	t.Parallel()
 
-	proc := opaqueProcess{inner: testProcess(t)}
-	res, err := Run(Config{
-		Process: proc, Versions: 2, Reps: 500, Seed: 5, Workers: 2, Sparse: true,
-	})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
+	cfg := Config{
+		Process: opaqueProcess{inner: testProcess(t)}, Versions: 2, Reps: 500, Seed: 5, Workers: 2,
 	}
-	if res.Sparse {
-		t.Error("fallback run reports the sparse kernel as active")
+	dense, err := Run(cfg)
+	if err != nil {
+		t.Fatalf("dense Run: %v", err)
+	}
+	cfg.Sparse = true
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatalf("sparse Run: %v", err)
+	}
+	if !res.Sparse {
+		t.Error("sparse run does not report the sparse kernel")
 	}
 	if res.SparseSkips != 0 {
-		t.Errorf("fallback run reports %d skips", res.SparseSkips)
+		t.Errorf("DevelopInto fallback reports %d skips", res.SparseSkips)
+	}
+	for rep := range dense.SystemPFD {
+		if dense.VersionPFD[rep] != res.VersionPFD[rep] || dense.SystemPFD[rep] != res.SystemPFD[rep] {
+			t.Fatalf("rep %d: fallback PFDs diverged from the dense run", rep)
+		}
 	}
 }
 
+// TestSparseUnknownArch: a voting rule the pool cannot vote over is a
+// configuration error on the sparse path too.
 func TestSparseUnknownArch(t *testing.T) {
 	t.Parallel()
 
 	_, err := Run(Config{
 		Process: testProcess(t), Versions: 2, Reps: 100, Seed: 1,
-		Arch: system.Architecture(99), Sparse: true,
+		Adjudicator: system.MajorityVote{}, Sparse: true,
 	})
 	if err == nil {
-		t.Fatal("sparse run with unknown architecture succeeded, want error")
+		t.Fatal("sparse run with a majority vote over 2 versions succeeded, want error")
 	}
 }
 

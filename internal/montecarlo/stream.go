@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"diversity/internal/faultmodel"
 	"diversity/internal/stats"
 )
 
@@ -254,20 +253,3 @@ func (a *Agg) Summary() (stats.Summary, error) {
 	}
 	return s, nil
 }
-
-// maskPFD sums the region probabilities of the faults present in a mask —
-// the streaming fast path's equivalent of Version.PFD, summing in the
-// same index order so values are bitwise identical.
-func maskPFD(fs *faultmodel.FaultSet, present []bool) (pfd float64, count int) {
-	for i, has := range present {
-		if has {
-			pfd += fs.Fault(i).Q
-			count++
-		}
-	}
-	return pfd, count
-}
-
-// The system-PFD companion of maskPFD lives in the system package
-// (system.MaskSystemPFD) since the adjudicator generalisation: dense and
-// sparse share one adjudicated reduction routine there.

@@ -3,6 +3,7 @@ package montecarlo
 import (
 	"context"
 	"math"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -13,15 +14,18 @@ import (
 	"diversity/internal/system"
 )
 
-// opaqueProcess hides any MaskDeveloper implementation of the wrapped
-// process, forcing the streaming fallback path that develops full
-// Versions.
+// opaqueProcess exposes only the wrapped process's required Process
+// methods, hiding its optional sparse and batched kernels, so runs fall
+// back to the dense DevelopInto fill.
 type opaqueProcess struct {
 	inner devsim.Process
 }
 
 func (p opaqueProcess) Develop(r *randx.Stream) *devsim.Version { return p.inner.Develop(r) }
-func (p opaqueProcess) FaultSet() *faultmodel.FaultSet          { return p.inner.FaultSet() }
+func (p opaqueProcess) DevelopInto(r *randx.Stream, mask *devsim.Bitset) {
+	p.inner.DevelopInto(r, mask)
+}
+func (p opaqueProcess) FaultSet() *faultmodel.FaultSet { return p.inner.FaultSet() }
 
 // closeRel fails unless got is within relative tolerance tol of want.
 func closeRel(t *testing.T, label string, want, got, tol float64) {
@@ -130,7 +134,7 @@ func TestStreamingMatchesBufferedMajority(t *testing.T) {
 	t.Parallel()
 
 	assertStreamingMatchesBuffered(t, Config{
-		Process: testProcess(t), Versions: 3, Arch: system.ArchMajority,
+		Process: testProcess(t), Versions: 3, Adjudicator: system.MajorityVote{},
 		Reps: 3000, Seed: 7, Workers: 4,
 	})
 }
@@ -164,14 +168,14 @@ func TestStreamingMatchesBufferedCorrelated(t *testing.T) {
 }
 
 // TestStreamingFallbackProcess exercises the constant-memory path for
-// processes without the MaskDeveloper extension: the sampled population
+// processes with no optional kernel extension: the sampled population
 // must still match the buffered run exactly.
 func TestStreamingFallbackProcess(t *testing.T) {
 	t.Parallel()
 
 	proc := opaqueProcess{inner: testProcess(t)}
-	if _, ok := devsim.Process(proc).(devsim.MaskDeveloper); ok {
-		t.Fatal("opaqueProcess must not implement MaskDeveloper")
+	if _, ok := devsim.Process(proc).(devsim.BatchDeveloper); ok {
+		t.Fatal("opaqueProcess must not implement BatchDeveloper")
 	}
 	assertStreamingMatchesBuffered(t, Config{
 		Process: proc, Versions: 2, Reps: 3000, Seed: 5, Workers: 2,
@@ -324,9 +328,11 @@ func TestStreamingSummaryShape(t *testing.T) {
 	closeRel(t, "summary q99", bsum.Q99, ssum.Q99, tol)
 }
 
-// TestStreamingNoPerRepAllocations is the streaming mode's reason to
-// exist: with the MaskDeveloper fast path the whole run performs a small
-// fixed number of allocations, however many replications it executes.
+// TestStreamingNoPerRepAllocations: the shared tile loop reuses each
+// worker's bitset columns, so a run performs a small fixed number of
+// allocations however many replications it executes — in either
+// aggregation mode. What separates the modes is memory: buffered runs
+// keep two float64 samples per replication, streaming runs keep none.
 func TestStreamingNoPerRepAllocations(t *testing.T) {
 	// Not parallel: allocation counting needs a quiet goroutine.
 	const reps = 20000
@@ -346,15 +352,31 @@ func TestStreamingNoPerRepAllocations(t *testing.T) {
 		t.Errorf("streaming run of %d reps allocated %v objects, want run-level overhead only (<= 100)", reps, allocs)
 	}
 
+	streamBytes := allocatedBytes(t, cfg)
 	cfg.Streaming = false
-	buffered := testing.AllocsPerRun(1, func() {
+	buffered := testing.AllocsPerRun(3, func() {
 		if _, err := Run(cfg); err != nil {
 			t.Fatalf("Run: %v", err)
 		}
 	})
-	if buffered < float64(reps) {
-		t.Errorf("buffered run of %d reps allocated only %v objects; the comparison baseline is wrong", reps, buffered)
+	if buffered > 100 {
+		t.Errorf("buffered run of %d reps allocated %v objects, want run-level overhead only (<= 100)", reps, buffered)
 	}
+	if bufBytes := allocatedBytes(t, cfg); bufBytes < streamBytes+16*reps {
+		t.Errorf("buffered run allocated %d bytes, streaming %d: want at least the 16 B/rep sample slices more", bufBytes, streamBytes)
+	}
+}
+
+// allocatedBytes returns the heap bytes one run of cfg allocates.
+func allocatedBytes(t *testing.T, cfg Config) uint64 {
+	t.Helper()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := Run(cfg); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
 }
 
 func TestStreamingCancellation(t *testing.T) {
@@ -371,14 +393,16 @@ func TestStreamingCancellation(t *testing.T) {
 	}
 }
 
+// TestStreamingUnknownArch: a voting rule the pool cannot vote over is a
+// configuration error on the streaming path too.
 func TestStreamingUnknownArch(t *testing.T) {
 	t.Parallel()
 
 	_, err := Run(Config{
 		Process: testProcess(t), Versions: 2, Reps: 100, Seed: 1,
-		Arch: system.Architecture(99), Streaming: true,
+		Adjudicator: system.KOutOfN{K: 2, N: 3}, Streaming: true,
 	})
 	if err == nil {
-		t.Fatal("streaming run with unknown architecture succeeded, want error")
+		t.Fatal("streaming run with a 2oo3 vote over 2 versions succeeded, want error")
 	}
 }

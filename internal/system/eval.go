@@ -7,40 +7,12 @@ import (
 	"diversity/internal/faultmodel"
 )
 
-// This file holds the allocation-free system-PFD kernels shared by the
-// Monte-Carlo harness's dense/streaming and sparse paths (formerly
-// duplicated there as maskSystemPFD and sparseSystemPFD, each hard-coding
-// the two-architecture enum). Both reduce the adjudicator to its defeat
-// threshold once, outside the per-fault loop, and preserve the historical
-// summation orders bit for bit: ascending fault index for masks, and for
-// bitsets the touched-word intersection walk (1-out-of-N) or the full
-// word-range union walk (every other rule).
-
-// MaskSystemPFD computes the system PFD and defeating-fault count of an
-// N-version pool from the versions' presence masks, mirroring New +
-// System.PFD without the per-replication allocations. The q_i summation
-// runs in ascending fault order, so values are bitwise identical to the
-// buffered path. An imperfect adjudication stage is folded into the
-// returned PFD (the count stays the voting rule's).
-func MaskSystemPFD(fs *faultmodel.FaultSet, adj Adjudicator, masks [][]bool) (pfd float64, count int) {
-	m := len(masks)
-	th := DefeatThreshold(adj, m)
-	if th <= m {
-		for i := 0; i < fs.N(); i++ {
-			present := 0
-			for _, mask := range masks {
-				if mask[i] {
-					present++
-				}
-			}
-			if present >= th {
-				pfd += fs.Fault(i).Q
-				count++
-			}
-		}
-	}
-	return ApplyStagePFD(adj, pfd), count
-}
+// This file holds the allocation-free system-PFD kernel the Monte-Carlo
+// harness scores every replication with. It reduces the adjudicator to
+// its defeat threshold once, outside the per-fault loop, and sums in
+// ascending fault order: the touched-word intersection walk (1-out-of-N)
+// or the full word-range union walk (every other rule), both bit for bit
+// the order System.PFD uses.
 
 // BitsetSystemPFD computes the system PFD and defeating-fault count of an
 // N-version pool from the versions' packed masks. For intersection rules
@@ -63,7 +35,7 @@ func BitsetSystemPFD(fs *faultmodel.FaultSet, adj Adjudicator, masks []*devsim.B
 		// Intersection of all masks, walked over the first mask's touched
 		// words only.
 		if m == 1 {
-			pfd, count = bitsetPFD(fs, masks[0])
+			pfd, count = devsim.BitsetPFD(fs, masks[0])
 			break
 		}
 		first := masks[0]
@@ -112,19 +84,4 @@ func BitsetSystemPFD(fs *faultmodel.FaultSet, adj Adjudicator, masks []*devsim.B
 		}
 	}
 	return ApplyStagePFD(adj, pfd), count
-}
-
-// bitsetPFD sums the region probabilities of the faults present in one
-// packed mask, walking only its touched words.
-func bitsetPFD(fs *faultmodel.FaultSet, mask *devsim.Bitset) (pfd float64, count int) {
-	for _, tw := range mask.Touched() {
-		w := int(tw)
-		x := mask.Word(w)
-		count += bits.OnesCount64(x)
-		for x != 0 {
-			pfd += fs.Fault(w<<6 + bits.TrailingZeros64(x)).Q
-			x &= x - 1
-		}
-	}
-	return pfd, count
 }
