@@ -57,7 +57,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	mcReps := flags.Int("mc", 0, "cross-check the analytic moments by Monte-Carlo simulation with this many replications (0 = off)")
 	stream := flags.Bool("stream", false, "run the -mc cross-check with constant-memory streaming aggregation")
 	sparse := flags.Bool("sparse", false, "run the -mc cross-check with the geometric skip-sampling development kernel")
-	batch := flags.Int("batch", 0, "run the -mc cross-check with the batched replication kernel at this tile width (0 or 1 = off)")
+	batch := flags.Int("batch", 0, "run the -mc cross-check with the batched replication kernel at this tile width (0 or 1 = off; ignored with -sparse)")
 	progress := flags.Bool("progress", false, "report job IDs and -mc cross-check progress on stderr")
 	noCache := flags.Bool("no-cache", false, "disable the engine's in-memory result cache")
 	tf := cliutil.RegisterTelemetryFlags(flags)

@@ -63,7 +63,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	rare := flags.Bool("rare", false, "estimate P(system carries any fault) by importance sampling (for safety-grade regimes)")
 	stream := flags.Bool("stream", false, "constant-memory streaming aggregation (quantiles at histogram resolution)")
 	sparse := flags.Bool("sparse", false, "geometric skip-sampling development kernel (O(faults present) per replication; different variate sequence, identical distribution)")
-	batch := flags.Int("batch", 0, "batched replication kernel tile width (0 or 1 = off; >= 2 tiles Bernoulli draws and bitset evaluation across that many replications; different variate sequence, identical distribution)")
+	batch := flags.Int("batch", 0, "batched replication kernel tile width (0 or 1 = off; >= 2 tiles Bernoulli draws and bitset evaluation across that many replications; different variate sequence, identical distribution; ignored with -sparse)")
 	progress := flags.Bool("progress", false, "report progress on stderr as replications complete")
 	noCache := flags.Bool("no-cache", false, "disable the engine's in-memory result cache")
 	tf := cliutil.RegisterTelemetryFlags(flags)
