@@ -34,7 +34,7 @@ func TestBenchMatrix(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "bench.json")
 	var stdout strings.Builder
 	err := run(context.Background(), []string{
-		"-reps", "3000", "-workers", "1", "-sparse-n", "", "-pools", "",
+		"-reps", "5000", "-workers", "1,0", "-sparse-n", "", "-pools", "",
 		"-batch-widths", "", "-out", out, "-seed", "5",
 	}, &stdout)
 	if err != nil {
@@ -60,15 +60,22 @@ func TestBenchMatrix(t *testing.T) {
 	if rep.GitCommit == "" {
 		t.Error("git commit not recorded (repo checkouts should always resolve one)")
 	}
-	if len(rep.Rows) != 2 {
-		t.Fatalf("got %d rows, want 2 (buffered + streaming)", len(rep.Rows))
+	if len(rep.Rows) != 4 {
+		t.Fatalf("got %d rows, want 4 (workers 1, 0 × buffered, streaming)", len(rep.Rows))
 	}
 	buffered, streaming := rep.Rows[0], rep.Rows[1]
-	if buffered.Streaming || !streaming.Streaming {
+	if buffered.Streaming || !streaming.Streaming || rep.Rows[2].Workers != 0 {
 		t.Fatalf("row order unexpected: %+v", rep.Rows)
 	}
+	// Results depend on the seed alone: cells that differ only in the
+	// worker count report the same mean bit for bit.
+	for i, row := range rep.Rows[:2] {
+		if other := rep.Rows[i+2]; other.MeanSystemPFD != row.MeanSystemPFD {
+			t.Errorf("streaming=%v: mean %v at workers 1, %v at workers 0", row.Streaming, row.MeanSystemPFD, other.MeanSystemPFD)
+		}
+	}
 	for _, row := range rep.Rows {
-		if row.Reps != 3000 || row.Workers != 1 || row.Scenario != "commercial-grade" || row.N != 40 {
+		if row.Reps != 5000 || row.Scenario != "commercial-grade" || row.N != 40 {
 			t.Errorf("row has wrong cell parameters: %+v", row)
 		}
 		if row.Sparse || row.SparseSkips != 0 {

@@ -64,7 +64,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	probeTimeout := flags.Duration("probe-timeout", time.Second, "health-probe timeout")
 	proxyTimeout := flags.Duration("proxy-timeout", 30*time.Second, "upstream timeout for non-streaming proxied requests")
 	recoveryInterval := flags.Duration("recovery-interval", time.Second, "poll cadence when recovering an SSE stream across a node restart")
-	routeMemo := flags.Int("route-memo", 8192, "submission-ID routing-memo entries (oldest evicted beyond it)")
 	drainTimeout := flags.Duration("drain-timeout", 30*time.Second, "grace for outstanding proxied requests on shutdown")
 	tf := cliutil.RegisterTelemetryFlags(flags)
 	if err := flags.Parse(args); err != nil {
@@ -92,7 +91,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		ProbeTimeout:     *probeTimeout,
 		ProxyTimeout:     *proxyTimeout,
 		RecoveryInterval: *recoveryInterval,
-		RouteMemo:        *routeMemo,
 		Registry:         tel.Registry,
 		Logger:           tel.Logger,
 	})

@@ -4,19 +4,17 @@ import (
 	"context"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
 	"testing"
 )
 
 // TestGoldenE19 asserts the refactor's compatibility promise for the
 // experiment driver: E19 at the capture seed renders byte-identical
-// output to the pair-shaped (pre-adjudicator) binary. E19's Monte-Carlo
-// runs use all cores, so GOMAXPROCS is pinned to the capture value for
-// the duration; the test therefore must not run in parallel.
+// output to the golden, which was re-captured once when Monte-Carlo
+// replication blocks got their own streams. E19's Monte-Carlo runs use
+// all cores, and the output must not depend on how many there are.
 func TestGoldenE19(t *testing.T) {
-	prev := runtime.GOMAXPROCS(4)
-	defer runtime.GOMAXPROCS(prev)
+	t.Parallel()
 
 	want, err := os.ReadFile(filepath.Join("testdata", "golden_e19.txt"))
 	if err != nil {

@@ -12,10 +12,11 @@ import (
 // dense, streaming, sparse and rare-event files from the pair-shaped
 // (pre-adjudicator) CLI, the batched, correlated and 2oo3 files from the
 // CLI before the replication loops were unified into one bitset pipeline.
-// These tests assert the refactors' core compatibility promise: every
-// invocation renders byte-identical output — same variate sequence, same
-// summation order, same report text. Worker counts are pinned
-// (-workers 4) because the buffered/streaming splits depend on them.
+// The Monte-Carlo files were re-captured once when replication blocks got
+// their own streams. These tests assert the refactors' core compatibility
+// promise: every invocation renders byte-identical output — same variate
+// sequence, same summation order, same report text — and, because each
+// block's randomness is keyed by its index, at every worker count.
 func TestGoldenLegacyOutputs(t *testing.T) {
 	t.Parallel()
 
@@ -27,42 +28,42 @@ func TestGoldenLegacyOutputs(t *testing.T) {
 	}{
 		{
 			name:   "dense buffered",
-			args:   []string{"-model", model, "-reps", "20000", "-seed", "3", "-workers", "4"},
+			args:   []string{"-model", model, "-reps", "20000", "-seed", "3"},
 			golden: "golden_dense.txt",
 		},
 		{
 			name:   "streaming",
-			args:   []string{"-model", model, "-reps", "20000", "-seed", "3", "-workers", "4", "-stream"},
+			args:   []string{"-model", model, "-reps", "20000", "-seed", "3", "-stream"},
 			golden: "golden_stream.txt",
 		},
 		{
 			name:   "sparse",
-			args:   []string{"-model", model, "-reps", "20000", "-seed", "3", "-workers", "4", "-sparse"},
+			args:   []string{"-model", model, "-reps", "20000", "-seed", "3", "-sparse"},
 			golden: "golden_sparse.txt",
 		},
 		{
 			name:   "batched",
-			args:   []string{"-model", model, "-reps", "20000", "-seed", "3", "-workers", "4", "-batch", "64"},
+			args:   []string{"-model", model, "-reps", "20000", "-seed", "3", "-batch", "64"},
 			golden: "golden_batch.txt",
 		},
 		{
 			name:   "streaming batched",
-			args:   []string{"-model", model, "-reps", "20000", "-seed", "3", "-workers", "4", "-stream", "-batch", "64"},
+			args:   []string{"-model", model, "-reps", "20000", "-seed", "3", "-stream", "-batch", "64"},
 			golden: "golden_stream_batch.txt",
 		},
 		{
 			name:   "correlated",
-			args:   []string{"-model", model, "-reps", "20000", "-seed", "3", "-workers", "4", "-correlation", "0.2"},
+			args:   []string{"-model", model, "-reps", "20000", "-seed", "3", "-correlation", "0.2"},
 			golden: "golden_correlated.txt",
 		},
 		{
 			name:   "correlated streaming",
-			args:   []string{"-model", model, "-reps", "20000", "-seed", "3", "-workers", "4", "-correlation", "0.2", "-stream"},
+			args:   []string{"-model", model, "-reps", "20000", "-seed", "3", "-correlation", "0.2", "-stream"},
 			golden: "golden_correlated_stream.txt",
 		},
 		{
 			name:   "2oo3 pool",
-			args:   []string{"-model", model, "-reps", "20000", "-seed", "3", "-workers", "4", "-versions", "3", "-adjudicator", "2oo3"},
+			args:   []string{"-model", model, "-reps", "20000", "-seed", "3", "-versions", "3", "-adjudicator", "2oo3"},
 			golden: "golden_2oo3.txt",
 		},
 		{
@@ -79,13 +80,16 @@ func TestGoldenLegacyOutputs(t *testing.T) {
 			if err != nil {
 				t.Fatalf("ReadFile: %v", err)
 			}
-			var out strings.Builder
-			if err := run(context.Background(), tc.args, &out); err != nil {
-				t.Fatalf("run(%v): %v", tc.args, err)
-			}
-			if out.String() != string(want) {
-				t.Errorf("output diverged from pre-refactor golden %s:\n--- got ---\n%s\n--- want ---\n%s",
-					tc.golden, out.String(), want)
+			for _, workers := range []string{"1", "4"} {
+				args := append(tc.args[:len(tc.args):len(tc.args)], "-workers", workers)
+				var out strings.Builder
+				if err := run(context.Background(), args, &out); err != nil {
+					t.Fatalf("run(%v): %v", args, err)
+				}
+				if out.String() != string(want) {
+					t.Errorf("-workers %s: output diverged from golden %s:\n--- got ---\n%s\n--- want ---\n%s",
+						workers, tc.golden, out.String(), want)
+				}
 			}
 		})
 	}

@@ -56,7 +56,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	versions := flags.Int("versions", 2, "versions per replication")
 	archName := flags.String("arch", "1oom", "system architecture: 1oom | majority")
 	adjName := flags.String("adjudicator", "", "voting rule: 1oon | majority | KooN (e.g. 2oo3), optionally @pfd for an imperfect adjudication stage (e.g. 2oo3@1e-4); overrides -arch")
-	workers := flags.Int("workers", 0, "worker goroutines (0 = all cores)")
+	workers := flags.Int("workers", 0, "worker goroutines (0 = all cores); output depends on -seed alone, not on this")
 	seed := flags.Uint64("seed", 1, "random seed")
 	correlation := flags.Float64("correlation", 0, "common-cause probability (0 = the paper's independent model)")
 	boost := flags.Float64("boost", 3, "common-cause boost factor (with -correlation > 0)")

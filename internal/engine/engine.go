@@ -40,7 +40,7 @@ type Options struct {
 	// durations by kind, cache hit/miss/eviction counts, queue-to-start
 	// latency, and the Monte-Carlo and experiment measurements of the
 	// packages the engine drives — plus one trace of nested timed spans
-	// (job → stage → worker shard) per executed run. Metric names and
+	// (job → stage → worker) per executed run. Metric names and
 	// the span hierarchy are documented in DESIGN.md §7.
 	Telemetry *telemetry.Registry
 	// Logger, when non-nil, receives structured run-ID-stamped
@@ -116,7 +116,7 @@ func Run(ctx context.Context, job Job) (*Result, error) {
 }
 
 // emit forwards a progress report to the configured hook, serialising
-// concurrent reporters (Monte-Carlo workers report from their shards).
+// concurrent reporters (Monte-Carlo workers report once per block).
 func (e *Engine) emit(p Progress) {
 	if e.progress == nil {
 		return
@@ -294,6 +294,7 @@ func (e *Engine) RunWithProgress(ctx context.Context, job Job, progress func(Pro
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("engine: job cancelled before start: %w", err)
 	}
+	requested := job
 	job = job.normalized()
 
 	var trace *telemetry.Trace
@@ -312,7 +313,9 @@ func (e *Engine) RunWithProgress(ctx context.Context, job Job, progress func(Pro
 	var res *Result
 	switch job.Kind {
 	case JobMonteCarlo:
-		res, err = e.runMonteCarlo(ctx, job.MonteCarlo, span, emit)
+		// The requested spec: normalisation drops the worker count, which
+		// does not change the result but sizes the run's goroutine pool.
+		res, err = e.runMonteCarlo(ctx, requested.MonteCarlo, span, emit)
 	case JobRareEvent:
 		res, err = e.runRareEvent(ctx, job.RareEvent, span, emit)
 	case JobExperiments:

@@ -42,17 +42,20 @@ func legacySpecs() map[string]Job {
 	}
 }
 
-// legacyHashes pins the canonical hash of each legacy spec as computed
-// before the adjudicator refactor (PR 6). Regenerate deliberately — only
-// with a hashDomain bump — via: go test ./internal/engine -run
-// TestLegacySpecHashContract -v (the failure message prints got hashes).
+// legacyHashes pins the canonical hash of each legacy spec. They were
+// captured before the adjudicator refactor and re-pinned once with the
+// bump to diversity/engine/v2, which left every legacy document
+// unchanged except that workers no longer appears in it. Regenerate
+// deliberately — only with a hashDomain bump — via: go test
+// ./internal/engine -run TestLegacySpecHashContract -v (the failure
+// message prints got hashes).
 var legacyHashes = map[string]string{
-	"mc-scenario-default-arch": "662cd2187008ccdfa129394362bd43a9b1cf624774bbbed0c534358a014358d0",
-	"mc-majority":              "c62592657dd9e1d62dfb9ae73c2c93ad2269747d813c7ffd7f097714735b5b40",
-	"mc-inline-stream-sparse":  "16bd864d20dd27111eacf92ee15e6b3d96ec5ad563af3d6efdbc8f4cbe25d1f1",
-	"rare-event":               "14bd24e7f3eb92eb953ee298f169425162dfd151bf1f46b160378c8910b8ba3b",
-	"experiments":              "2004916be9229de8e5e1648bfad6bf73d616be406365084c0b5a53a7957a17bf",
-	"analytic":                 "262341d4761f57a12b268e24d1c4db0fb599c1cb02857dddb7036b9ee45dc967",
+	"mc-scenario-default-arch": "4e1e9c340161c52af7b898f0028e6577774c9bb9748d22fcb56b4702d83a287a",
+	"mc-majority":              "8d9675cb8685e1df4b8b3d099d405607ad3567b66e77c9b2ec40e6f9934947e4",
+	"mc-inline-stream-sparse":  "1e95a1047fcf7c44ea2168104d5f94b8b3a11c9fa23231a8314064b4b6d21492",
+	"rare-event":               "1dd54b1e8969cdb3742694005e9833465e9ff1e245cb6fdbe7448d95d159f6c3",
+	"experiments":              "25804b7a6dba84710d6c2bb7bebb14d4d75bf3b4bf8661525578c09be6212a2d",
+	"analytic":                 "7969a53052a8740269160992e3e7e57db6377905c3ec4649fbbdfbef07dbbeea",
 }
 
 // TestLegacySpecHashContract proves that pre-refactor 1oo2 (and legacy

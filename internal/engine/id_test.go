@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -37,6 +38,29 @@ func TestJobIDStableAndHashDerived(t *testing.T) {
 	}
 	if again != id {
 		t.Fatalf("identical specs got different IDs: %q vs %q", again, id)
+	}
+}
+
+// TestMonteCarloJobIDIgnoresCoreCount: a Monte-Carlo job that leaves
+// workers at 0 runs on every core, yet its result — and so its ID — must
+// be the same on every host. Not parallel: it changes GOMAXPROCS.
+func TestMonteCarloJobIDIgnoresCoreCount(t *testing.T) {
+	job := NewMonteCarloJob(MonteCarloSpec{
+		Model: ModelSpec{Scenario: "safety-grade", ScenarioSeed: 1}, Versions: 2, Reps: 20000, Seed: 1,
+	})
+	prev := runtime.GOMAXPROCS(1)
+	defer runtime.GOMAXPROCS(prev)
+	one, err := job.ID()
+	if err != nil {
+		t.Fatalf("ID: %v", err)
+	}
+	runtime.GOMAXPROCS(4)
+	four, err := job.ID()
+	if err != nil {
+		t.Fatalf("ID: %v", err)
+	}
+	if one != four {
+		t.Errorf("job ID %q at GOMAXPROCS 1, %q at 4", one, four)
 	}
 }
 

@@ -9,9 +9,9 @@
 // path, so the canonical JSON encoding of a job fully determines its
 // result. That makes jobs hashable, and the engine exploits it with an
 // in-memory LRU result cache keyed by the canonical job hash: repeated
-// identical runs (same model, seed, reps, arch, workers) are served
+// identical runs (same model, seed, reps, arch) are served
 // without recomputation. Execution is context-aware end to end —
-// cancellation propagates into the Monte-Carlo worker shards — and a
+// cancellation propagates into the Monte-Carlo workers — and a
 // progress hook reports replications completed and per-experiment stages.
 // The engine is the substrate for serving, batching and sharding layers;
 // the three CLIs (mcsim, diversity, experiments) are thin clients of it.
@@ -22,7 +22,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"runtime"
 	"slices"
 	"strings"
 
@@ -52,8 +51,10 @@ const (
 
 // hashDomain versions the canonical encoding; bump it when a change to the
 // job schema or to result semantics must invalidate previously cached or
-// persisted hashes.
-const hashDomain = "diversity/engine/v1"
+// persisted hashes. v2: Monte-Carlo replication blocks draw from streams
+// keyed by block index, which changed every fixed-seed Monte-Carlo and
+// experiments result, and the worker count left the encoding.
+const hashDomain = "diversity/engine/v2"
 
 // ModelSpec names the fault-set model a job runs against. Exactly one of
 // Scenario or Faults must be set. Model files are resolved to inline
@@ -127,8 +128,9 @@ type MonteCarloSpec struct {
 	// is a validation error.
 	Adjudicator string `json:"adjudicator,omitempty"`
 	// Reps is the number of replications; Workers the number of worker
-	// goroutines (0 = all cores; normalised before hashing because the
-	// shard split affects the sampled streams).
+	// goroutines (0 = all cores). Results depend on the seed alone, so
+	// Workers is left out of the job hash: it only sets how many
+	// goroutines the run uses.
 	Reps    int    `json:"reps"`
 	Workers int    `json:"workers,omitempty"`
 	Seed    uint64 `json:"seed"`
@@ -409,10 +411,9 @@ func (j Job) Validate() error {
 }
 
 // normalized returns the job with derived defaults filled in, so that two
-// specs describing the same computation hash identically: Monte-Carlo
-// worker counts are resolved (0 → all cores) and clamped to the
-// replication count (the shard split, and hence the sampled streams,
-// depends on the effective worker count); a zero rare-event tilt becomes
+// specs describing the same computation hash identically: the
+// Monte-Carlo worker count, which does not change the result, is
+// dropped; a zero rare-event tilt becomes
 // the 0.3 default; an empty experiment selection becomes the full suite;
 // an empty architecture becomes the explicit 1oom default; a batch width
 // of 1 (which computes exactly what width 0 does — the batched kernel
@@ -422,12 +423,7 @@ func (j Job) normalized() Job {
 	switch j.Kind {
 	case JobMonteCarlo:
 		spec := *j.MonteCarlo
-		if spec.Workers <= 0 {
-			spec.Workers = runtime.GOMAXPROCS(0)
-		}
-		if spec.Workers > spec.Reps {
-			spec.Workers = spec.Reps
-		}
+		spec.Workers = 0
 		if spec.BatchWidth == 1 {
 			spec.BatchWidth = 0
 		}

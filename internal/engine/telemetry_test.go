@@ -86,7 +86,8 @@ func TestTelemetryTraceShape(t *testing.T) {
 
 	reg := telemetry.NewRegistry()
 	eng := New(Options{Telemetry: reg})
-	job := NewMonteCarloJob(MonteCarloSpec{Model: testModel(t), Versions: 2, Reps: 2000, Seed: 9, Workers: 2})
+	// 10000 replications are five blocks, enough for both workers.
+	job := NewMonteCarloJob(MonteCarloSpec{Model: testModel(t), Versions: 2, Reps: 10000, Seed: 9, Workers: 2})
 	if _, err := eng.Run(context.Background(), job); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -133,8 +134,8 @@ func TestRareProgressMonotonic(t *testing.T) {
 			t.Errorf("stage %q reported Total %d, want 20000", p.Stage, p.Total)
 		}
 	}})
-	// 20000 reps crosses the 8192-replication context-check boundary
-	// twice, so each stage must report intermediate counts.
+	// 20000 reps crosses the 2048-replication context-check boundary
+	// several times, so each stage must report intermediate counts.
 	job := NewRareEventJob(RareEventSpec{Model: testModel(t), Versions: 2, Reps: 20000, Seed: 5})
 	if _, err := eng.Run(context.Background(), job); err != nil {
 		t.Fatalf("Run: %v", err)

@@ -4,6 +4,11 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"diversity/internal/devsim"
+	"diversity/internal/faultmodel"
+	"diversity/internal/montecarlo"
+	"diversity/internal/scenario"
 )
 
 func TestRegistryComplete(t *testing.T) {
@@ -149,5 +154,53 @@ func TestConfigReps(t *testing.T) {
 	}
 	if got := quick.reps(500); got != 500 {
 		t.Errorf("quick reps of 500 = %d, want 500", got)
+	}
+}
+
+// TestE01RejectsMisspecifiedModel: E01's moment check must have power,
+// not only a low false-alarm rate. At quick-mode replications it accepts
+// the model that generated the sample and rejects the same model with
+// every q scaled by 1.05 — a 5% error in every PFD moment.
+func TestE01RejectsMisspecifiedModel(t *testing.T) {
+	t.Parallel()
+
+	const factor = 1.05
+	reps := Config{Quick: true}.reps(200000)
+	for _, name := range []string{"commercial-grade", "many-small-faults"} {
+		sc, err := scenario.ByName(name, 1)
+		if err != nil {
+			t.Fatalf("scenario %s: %v", name, err)
+		}
+		faults := sc.FaultSet.Faults()
+		for i := range faults {
+			faults[i].Q *= factor
+		}
+		wrong, err := faultmodel.New(faults)
+		if err != nil {
+			t.Fatalf("scaled %s: %v", name, err)
+		}
+		mc, err := montecarlo.Run(montecarlo.Config{
+			Process: devsim.NewIndependentProcess(sc.FaultSet), Versions: 2, Reps: reps, Seed: 2,
+		})
+		if err != nil {
+			t.Fatalf("%s: Run: %v", name, err)
+		}
+		vsum, err := mc.VersionSummary()
+		if err != nil {
+			t.Fatalf("%s: VersionSummary: %v", name, err)
+		}
+		for _, tc := range []struct {
+			fs   *faultmodel.FaultSet
+			want bool
+		}{{sc.FaultSet, true}, {wrong, false}} {
+			_, _, got, err := momentsAgree(tc.fs, 1, vsum)
+			if err != nil {
+				t.Fatalf("%s: momentsAgree: %v", name, err)
+			}
+			if got != tc.want {
+				t.Errorf("%s: momentsAgree = %v against the model with q scaled by %v, want %v",
+					name, got, tc.fs.SumQ()/sc.FaultSet.SumQ(), tc.want)
+			}
+		}
 	}
 }

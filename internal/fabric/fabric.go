@@ -7,16 +7,16 @@
 // through the proxy — by contract, a client cannot tell a coordinator
 // from a node except by throughput.
 //
-// The coordinator holds no job state of its own beyond a routing memo:
-// queue, backpressure, durability and SSE fan-out all live on the nodes,
-// and their 503/429 + Retry-After answers pass through verbatim. What
-// the fabric adds is a health-checked node registry (per-node probe
-// loop, up/down gauges), failover — jobs whose home node is down route
-// to the next node in rendezvous order, counted in
-// fabric.node_reroutes_total — and restart recovery: an SSE stream whose
-// node dies mid-run is re-polled until the restarted node surfaces the
-// job's terminal view, which carries the contractual "restart" failure
-// reason from the durability contract (docs/API.md).
+// The coordinator holds no job state of its own: queue, backpressure,
+// durability and SSE fan-out all live on the nodes, and their 503/429 +
+// Retry-After answers pass through verbatim. What the fabric adds is a
+// health-checked node registry (per-node probe loop, up/down gauges),
+// failover — jobs whose home node is down route to the next node in
+// rendezvous order, counted in fabric.node_reroutes_total — and restart
+// recovery: an SSE stream whose node dies mid-run is re-polled until the
+// restarted node surfaces the job's terminal view, which carries the
+// contractual "restart" failure reason from the durability contract
+// (docs/API.md).
 package fabric
 
 import (
@@ -57,11 +57,6 @@ type Config struct {
 	// job view is re-fetched at this cadence until a terminal state
 	// surfaces; <= 0 selects 1s.
 	RecoveryInterval time.Duration
-	// RouteMemo bounds the submission-ID -> node routing memo; <= 0
-	// selects 8192. The memo is an optimisation, not state the contract
-	// depends on: a miss falls back to rendezvous routing plus a healthy
-	// -node sweep.
-	RouteMemo int
 	// Registry receives the fabric.* metrics; nil creates a private
 	// registry.
 	Registry *telemetry.Registry
@@ -97,8 +92,6 @@ type Coordinator struct {
 	sse atomic.Int64 // live SSE streams, mirrored to the inflight gauge
 
 	mu       sync.Mutex
-	memo     map[string]int // submission ID -> node index
-	memoAge  []string       // insertion order, for bounded eviction
 	started  bool
 	draining bool
 	drainCh  chan struct{}
@@ -149,9 +142,6 @@ func New(cfg Config) (*Coordinator, error) {
 	if cfg.RecoveryInterval <= 0 {
 		cfg.RecoveryInterval = time.Second
 	}
-	if cfg.RouteMemo <= 0 {
-		cfg.RouteMemo = 8192
-	}
 	reg := cfg.Registry
 	if reg == nil {
 		reg = telemetry.NewRegistry()
@@ -162,7 +152,6 @@ func New(cfg Config) (*Coordinator, error) {
 		log:     cfg.Logger,
 		proxy:   &http.Client{},
 		probe:   &http.Client{Timeout: cfg.ProbeTimeout},
-		memo:    make(map[string]int),
 		drainCh: make(chan struct{}),
 	}
 	for i, raw := range cfg.Nodes {

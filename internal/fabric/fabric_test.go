@@ -5,10 +5,12 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
 
+	"diversity/internal/server"
 	"diversity/internal/telemetry"
 )
 
@@ -118,62 +120,55 @@ func TestPickFailover(t *testing.T) {
 	}
 }
 
-func TestRouteMemoBounded(t *testing.T) {
-	nodes := []string{"http://127.0.0.1:1", "http://127.0.0.1:2"}
-	c, err := New(Config{Nodes: nodes, RouteMemo: 4, Registry: telemetry.NewRegistry()})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	ids := []string{"j-000001-aaaaaaaa", "j-000002-bbbbbbbb", "j-000003-cccccccc",
-		"j-000004-dddddddd", "j-000005-eeeeeeee", "j-000006-ffffffff"}
-	for _, id := range ids {
-		c.remember(id, 1)
-	}
-	if len(c.memo) != 4 {
-		t.Fatalf("memo size = %d, want 4", len(c.memo))
-	}
-	if _, ok := c.memoised(ids[0]); ok {
-		t.Error("oldest memo entry survived eviction")
-	}
-	if idx, ok := c.memoised(ids[5]); !ok || idx != 1 {
-		t.Errorf("newest memo entry = (%d, %v), want (1, true)", idx, ok)
-	}
-	// Re-remembering an existing ID must not grow the age list.
-	c.remember(ids[5], 0)
-	if idx, _ := c.memoised(ids[5]); idx != 0 {
-		t.Error("re-remember did not update the node index")
-	}
-}
-
-func TestCandidatesMemoFirstThenSweep(t *testing.T) {
+func TestCandidatesSweepInRendezvousOrder(t *testing.T) {
 	c := newTestCoordinator(t, 3)
-	id := "j-000001-0123abcd"
 	order := c.rank("0123abcd")
-	got := c.candidates(id)
+	got := c.candidates("j-000001-0123abcd")
+	if len(got) != len(order) {
+		t.Fatalf("candidates %v does not sweep all nodes", got)
+	}
 	for i := range order {
 		if got[i] != order[i] {
-			t.Fatalf("candidates without memo = %v, want rendezvous order %v", got, order)
+			t.Fatalf("candidates = %v, want rendezvous order %v", got, order)
 		}
-	}
-	memoNode := order[len(order)-1] // deliberately not the rendezvous home
-	c.remember(id, memoNode)
-	got = c.candidates(id)
-	if got[0] != memoNode {
-		t.Fatalf("candidates with memo = %v, want %d first", got, memoNode)
-	}
-	seen := make(map[int]bool)
-	for _, idx := range got {
-		if seen[idx] {
-			t.Fatalf("candidates %v visits node %d twice", got, idx)
-		}
-		seen[idx] = true
-	}
-	if len(got) != 3 {
-		t.Fatalf("candidates %v does not sweep all nodes", got)
 	}
 	// An ID without an embedded key still sweeps every node.
 	if got := c.candidates("not-a-submission-id"); len(got) != 3 {
 		t.Fatalf("candidates for unparseable ID = %v, want all 3 nodes", got)
+	}
+}
+
+// TestRouteKeyMatchesNodeSubmissionID: the coordinator routes a
+// submission on the key of the engine ID it computes, and every later
+// request on the key the node embeds in its submission ID. The two must
+// agree when coordinator and node run on different core counts and the
+// spec leaves workers at 0 (all cores). Not parallel: it changes
+// GOMAXPROCS.
+func TestRouteKeyMatchesNodeSubmissionID(t *testing.T) {
+	const spec = `{"kind":"montecarlo","montecarlo":{"model":{"scenario":"safety-grade","scenarioSeed":7},"versions":2,"reps":5000,"seed":42}}`
+	prev := runtime.GOMAXPROCS(1)
+	defer runtime.GOMAXPROCS(prev)
+	_, engineID, err := server.DecodeJobSpec(strings.NewReader(spec))
+	if err != nil {
+		t.Fatalf("DecodeJobSpec: %v", err)
+	}
+
+	runtime.GOMAXPROCS(4)
+	node := startNode(t)
+	resp, err := http.Post(node.URL+"/v1/jobs", "application/json", strings.NewReader(spec))
+	if err != nil {
+		t.Fatalf("POST /v1/jobs: %v", err)
+	}
+	defer resp.Body.Close()
+	var v struct {
+		ID string `json:"id"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&v); err != nil || resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit = %d, %v", resp.StatusCode, err)
+	}
+	key, ok := keyFromSubmissionID(v.ID)
+	if !ok || key != routeKey(engineID) {
+		t.Errorf("node submission ID %q carries key %q, coordinator routes on %q", v.ID, key, routeKey(engineID))
 	}
 }
 

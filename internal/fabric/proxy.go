@@ -227,14 +227,6 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 					"job", engineID, "to", c.nodes[idx].name)
 			}
 		}
-		if up.status == http.StatusAccepted {
-			var v struct {
-				ID string `json:"id"`
-			}
-			if json.Unmarshal(up.body, &v) == nil && v.ID != "" {
-				c.remember(v.ID, idx)
-			}
-		}
 		replay(w, up)
 		return
 	}
@@ -242,10 +234,9 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 }
 
 // resolve performs a routed request for an existing submission ID,
-// trying the memoised node first and then the remaining nodes in
-// rendezvous order. A 404 moves on to the next candidate (after a
-// failover or a coordinator restart the job may live off its rendezvous
-// home); any other answer wins. sawDown reports that at least one
+// trying the nodes in rendezvous order of the ID's routing key. A 404
+// moves on to the next candidate (after a failover the job may live off
+// its rendezvous home); any other answer wins. sawDown reports that at least one
 // candidate was unreachable, which turns an all-404 sweep into a 503
 // rather than a lying 404.
 func (c *Coordinator) resolve(ctx context.Context, method, path, subID, reqID string) (up *upstream, idx int, sawDown bool) {
@@ -261,9 +252,6 @@ func (c *Coordinator) resolve(ctx context.Context, method, path, subID, reqID st
 		}
 		if resp.status == http.StatusNotFound {
 			continue
-		}
-		if resp.status < 300 {
-			c.remember(subID, i)
 		}
 		return resp, i, sawDown
 	}
@@ -412,7 +400,7 @@ func (c *Coordinator) handleEvents(w http.ResponseWriter, r *http.Request) {
 		}
 	}()
 
-	resp, idx, sawDown := c.openStream(ctx, id, reqID)
+	resp, sawDown := c.openStream(ctx, id, reqID)
 	if resp == nil {
 		if sawDown {
 			c.reject(w, reqID, "node_unavailable", "1", "job %q may live on a node that is down: retry shortly", id)
@@ -422,7 +410,6 @@ func (c *Coordinator) handleEvents(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer resp.Body.Close()
-	c.remember(id, idx)
 
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
@@ -468,7 +455,7 @@ func (c *Coordinator) handleEvents(w http.ResponseWriter, r *http.Request) {
 
 // openStream opens the upstream SSE connection, walking the candidates
 // like resolve.
-func (c *Coordinator) openStream(ctx context.Context, subID, reqID string) (resp *http.Response, idx int, sawDown bool) {
+func (c *Coordinator) openStream(ctx context.Context, subID, reqID string) (resp *http.Response, sawDown bool) {
 	for _, i := range c.candidates(subID) {
 		if !c.nodes[i].up.Load() {
 			sawDown = true
@@ -494,9 +481,9 @@ func (c *Coordinator) openStream(ctx context.Context, subID, reqID string) (resp
 			sawDown = true
 			continue
 		}
-		return r, i, sawDown
+		return r, sawDown
 	}
-	return nil, 0, sawDown
+	return nil, sawDown
 }
 
 // recoverStream is the SSE restart-recovery loop: poll the job view

@@ -90,56 +90,14 @@ func (c *Coordinator) pick(key string) (idx int, rerouted, ok bool) {
 	return 0, false, false
 }
 
-// remember memoises a submission ID's node so later GET/DELETE/SSE
-// requests route directly even after membership changes moved the
-// key's rendezvous home. The memo is bounded: the oldest entries fall
-// off, and a miss degrades to rendezvous routing plus a healthy-node
-// sweep — never to an error.
-func (c *Coordinator) remember(subID string, idx int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, exists := c.memo[subID]; !exists {
-		c.memoAge = append(c.memoAge, subID)
-	}
-	c.memo[subID] = idx
-	for len(c.memo) > c.cfg.RouteMemo && len(c.memoAge) > 0 {
-		delete(c.memo, c.memoAge[0])
-		c.memoAge = c.memoAge[1:]
-	}
-}
-
-// memoised returns the remembered node index for a submission ID.
-func (c *Coordinator) memoised(subID string) (int, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	idx, ok := c.memo[subID]
-	return idx, ok
-}
-
 // candidates returns the node indices to try, in order, for a request
-// addressed to an existing submission ID: the memoised node first, then
-// the remaining nodes in rendezvous order of the ID's embedded routing
-// key (or listing order when the ID embeds no key). Every node appears
-// exactly once, so a sweep visits the whole fabric.
+// addressed to an existing submission ID: rendezvous order of the ID's
+// embedded routing key (of the empty key when the ID embeds none). Every
+// node appears exactly once, so a sweep visits the whole fabric.
+// Coordinator and nodes derive the key from the same spec hash, which
+// does not depend on either side's core count, so the first candidate is
+// the node the submission was routed to unless failover moved it.
 func (c *Coordinator) candidates(subID string) []int {
-	var order []int
-	if key, ok := keyFromSubmissionID(subID); ok {
-		order = c.rank(key)
-	} else {
-		order = make([]int, len(c.nodes))
-		for i := range c.nodes {
-			order[i] = i
-		}
-	}
-	memo, hasMemo := c.memoised(subID)
-	if !hasMemo {
-		return order
-	}
-	out := []int{memo}
-	for _, i := range order {
-		if i != memo {
-			out = append(out, i)
-		}
-	}
-	return out
+	key, _ := keyFromSubmissionID(subID)
+	return c.rank(key)
 }

@@ -57,6 +57,28 @@ func (fs *FaultSet) SigmaPFD(m int) (float64, error) {
 	return math.Sqrt(v), nil
 }
 
+// KurtosisPFD returns the excess kurtosis of Θ_m, κ4/κ2². Cumulants of
+// independent contributions add, and a Bernoulli(π) scaled by q has
+// κ2 = q² π(1-π) and κ4 = q⁴ π(1-π)(1-6π(1-π)). It is 0 when Θ_m has no
+// variance, and it returns an error if m < 1.
+func (fs *FaultSet) KurtosisPFD(m int) (float64, error) {
+	if err := validateVersions(m); err != nil {
+		return 0, err
+	}
+	var k2, k4 float64
+	for _, f := range fs.faults {
+		pm := math.Pow(f.P, float64(m))
+		v := pm * (1 - pm)
+		q2 := f.Q * f.Q
+		k2 += v * q2
+		k4 += v * (1 - 6*v) * q2 * q2
+	}
+	if k2 == 0 {
+		return 0, nil
+	}
+	return k4 / (k2 * k2), nil
+}
+
 // MeanFaultCount returns E[N_m] = Σ p_i^m: the expected number of faults in
 // a version (m = 1) or of common faults in an m-version system.
 func (fs *FaultSet) MeanFaultCount(m int) (float64, error) {

@@ -84,6 +84,37 @@ func TestVarPFDHandComputed(t *testing.T) {
 	}
 }
 
+// TestKurtosisPFDMatchesExactDistribution holds the cumulant sum to the
+// fourth central moment of the exact PFD distribution.
+func TestKurtosisPFDMatchesExactDistribution(t *testing.T) {
+	t.Parallel()
+
+	fs := mustNew(t, []Fault{{P: 0.3, Q: 0.1}, {P: 0.5, Q: 0.2}, {P: 0.02, Q: 0.05}})
+	for _, m := range []int{1, 2, 3} {
+		dist, err := fs.ExactPFD(m)
+		if err != nil {
+			t.Fatalf("ExactPFD(%d): %v", m, err)
+		}
+		values, probs := dist.Support()
+		mean, variance := dist.Mean(), dist.Variance()
+		m4 := 0.0
+		for i, v := range values {
+			d := v - mean
+			m4 += probs[i] * d * d * d * d
+		}
+		got, err := fs.KurtosisPFD(m)
+		if err != nil {
+			t.Fatalf("KurtosisPFD(%d): %v", m, err)
+		}
+		if want := m4/(variance*variance) - 3; !almostEqual(got, want, 1e-9) {
+			t.Errorf("m=%d: KurtosisPFD = %v, exact distribution %v", m, got, want)
+		}
+	}
+	if k, err := mustNew(t, []Fault{{P: 1, Q: 0.1}}).KurtosisPFD(1); err != nil || k != 0 {
+		t.Errorf("degenerate PFD: KurtosisPFD = (%v, %v), want (0, nil)", k, err)
+	}
+}
+
 func TestMomentsInvalidM(t *testing.T) {
 	t.Parallel()
 

@@ -12,7 +12,7 @@ import (
 )
 
 // TestPipelineMatchesVersionAPI holds the tile loop to the *Version
-// reference implementation: on the same split stream, Develop →
+// reference implementation: on block 0's stream, Develop →
 // system.NewVoted → PFD()/SystemFaultCount() must reproduce every
 // replication's version and system PFD and both fault-free counts bit for
 // bit, for every process and voting rule, buffered and streaming. The
@@ -55,7 +55,8 @@ func TestPipelineMatchesVersionAPI(t *testing.T) {
 			}
 			label := fmt.Sprintf("process %d %s", pi, spec)
 
-			r := randx.NewStream(seed).Split(1)[0]
+			r := randx.NewStream(0)
+			r.SeedAt(seed, 0) // reps fits in block 0
 			wantV := make([]float64, reps)
 			wantS := make([]float64, reps)
 			var wantAggV, wantAggS Agg

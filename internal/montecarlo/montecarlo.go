@@ -5,20 +5,21 @@
 // cross-checked against this harness: equations (1)–(2) against sample
 // moments (E01), equation (10) against no-common-fault frequencies (E04),
 // and the Section-5 normal approximation against empirical percentiles
-// (E09). Replications are sharded across worker goroutines with split
-// random streams, so results are reproducible for a fixed seed and worker
-// count does not change the sampled distribution.
+// (E09). A run is cut into fixed-size blocks of replications, and each
+// block draws from its own stream keyed by (seed, block index), so the
+// sample is a function of the seed alone: worker goroutines claim blocks
+// in any order, and any worker count reproduces the same bytes.
 //
 // The harness offers two aggregation modes. The default buffered mode
 // keeps every replication's version and system PFD in memory
 // (Result.VersionPFD/SystemPFD), supporting exact sample statistics at
 // O(Reps) memory. Streaming mode (Config.Streaming) folds each
-// replication into per-worker Agg accumulators — mergeable moments, a
-// log-scale histogram for quantiles, and fault-free counters — merged
-// deterministically in shard order, so memory stays constant in Reps and
-// the hot path performs no per-replication allocations. Both modes draw
-// identical random variates, so for a fixed seed and worker count they
-// observe exactly the same PFD population.
+// replication into per-worker Agg accumulators — moments, a log-scale
+// histogram for quantiles, and fault-free counters — so memory stays
+// constant in Reps and the hot path performs no per-replication
+// allocations. Both modes draw identical random variates and fold their
+// moments block by block in block order, so they report identical means
+// and standard deviations.
 package montecarlo
 
 import (
@@ -26,22 +27,23 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"diversity/internal/devsim"
-	"diversity/internal/randx"
 	"diversity/internal/stats"
 	"diversity/internal/system"
 	"diversity/internal/telemetry"
 )
 
-// ctxCheckEvery is the number of replications a worker completes between
-// context checks and progress reports: coarse enough to keep the per-sample
-// hot path branch-free, fine enough that cancelling a multi-million-rep run
-// takes effect promptly.
-const ctxCheckEvery = 8192
+// blockSize is the number of replications in one block: the unit whose
+// random stream is keyed by its index, the unit workers claim, and the
+// unit of context checks and progress reports. It is small enough that a
+// 20,000-replication job splits evenly across two workers. Changing it
+// changes every fixed-seed Monte-Carlo result.
+const blockSize = 2048
 
 // Config parameterises a Monte-Carlo run.
 type Config struct {
@@ -57,7 +59,8 @@ type Config struct {
 	// Reps is the number of replications. Must be at least 1.
 	Reps int
 	// Workers is the number of worker goroutines. Zero means
-	// runtime.GOMAXPROCS(0).
+	// runtime.GOMAXPROCS(0). It changes only how fast a run finishes:
+	// results depend on the seed alone.
 	Workers int
 	// Seed makes the run reproducible.
 	Seed uint64
@@ -65,8 +68,8 @@ type Config struct {
 	// every replication's PFDs, the run folds them into mergeable
 	// Agg accumulators (Result.VersionAgg/SystemAgg) and leaves
 	// Result.VersionPFD/SystemPFD nil. The sampled population is
-	// identical to the buffered mode for the same seed and worker count;
-	// only the representation changes. Use Result.VersionSummary and
+	// identical to the buffered mode for the same seed; only the
+	// representation changes. Use Result.VersionSummary and
 	// Result.SystemSummary to read statistics uniformly in either mode.
 	Streaming bool
 	// Sparse selects the sparse development kernel: processes with the
@@ -79,42 +82,41 @@ type Config struct {
 	// not bitwise comparable across modes; it therefore ships opt-in.
 	// Every other process has no cheaper sampler than its dense
 	// DevelopInto, which is then its sparse kernel. Sparse composes with
-	// both aggregation modes, and for the same seed and worker count the
-	// sparse buffered and sparse streaming runs observe exactly the same
-	// PFD population. It takes precedence over BatchWidth: geometric gaps
-	// are sequential per replication, so sparse runs develop one column
-	// at a time.
+	// both aggregation modes. It takes precedence over BatchWidth:
+	// geometric gaps are sequential per replication, so sparse runs
+	// develop one column at a time.
 	Sparse bool
 	// BatchWidth, when at least 2, selects the batched replication kernel:
-	// each worker tiles its replications into columns of up to BatchWidth
-	// bitsets and develops a tile fault-major, drawing every fault's
-	// Bernoulli variates for the whole tile from one randx FillUint64
-	// batch and comparing them against precomputed integer thresholds
-	// (devsim.BatchDeveloper). Draw and column buffers are arena-reused
-	// per worker shard, so the steady state performs no allocations. Like
-	// the sparse kernel, the batched path consumes a different (but
-	// distributionally identical) variate sequence from the dense
-	// default, so it ships opt-in: 0 or 1 leaves the dense kernel
-	// untouched byte for byte. It composes with both aggregation modes
-	// and is ignored when Sparse is set. Processes without the
-	// BatchDeveloper extension fall back to the dense kernel. Wide tiles
-	// over large fault universes are clamped to a fixed per-worker arena
-	// budget; Result.BatchWidth reports the width actually used.
+	// each worker tiles a block's replications into columns of up to
+	// BatchWidth bitsets and develops a tile fault-major, drawing every
+	// fault's Bernoulli variates for the whole tile from one randx
+	// FillUint64 batch and comparing them against precomputed integer
+	// thresholds (devsim.BatchDeveloper). Draw and column buffers are
+	// arena-reused per worker, so the steady state performs no
+	// allocations. Like the sparse kernel, the batched path consumes a
+	// different (but distributionally identical) variate sequence from the
+	// dense default, so it ships opt-in: 0 or 1 leaves the dense kernel
+	// untouched byte for byte. It composes with both aggregation modes and
+	// is ignored when Sparse is set. Processes without the BatchDeveloper
+	// extension fall back to the dense kernel. Tiles are never wider than
+	// a block, and wide tiles over large fault universes are clamped to a
+	// fixed per-worker arena budget; Result.BatchWidth reports the width
+	// actually used.
 	BatchWidth int
 	// Progress, when non-nil, is called as replications complete with the
 	// total completed so far and the configured total. It is invoked from
-	// worker goroutines at shard-chunk granularity (never per sample) and
-	// must therefore be safe for concurrent use. Progress does not affect
-	// the sampled distribution.
+	// worker goroutines once per block (never per sample) and must
+	// therefore be safe for concurrent use. Progress does not affect the
+	// sampled distribution.
 	Progress func(done, total int)
 	// Metrics, when non-nil, receives run measurements: total
-	// replications, replications per second, worker shard imbalance, and
+	// replications, replications per second, worker imbalance, and
 	// — for cancelled runs — the latency between cancellation and the
 	// last worker draining. Metric names are listed in DESIGN.md §7.
 	// Metrics does not affect the sampled distribution.
 	Metrics *telemetry.Registry
 	// TraceSpan, when non-nil, is the parent span under which the run
-	// records one timed child span per worker shard.
+	// records one timed child span per worker.
 	TraceSpan *telemetry.Span
 }
 
@@ -144,8 +146,8 @@ type Result struct {
 	// the process lacks the BatchDeveloper extension.
 	Batched bool
 	// BatchWidth is the tile width the batched kernel used
-	// (Config.BatchWidth clamped to the replication count and the
-	// per-worker arena budget). It is 0 for unbatched runs.
+	// (Config.BatchWidth clamped to the replication count, the block size
+	// and the per-worker arena budget). It is 0 for unbatched runs.
 	BatchWidth int
 	// VersionPFD holds the PFD of the first version of each replication.
 	// It is nil for streaming runs.
@@ -170,23 +172,16 @@ type Result struct {
 // VersionSummary returns descriptive statistics of the first-version PFD
 // population in either aggregation mode: exact sample statistics for
 // buffered runs, exact moments with histogram-resolution quantiles for
-// streaming runs.
+// streaming runs. Both modes fold the moments in block order, so they
+// agree bit for bit on every moment.
 func (res *Result) VersionSummary() (stats.Summary, error) {
-	if res.VersionAgg != nil {
-		return res.VersionAgg.Summary()
-	}
-	return stats.Summarize(res.VersionPFD)
+	return summarize(res.VersionAgg, res.VersionPFD)
 }
 
 // SystemSummary returns descriptive statistics of the system PFD
-// population in either aggregation mode: exact sample statistics for
-// buffered runs, exact moments with histogram-resolution quantiles for
-// streaming runs.
+// population, as VersionSummary does for the first version.
 func (res *Result) SystemSummary() (stats.Summary, error) {
-	if res.SystemAgg != nil {
-		return res.SystemAgg.Summary()
-	}
-	return stats.Summarize(res.SystemPFD)
+	return summarize(res.SystemAgg, res.SystemPFD)
 }
 
 // PVersionAnyFault returns the empirical estimate of P(N1 > 0).
@@ -217,8 +212,10 @@ func Run(cfg Config) (*Result, error) {
 }
 
 // RunContext executes the configured Monte-Carlo experiment under a
-// context. Cancellation is checked once per worker shard chunk (every
-// ctxCheckEvery replications), not per sample; a cancelled run returns an
+// context. Workers claim blocks of blockSize replications from a shared
+// counter; block b draws from the stream keyed by (Seed, b), so the
+// result does not depend on which worker ran which block. Cancellation is
+// checked once per block, not per sample; a cancelled run returns an
 // error wrapping ctx.Err() and discards any partial results.
 func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	if cfg.Process == nil {
@@ -244,9 +241,6 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > cfg.Reps {
-		workers = cfg.Reps
-	}
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("montecarlo: run cancelled before start: %w", err)
 	}
@@ -259,7 +253,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	case cfg.BatchWidth > 1:
 		if bd, ok := cfg.Process.(devsim.BatchDeveloper); ok {
 			k.batch = bd
-			k.width = effectiveBatchWidth(min(cfg.BatchWidth, cfg.Reps), cfg.Versions, fs.N())
+			k.width = effectiveBatchWidth(min(cfg.BatchWidth, blockSize, cfg.Reps), cfg.Versions, fs.N())
 		}
 	}
 
@@ -275,25 +269,11 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		res.SystemPFD = make([]float64, cfg.Reps)
 	}
 
-	streams := randx.NewStream(cfg.Seed).Split(workers)
-	type shard struct {
-		lo, hi int
-	}
-	shards := make([]shard, workers)
-	per := cfg.Reps / workers
-	extra := cfg.Reps % workers
-	start := 0
-	for w := range shards {
-		size := per
-		if w < extra {
-			size++
-		}
-		shards[w] = shard{lo: start, hi: start + size}
-		start += size
-	}
-
+	blocks := (cfg.Reps + blockSize - 1) / blockSize
+	workers = min(workers, blocks)
 	var wg sync.WaitGroup
-	var done atomic.Int64
+	var claimed, done atomic.Int64
+	fold := momentFold{pending: make(map[int][2]stats.Moments)}
 	tiles := make([]*tileWorker, workers)
 
 	// The cancellation watcher timestamps the moment the context is
@@ -301,9 +281,10 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	// can be measured after wg.Wait.
 	runStart := time.Now()
 	var cancelledAt atomic.Int64 // unix nanos; 0 = not cancelled
-	watcherStop := make(chan struct{})
+	watcherStop, watcherDone := make(chan struct{}), make(chan struct{})
 	if cfg.Metrics != nil {
 		go func() {
+			defer close(watcherDone)
 			select {
 			case <-ctx.Done():
 				cancelledAt.Store(time.Now().UnixNano())
@@ -311,11 +292,8 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 			}
 		}()
 	}
-	shardElapsed := make([]time.Duration, workers)
+	workerElapsed := make([]time.Duration, workers)
 
-	// A chunk is never smaller than a tile, so batched tiles only shrink
-	// at the shard tail, not at every context check.
-	chunk := max(ctxCheckEvery, k.width)
 	for w := 0; w < workers; w++ {
 		w := w
 		wg.Add(1)
@@ -325,21 +303,26 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 				span := cfg.TraceSpan.Child(fmt.Sprintf("shard-%02d", w))
 				defer span.End()
 			}
-			shardStart := time.Now()
-			defer func() { shardElapsed[w] = time.Since(shardStart) }()
-			tw := newTileWorker(fs, adj, streams[w], cfg.Versions, k)
+			workerStart := time.Now()
+			defer func() { workerElapsed[w] = time.Since(workerStart) }()
+			tw := newTileWorker(fs, adj, cfg.Versions, k)
 			if cfg.Streaming {
 				tw.vAgg, tw.sAgg = new(Agg), new(Agg)
 			} else {
 				tw.versionPFD, tw.systemPFD = res.VersionPFD, res.SystemPFD
 			}
 			tiles[w] = tw
-			for lo := shards[w].lo; lo < shards[w].hi; lo += chunk {
-				if ctx.Err() != nil {
+			for ctx.Err() == nil {
+				b := int(claimed.Add(1) - 1)
+				if b >= blocks {
 					return
 				}
-				hi := min(lo+chunk, shards[w].hi)
+				lo, hi := b*blockSize, min((b+1)*blockSize, cfg.Reps)
+				tw.r.SeedAt(cfg.Seed, uint64(b))
 				tw.run(lo, hi)
+				if cfg.Streaming {
+					fold.add(b, tw.vAgg, tw.sAgg)
+				}
 				completed := done.Add(int64(hi - lo))
 				if cfg.Progress != nil {
 					cfg.Progress(int(completed), cfg.Reps)
@@ -350,29 +333,93 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	wg.Wait()
 	for _, tw := range tiles {
 		res.SparseSkips += tw.skips
+		res.VersionFaultFree += tw.counts[0]
+		res.SystemFaultFree += tw.counts[1]
 	}
 	if cfg.Metrics != nil {
-		close(watcherStop)
-		recordRunMetrics(cfg.Metrics, res, runStart, done.Load(), shardElapsed, cancelledAt.Load())
+		// A cancelled run waits for the watcher's timestamp: workers
+		// can drain a block before the watcher is first scheduled.
+		if ctx.Err() == nil {
+			close(watcherStop)
+		}
+		<-watcherDone
+		recordRunMetrics(cfg.Metrics, res, runStart, done.Load(), workerElapsed, cancelledAt.Load())
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("montecarlo: run cancelled after %d of %d replications: %w", done.Load(), cfg.Reps, err)
 	}
-	for _, tw := range tiles {
-		res.VersionFaultFree += tw.counts[0]
-		res.SystemFaultFree += tw.counts[1]
-	}
 	if cfg.Streaming {
-		// Reduce the per-worker aggregates in shard order: the merge is
-		// deterministic, so a fixed seed and worker count reproduces
-		// results bit for bit.
+		// Counts, extremes and histograms merge exactly in any order;
+		// the float moments come from the block-ordered fold, so the
+		// aggregates do not depend on which worker ran which block.
 		res.VersionAgg, res.SystemAgg = tiles[0].vAgg, tiles[0].sAgg
 		for _, tw := range tiles[1:] {
 			res.VersionAgg.Merge(tw.vAgg)
 			res.SystemAgg.Merge(tw.sAgg)
 		}
+		res.VersionAgg.Moments, res.SystemAgg.Moments = fold.v, fold.s
 	}
 	return res, nil
+}
+
+// momentFold merges per-block moments in block order. Workers finish
+// blocks in any order; a block that finishes before its predecessors
+// waits in pending, which holds about one block per worker, not one per
+// block of the run, so memory stays independent of Reps.
+type momentFold struct {
+	mu      sync.Mutex
+	next    int
+	pending map[int][2]stats.Moments
+	v, s    stats.Moments
+}
+
+// add takes the moments the aggregates accumulated over block b, resets
+// them for the worker's next block, and folds every block that is now
+// next in order.
+func (f *momentFold) add(b int, vAgg, sAgg *Agg) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.pending[b] = [2]stats.Moments{vAgg.Moments, sAgg.Moments}
+	vAgg.Moments, sAgg.Moments = stats.Moments{}, stats.Moments{}
+	for m, ok := f.pending[f.next]; ok; m, ok = f.pending[f.next] {
+		delete(f.pending, f.next)
+		f.v.Merge(m[0])
+		f.s.Merge(m[1])
+		f.next++
+	}
+}
+
+// blockMoments folds xs exactly as a streaming run folds the same
+// replications: one Moments per block, merged in block order.
+func blockMoments(xs []float64) stats.Moments {
+	var total stats.Moments
+	for lo := 0; lo < len(xs); lo += blockSize {
+		var m stats.Moments
+		for _, x := range xs[lo:min(lo+blockSize, len(xs))] {
+			m.Add(x)
+		}
+		total.Merge(m)
+	}
+	return total
+}
+
+// summarize summarises a streaming aggregate or, when agg is nil, a
+// buffered population: exact order statistics from the sample, moments
+// from the block-ordered fold.
+func summarize(agg *Agg, xs []float64) (stats.Summary, error) {
+	if agg != nil {
+		return agg.Summary()
+	}
+	s, err := stats.Summarize(xs)
+	if err != nil {
+		return s, err
+	}
+	m := blockMoments(xs)
+	s.Mean, s.Skewness, s.Kurtosis = m.Mean(), m.Skewness(), m.Kurtosis()
+	if sd, err := m.StdDev(); err == nil {
+		s.StdDev = sd
+	}
+	return s, nil
 }
 
 // PreRegisterMetrics registers this package's run metrics that would
@@ -400,11 +447,11 @@ func PreRegisterMetrics(reg *telemetry.Registry) {
 // expose how much simulation each voting rule consumed — replications per
 // second over the whole run (both unlabelled and under the kernel-mode
 // suffix .dense/.sparse/.batched), the run's tile width (0 unless
-// batched), shard imbalance ((max-min)/max shard wall time — 0 means
+// batched), worker imbalance ((max-min)/max worker wall time — 0 means
 // perfectly balanced), sparse-kernel skip draws, whether the run
 // streamed, and, for cancelled runs, the latency between cancellation and
 // the last worker draining.
-func recordRunMetrics(reg *telemetry.Registry, res *Result, runStart time.Time, completed int64, shardElapsed []time.Duration, cancelledNanos int64) {
+func recordRunMetrics(reg *telemetry.Registry, res *Result, runStart time.Time, completed int64, workerElapsed []time.Duration, cancelledNanos int64) {
 	elapsed := time.Since(runStart)
 	reg.Counter("montecarlo.replications_total").Add(completed)
 	reg.Counter("montecarlo.replications_total." + res.Adjudicator).Add(completed)
@@ -426,19 +473,8 @@ func recordRunMetrics(reg *telemetry.Registry, res *Result, runStart time.Time, 
 		reg.Gauge("montecarlo.replications_per_second." + mode).Set(rate)
 	}
 	reg.Histogram("montecarlo.run_duration_seconds", telemetry.DurationBuckets).Observe(elapsed.Seconds())
-	if len(shardElapsed) > 1 {
-		minD, maxD := shardElapsed[0], shardElapsed[0]
-		for _, d := range shardElapsed[1:] {
-			if d < minD {
-				minD = d
-			}
-			if d > maxD {
-				maxD = d
-			}
-		}
-		if maxD > 0 {
-			reg.Gauge("montecarlo.shard_imbalance").Set(float64(maxD-minD) / float64(maxD))
-		}
+	if maxD := slices.Max(workerElapsed); len(workerElapsed) > 1 && maxD > 0 {
+		reg.Gauge("montecarlo.shard_imbalance").Set(float64(maxD-slices.Min(workerElapsed)) / float64(maxD))
 	}
 	if cancelledNanos != 0 {
 		latency := time.Since(time.Unix(0, cancelledNanos))

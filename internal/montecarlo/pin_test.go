@@ -29,8 +29,9 @@ func runDigest(res *Result) string {
 // TestRunBitPins pins every replication mode of RunContext bit for bit:
 // the four development processes × two voting rules × {dense, sparse,
 // batched} × {buffered, streaming}, over a 150-fault universe whose tied
-// pairs cross bitset words. The digests were captured before the modes
-// were unified into one tile loop.
+// pairs cross bitset words. Each key has one pin for every worker count:
+// the run spans five blocks, so 2 and 3 workers claim them out of order
+// and 8 workers leave some idle.
 func TestRunBitPins(t *testing.T) {
 	t.Parallel()
 
@@ -84,16 +85,18 @@ func TestRunBitPins(t *testing.T) {
 			for _, mode := range modes {
 				for _, streaming := range []bool{false, true} {
 					key := fmt.Sprintf("%s/%s/%s/streaming=%v", p.name, pool.adj.Name(), mode.name, streaming)
-					res, err := Run(Config{
-						Process: p.proc, Versions: pool.versions, Adjudicator: pool.adj,
-						Reps: 3000, Workers: 2, Seed: 8, Streaming: streaming,
-						Sparse: mode.sparse, BatchWidth: mode.width,
-					})
-					if err != nil {
-						t.Fatalf("%s: %v", key, err)
-					}
-					if got, want := runDigest(res), runPins[key]; got != want {
-						t.Errorf("%q: %q, // pinned %q", key, got, want)
+					for _, workers := range []int{1, 2, 3, 8} {
+						res, err := Run(Config{
+							Process: p.proc, Versions: pool.versions, Adjudicator: pool.adj,
+							Reps: 4*blockSize + 300, Workers: workers, Seed: 8, Streaming: streaming,
+							Sparse: mode.sparse, BatchWidth: mode.width,
+						})
+						if err != nil {
+							t.Fatalf("%s: %v", key, err)
+						}
+						if got, want := runDigest(res), runPins[key]; got != want {
+							t.Errorf("%q: %q, // pinned %q (workers %d)", key, got, want, workers)
+						}
 					}
 				}
 			}
@@ -102,52 +105,52 @@ func TestRunBitPins(t *testing.T) {
 }
 
 var runPins = map[string]string{
-	"independent/1oon/dense/streaming=false":      "3ba3a4e79190884d",
-	"independent/1oon/dense/streaming=true":       "7e7469dc1dbaad52",
-	"independent/1oon/sparse/streaming=false":     "3208b58179847344",
-	"independent/1oon/sparse/streaming=true":      "308a8a6f0f889dbe",
-	"independent/1oon/batched/streaming=false":    "18d305f2395d02d1",
-	"independent/1oon/batched/streaming=true":     "d7a79b345867aa08",
-	"independent/2oo3/dense/streaming=false":      "ec1367ed63a8aa51",
-	"independent/2oo3/dense/streaming=true":       "beeaff9fcdff74f6",
-	"independent/2oo3/sparse/streaming=false":     "a6ed3350a47cc14d",
-	"independent/2oo3/sparse/streaming=true":      "6bf23f6ab069d2e6",
-	"independent/2oo3/batched/streaming=false":    "10db1fed1f517a5d",
-	"independent/2oo3/batched/streaming=true":     "669d3de941af2c3d",
-	"common-cause/1oon/dense/streaming=false":     "b9e76616bfa0f1b0",
-	"common-cause/1oon/dense/streaming=true":      "3a5273e7fa18525d",
-	"common-cause/1oon/sparse/streaming=false":    "b9e76616bfa0f1b0",
-	"common-cause/1oon/sparse/streaming=true":     "3a5273e7fa18525d",
-	"common-cause/1oon/batched/streaming=false":   "93ba6834a343d4cd",
-	"common-cause/1oon/batched/streaming=true":    "ca48ee042bb2f013",
-	"common-cause/2oo3/dense/streaming=false":     "82e4430eecfadfb7",
-	"common-cause/2oo3/dense/streaming=true":      "30d1b982cc53778c",
-	"common-cause/2oo3/sparse/streaming=false":    "82e4430eecfadfb7",
-	"common-cause/2oo3/sparse/streaming=true":     "30d1b982cc53778c",
-	"common-cause/2oo3/batched/streaming=false":   "fbdafce305b33e6c",
-	"common-cause/2oo3/batched/streaming=true":    "b3639cf82c56ec57",
-	"resource-shift/1oon/dense/streaming=false":   "25db5c96ae541e84",
-	"resource-shift/1oon/dense/streaming=true":    "14430ac644c5070e",
-	"resource-shift/1oon/sparse/streaming=false":  "25db5c96ae541e84",
-	"resource-shift/1oon/sparse/streaming=true":   "14430ac644c5070e",
-	"resource-shift/1oon/batched/streaming=false": "1660131ef58d8ebb",
-	"resource-shift/1oon/batched/streaming=true":  "771fa4a4fbb649c7",
-	"resource-shift/2oo3/dense/streaming=false":   "00db663ccc6e9524",
-	"resource-shift/2oo3/dense/streaming=true":    "a77903e7b2f3f75c",
-	"resource-shift/2oo3/sparse/streaming=false":  "00db663ccc6e9524",
-	"resource-shift/2oo3/sparse/streaming=true":   "a77903e7b2f3f75c",
-	"resource-shift/2oo3/batched/streaming=false": "eba52c579de63286",
-	"resource-shift/2oo3/batched/streaming=true":  "995fb3bb5aa16634",
-	"tied/1oon/dense/streaming=false":             "f090652d91eb23f2",
-	"tied/1oon/dense/streaming=true":              "c2ff56182acac518",
-	"tied/1oon/sparse/streaming=false":            "f090652d91eb23f2",
-	"tied/1oon/sparse/streaming=true":             "c2ff56182acac518",
-	"tied/1oon/batched/streaming=false":           "ec08360fab40cbb5",
-	"tied/1oon/batched/streaming=true":            "14695c631f56d9cd",
-	"tied/2oo3/dense/streaming=false":             "14a0ce7b21059920",
-	"tied/2oo3/dense/streaming=true":              "228a335198b400d4",
-	"tied/2oo3/sparse/streaming=false":            "14a0ce7b21059920",
-	"tied/2oo3/sparse/streaming=true":             "228a335198b400d4",
-	"tied/2oo3/batched/streaming=false":           "bec302c2c1ffd2da",
-	"tied/2oo3/batched/streaming=true":            "7b0c0287687fd883",
+	"independent/1oon/dense/streaming=false":      "0f6e97e093d50cae",
+	"independent/1oon/dense/streaming=true":       "45534e9cddd987e8",
+	"independent/1oon/sparse/streaming=false":     "e59024f60aee6e6c",
+	"independent/1oon/sparse/streaming=true":      "d6d8642ddaa0eae5",
+	"independent/1oon/batched/streaming=false":    "fd625dc627fb6d75",
+	"independent/1oon/batched/streaming=true":     "b122c5683c376120",
+	"independent/2oo3/dense/streaming=false":      "a08c86b376751b17",
+	"independent/2oo3/dense/streaming=true":       "25ad0809bf3934cf",
+	"independent/2oo3/sparse/streaming=false":     "82ae5e420ecf1cb2",
+	"independent/2oo3/sparse/streaming=true":      "55352048977f5409",
+	"independent/2oo3/batched/streaming=false":    "f4ff2cc63a5c7131",
+	"independent/2oo3/batched/streaming=true":     "3d5359e2d879fa6e",
+	"common-cause/1oon/dense/streaming=false":     "e8ad255d31c2843b",
+	"common-cause/1oon/dense/streaming=true":      "c7560f50aa3c9fdc",
+	"common-cause/1oon/sparse/streaming=false":    "e8ad255d31c2843b",
+	"common-cause/1oon/sparse/streaming=true":     "c7560f50aa3c9fdc",
+	"common-cause/1oon/batched/streaming=false":   "672969bb3b84c06b",
+	"common-cause/1oon/batched/streaming=true":    "991f52d5fc94437a",
+	"common-cause/2oo3/dense/streaming=false":     "a34f81119c844c75",
+	"common-cause/2oo3/dense/streaming=true":      "80def77cb86351a1",
+	"common-cause/2oo3/sparse/streaming=false":    "a34f81119c844c75",
+	"common-cause/2oo3/sparse/streaming=true":     "80def77cb86351a1",
+	"common-cause/2oo3/batched/streaming=false":   "68cfc9d4d929660a",
+	"common-cause/2oo3/batched/streaming=true":    "f3e14ac9236d22f9",
+	"resource-shift/1oon/dense/streaming=false":   "3c39b35f0b0b66ff",
+	"resource-shift/1oon/dense/streaming=true":    "1a132de59d4d77d1",
+	"resource-shift/1oon/sparse/streaming=false":  "3c39b35f0b0b66ff",
+	"resource-shift/1oon/sparse/streaming=true":   "1a132de59d4d77d1",
+	"resource-shift/1oon/batched/streaming=false": "52a7f3a9ec5106ef",
+	"resource-shift/1oon/batched/streaming=true":  "b8470e9a2fc25678",
+	"resource-shift/2oo3/dense/streaming=false":   "3d39dee1f5299517",
+	"resource-shift/2oo3/dense/streaming=true":    "c5db6985f498c329",
+	"resource-shift/2oo3/sparse/streaming=false":  "3d39dee1f5299517",
+	"resource-shift/2oo3/sparse/streaming=true":   "c5db6985f498c329",
+	"resource-shift/2oo3/batched/streaming=false": "507af539a432b591",
+	"resource-shift/2oo3/batched/streaming=true":  "54ba0601fcdb3d86",
+	"tied/1oon/dense/streaming=false":             "15c2ada0cec3c1c6",
+	"tied/1oon/dense/streaming=true":              "d57a61a15bb0f597",
+	"tied/1oon/sparse/streaming=false":            "15c2ada0cec3c1c6",
+	"tied/1oon/sparse/streaming=true":             "d57a61a15bb0f597",
+	"tied/1oon/batched/streaming=false":           "2cead957bd3e1a23",
+	"tied/1oon/batched/streaming=true":            "244eca16d8ae69b8",
+	"tied/2oo3/dense/streaming=false":             "903c1a733dcb8593",
+	"tied/2oo3/dense/streaming=true":              "99a8ac419c300107",
+	"tied/2oo3/sparse/streaming=false":            "903c1a733dcb8593",
+	"tied/2oo3/sparse/streaming=true":             "99a8ac419c300107",
+	"tied/2oo3/batched/streaming=false":           "15c062c817d8944c",
+	"tied/2oo3/batched/streaming=true":            "1fab2dbf6794eaf3",
 }

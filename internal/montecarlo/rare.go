@@ -112,7 +112,7 @@ func EstimateRareSystemFault(fs *faultmodel.FaultSet, m, reps int, seed uint64, 
 }
 
 // EstimateRareSystemFaultContext is EstimateRareSystemFault under a
-// context; cancellation is checked every ctxCheckEvery replications.
+// context; cancellation is checked every blockSize replications.
 func EstimateRareSystemFaultContext(ctx context.Context, fs *faultmodel.FaultSet, m, reps int, seed uint64, tiltTarget float64) (RareEventEstimate, error) {
 	return EstimateRareSystemFaultOpts(ctx, fs, m, reps, seed, tiltTarget, RareOptions{})
 }
@@ -201,7 +201,7 @@ func EstimateRareSystemFaultOpts(ctx context.Context, fs *faultmodel.FaultSet, m
 		}
 	} else {
 		for rep := 0; rep < reps; rep++ {
-			if rep%ctxCheckEvery == 0 {
+			if rep%blockSize == 0 {
 				if err := ctx.Err(); err != nil {
 					return RareEventEstimate{}, fmt.Errorf("montecarlo: rare-event estimation cancelled after %d of %d replications: %w", rep, reps, err)
 				}
@@ -278,7 +278,7 @@ func tiltedTiles(ctx context.Context, what string, r *randx.Stream, mom *stats.M
 				return hits, fmt.Errorf("montecarlo: %s cancelled after %d of %d replications: %w", what, base, reps, err)
 			}
 			opts.report(base, reps)
-			nextCheck += ctxCheckEvery
+			nextCheck += blockSize
 		}
 		b := min(width, reps-base)
 		d := draws[:b]
@@ -328,7 +328,7 @@ func EstimateNaiveSystemFault(fs *faultmodel.FaultSet, m, reps int, seed uint64)
 }
 
 // EstimateNaiveSystemFaultContext is EstimateNaiveSystemFault under a
-// context; cancellation is checked every ctxCheckEvery replications.
+// context; cancellation is checked every blockSize replications.
 func EstimateNaiveSystemFaultContext(ctx context.Context, fs *faultmodel.FaultSet, m, reps int, seed uint64) (RareEventEstimate, error) {
 	return EstimateNaiveSystemFaultOpts(ctx, fs, m, reps, seed, RareOptions{})
 }
@@ -388,7 +388,7 @@ func EstimateNaiveSystemFaultOpts(ctx context.Context, fs *faultmodel.FaultSet, 
 		}
 	} else {
 		for rep := 0; rep < reps; rep++ {
-			if rep%ctxCheckEvery == 0 {
+			if rep%blockSize == 0 {
 				if err := ctx.Err(); err != nil {
 					return RareEventEstimate{}, fmt.Errorf("montecarlo: naive estimation cancelled after %d of %d replications: %w", rep, reps, err)
 				}

@@ -98,8 +98,9 @@ func (h *PFDHistogram) Merge(o *PFDHistogram) {
 // and never allocates.
 //
 // The zero value is an empty aggregate ready to use. An Agg is NOT safe
-// for concurrent use; the harness keeps one per worker shard and merges
-// them, in shard order, after all workers drain.
+// for concurrent use; the harness keeps one per worker, hands each
+// block's moments to a block-ordered fold, and merges the rest after all
+// workers drain.
 type Agg struct {
 	// Moments accumulates mean, variance, skewness and kurtosis.
 	Moments stats.Moments
@@ -115,7 +116,7 @@ type Agg struct {
 
 // Observe folds one PFD value into the aggregate.
 func (a *Agg) Observe(v float64) {
-	if a.Moments.N() == 0 {
+	if a.N() == 0 {
 		a.Min, a.Max = v, v
 	} else {
 		if v < a.Min {
@@ -133,17 +134,18 @@ func (a *Agg) Observe(v float64) {
 	}
 }
 
-// N returns the number of observations folded in.
-func (a *Agg) N() int64 { return a.Moments.N() }
+// N returns the number of observations folded in, counted without the
+// moments, which the harness moves out of worker aggregates per block.
+func (a *Agg) N() int64 { return a.Zeros + a.Hist.N }
 
 // Merge combines another aggregate into a, as if every observation of b
 // had been Observed by a (moments up to floating-point rounding; counts,
 // min and max exactly).
 func (a *Agg) Merge(b *Agg) {
-	if b.Moments.N() == 0 {
+	if b.N() == 0 {
 		return
 	}
-	if a.Moments.N() == 0 {
+	if a.N() == 0 {
 		*a = *b
 		return
 	}

@@ -52,12 +52,12 @@ func TestRunRecordsMetrics(t *testing.T) {
 }
 
 // TestRunRecordsShardSpans asserts a traced run opens one child span per
-// worker shard under the provided parent.
+// worker under the provided parent.
 func TestRunRecordsShardSpans(t *testing.T) {
 	t.Parallel()
 
 	tr := telemetry.NewTrace(telemetry.NewRunID(), "replications")
-	cfg := Config{Process: testProcess(t), Versions: 2, Reps: 4_000, Workers: 3, Seed: 5, TraceSpan: tr.Root()}
+	cfg := Config{Process: testProcess(t), Versions: 2, Reps: 3 * blockSize, Workers: 3, Seed: 5, TraceSpan: tr.Root()}
 	if _, err := RunContext(context.Background(), cfg); err != nil {
 		t.Fatalf("RunContext: %v", err)
 	}

@@ -18,8 +18,8 @@ const maxBatchArenaWords = 1 << 22
 
 // effectiveBatchWidth clamps a requested tile width to the arena
 // budget. The clamp is a pure function of the run's configuration, so
-// fixed-seed reproducibility (per seed, worker count, and width) is
-// unaffected by the machine the run lands on.
+// fixed-seed reproducibility (per seed and width) is unaffected by the
+// machine the run lands on.
 func effectiveBatchWidth(width, versions, n int) int {
 	words := (n + 63) / 64
 	if words < 1 {
@@ -47,31 +47,34 @@ type kernel struct {
 	width  int
 }
 
-// tileWorker is one worker shard's replication pipeline: it owns a tile
-// of bitset columns per version, fills one tile per step with the run's
+// tileWorker is one worker's replication pipeline: it owns a tile of
+// bitset columns per version and a stream that is reseeded for every
+// block the worker claims, fills one tile per step with the run's
 // kernel, and scores every column with the shared bitset PFD walks into
-// its sink. Columns and draw scratch are allocated once at construction,
-// so the steady state performs no allocations.
+// its sink. Columns and draw scratch are allocated once at construction
+// and reused across blocks, so the steady state performs no allocations.
 type tileWorker struct {
 	fs   *faultmodel.FaultSet
 	adj  system.Adjudicator
+	r    *randx.Stream      // the current block's stream
 	cols [][]*devsim.Bitset // [version][slot]: the column arena
 	slot []*devsim.Bitset   // one replication's masks across versions
 	// fill develops one version's columns for a tile.
 	fill  func(cols []*devsim.Bitset)
 	skips int64 // geometric skip draws (sparse kernel)
 
-	// Exactly one sink is active: the streaming aggregates or the
-	// buffered result slices, indexed by global replication number.
+	// Exactly one sink is active: the streaming aggregates (moments of
+	// the current block only) or the buffered result slices.
 	vAgg, sAgg            *Agg
 	versionPFD, systemPFD []float64
 	counts                [2]int // (versionFaultFree, systemFaultFree)
 }
 
-// newTileWorker builds the arena for one worker shard drawing from r.
-func newTileWorker(fs *faultmodel.FaultSet, adj system.Adjudicator, r *randx.Stream, versions int, k kernel) *tileWorker {
+// newTileWorker builds the arena for one worker.
+func newTileWorker(fs *faultmodel.FaultSet, adj system.Adjudicator, versions int, k kernel) *tileWorker {
+	r := randx.NewStream(0)
 	tw := &tileWorker{
-		fs: fs, adj: adj,
+		fs: fs, adj: adj, r: r,
 		cols: make([][]*devsim.Bitset, versions),
 		slot: make([]*devsim.Bitset, versions),
 	}

@@ -1,9 +1,11 @@
-// Package randx provides deterministic, splittable pseudo-random number
+// Package randx provides deterministic, position-keyed pseudo-random number
 // streams and samplers for the probability distributions used throughout the
 // library.
 //
 // The Monte-Carlo experiments in this repository must be reproducible (same
-// seed, same results) and parallelisable (independent streams per worker).
+// seed, same results) and parallelisable (an independent stream per block of
+// work, addressed by the block's index — Stream.SeedAt — so the sample does
+// not depend on which goroutine draws it).
 // The package therefore implements its own generators — SplitMix64 for
 // seeding and stream derivation, xoshiro256** for bulk generation — rather
 // than relying on the process-global math/rand state.
@@ -29,8 +31,7 @@ func splitMix64(state *uint64) uint64 {
 // is far faster than crypto-grade generators, which matters for the
 // 10^6-10^8 variate Monte-Carlo runs in the experiment harness.
 //
-// Source is not safe for concurrent use; derive one Source per goroutine
-// with Split.
+// Source is not safe for concurrent use; give each goroutine its own.
 type Source struct {
 	s [4]uint64
 }
@@ -40,16 +41,22 @@ type Source struct {
 // seeds give statistically independent streams.
 func NewSource(seed uint64) *Source {
 	src := &Source{}
+	src.reseed(seed)
+	return src
+}
+
+// reseed overwrites the generator state with the state NewSource(seed)
+// starts from.
+func (s *Source) reseed(seed uint64) {
 	sm := seed
-	for i := range src.s {
-		src.s[i] = splitMix64(&sm)
+	for i := range s.s {
+		s.s[i] = splitMix64(&sm)
 	}
 	// An all-zero state is a fixed point of xoshiro; SplitMix64 cannot
 	// produce four consecutive zeros, but guard anyway for clarity.
-	if src.s[0]|src.s[1]|src.s[2]|src.s[3] == 0 {
-		src.s[0] = 0x9e3779b97f4a7c15
+	if s.s[0]|s.s[1]|s.s[2]|s.s[3] == 0 {
+		s.s[0] = 0x9e3779b97f4a7c15
 	}
-	return src
 }
 
 // Uint64 returns the next 64 uniformly distributed bits.
@@ -258,18 +265,4 @@ func hitsRefine(s0, s1, s2, s3, t uint64) (uint64, uint64, uint64, uint64, uint6
 		bit = 1
 	}
 	return s0, s1, s2, s3, bit
-}
-
-// Split derives n statistically independent child sources from s.
-// The derivation consumes values from s, so the parent stream after Split
-// does not overlap the children. Use one child per Monte-Carlo worker.
-func (s *Source) Split(n int) []*Source {
-	children := make([]*Source, n)
-	for i := range children {
-		// Seed each child from a fresh SplitMix64 stream keyed by the
-		// parent. Mixing through SplitMix64 decorrelates children even
-		// when the raw parent outputs are sequential.
-		children[i] = NewSource(s.Uint64())
-	}
-	return children
 }

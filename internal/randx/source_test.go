@@ -1,6 +1,7 @@
 package randx
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -74,38 +75,42 @@ func TestSourceBitBalance(t *testing.T) {
 	}
 }
 
-func TestSourceSplitIndependence(t *testing.T) {
+func TestSeedAtIndependence(t *testing.T) {
 	t.Parallel()
 
-	parent := NewSource(99)
-	children := parent.Split(4)
-	if len(children) != 4 {
-		t.Fatalf("Split(4) returned %d children", len(children))
-	}
-	// Children should not replay each other's streams.
+	// Sibling indices of one seed, and the same index under neighbouring
+	// seeds, must not replay each other's streams.
 	const n = 500
-	seen := make(map[uint64]int)
-	for ci, c := range children {
-		for i := 0; i < n; i++ {
-			v := c.Uint64()
-			if prev, ok := seen[v]; ok {
-				t.Fatalf("children %d and %d produced identical value %d", prev, ci, v)
+	seen := make(map[uint64]string)
+	r := NewStream(0)
+	for _, seed := range []uint64{99, 100} {
+		for index := uint64(0); index < 4; index++ {
+			r.SeedAt(seed, index)
+			label := fmt.Sprintf("(%d, %d)", seed, index)
+			for i := 0; i < n; i++ {
+				v := r.Uint64()
+				if prev, ok := seen[v]; ok {
+					t.Fatalf("streams %s and %s produced identical value %d", prev, label, v)
+				}
+				seen[v] = label
 			}
-			seen[v] = ci
 		}
 	}
 }
 
-func TestSourceSplitDeterministic(t *testing.T) {
+func TestSeedAtDeterministic(t *testing.T) {
 	t.Parallel()
 
-	a := NewSource(5).Split(3)
-	b := NewSource(5).Split(3)
-	for i := range a {
-		for j := 0; j < 100; j++ {
-			if got, want := a[i].Uint64(), b[i].Uint64(); got != want {
-				t.Fatalf("child %d draw %d: %d != %d", i, j, got, want)
-			}
+	// SeedAt depends only on (seed, index): not on the draws, the spare
+	// normal or the indices the stream served before.
+	a, b := NewStream(1), NewStream(2)
+	a.Normal()
+	a.SeedAt(5, 2)
+	b.SeedAt(5, 7)
+	b.SeedAt(5, 2)
+	for j := 0; j < 100; j++ {
+		if got, want := a.Normal(), b.Normal(); got != want {
+			t.Fatalf("draw %d: %v != %v", j, got, want)
 		}
 	}
 }
@@ -534,17 +539,15 @@ func TestStreamShufflePreservesMultiset(t *testing.T) {
 	}
 }
 
-func TestStreamSplitStreamsIndependent(t *testing.T) {
+func TestSeedAtStreamsUncorrelated(t *testing.T) {
 	t.Parallel()
 
-	parent := NewStream(71)
-	children := parent.Split(8)
 	// Correlation between sibling streams should be negligible.
+	a, b := NewStream(0), NewStream(0)
+	a.SeedAt(71, 0)
 	const n = 20000
-	for i := 1; i < len(children); i++ {
-		a, b := children[0], children[i]
-		// Re-seed child 0 equivalent by drawing fresh values; instead
-		// compare empirical correlation of paired draws.
+	for i := uint64(1); i < 8; i++ {
+		b.SeedAt(71, i)
 		sumAB, sumA, sumB := 0.0, 0.0, 0.0
 		for j := 0; j < n; j++ {
 			x := a.Float64()
@@ -555,7 +558,7 @@ func TestStreamSplitStreamsIndependent(t *testing.T) {
 		}
 		cov := sumAB/n - (sumA/n)*(sumB/n)
 		if math.Abs(cov) > 0.01 {
-			t.Errorf("children 0 and %d covariance %.5f, want ~0", i, cov)
+			t.Errorf("streams 0 and %d covariance %.5f, want ~0", i, cov)
 		}
 	}
 }

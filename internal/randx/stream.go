@@ -11,8 +11,8 @@ import (
 // deterministic functions of the seed, so every experiment in this
 // repository is exactly reproducible.
 //
-// A Stream is not safe for concurrent use; derive per-goroutine streams
-// with Split.
+// A Stream is not safe for concurrent use; give each goroutine its own,
+// keyed by the work it draws for with SeedAt.
 type Stream struct {
 	src *Source
 
@@ -26,14 +26,14 @@ func NewStream(seed uint64) *Stream {
 	return &Stream{src: NewSource(seed)}
 }
 
-// Split derives n independent child streams; see Source.Split.
-func (r *Stream) Split(n int) []*Stream {
-	sources := r.src.Split(n)
-	children := make([]*Stream, n)
-	for i, src := range sources {
-		children[i] = &Stream{src: src}
-	}
-	return children
+// SeedAt reseeds r in place as member index of the family of streams
+// keyed by seed, so the randomness of work item index does not depend on
+// the order work is done in. The index-th SplitMix64 output from seed,
+// computed directly, seeds xoshiro256** exactly as NewStream does.
+func (r *Stream) SeedAt(seed, index uint64) {
+	key := seed + index*0x9e3779b97f4a7c15
+	r.src.reseed(splitMix64(&key))
+	r.hasGauss = false
 }
 
 // Uint64 returns 64 uniform random bits.
