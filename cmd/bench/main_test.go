@@ -29,7 +29,8 @@ func TestParseInts(t *testing.T) {
 }
 
 func TestBenchMatrix(t *testing.T) {
-	t.Parallel()
+	// Not parallel: bytes/rep is read from process-wide MemStats, which
+	// the other matrix tests' allocations would pollute.
 
 	out := filepath.Join(t.TempDir(), "bench.json")
 	var stdout strings.Builder

@@ -413,12 +413,11 @@ func (j Job) Validate() error {
 // normalized returns the job with derived defaults filled in, so that two
 // specs describing the same computation hash identically: the
 // Monte-Carlo worker count, which does not change the result, is
-// dropped; a zero rare-event tilt becomes
-// the 0.3 default; an empty experiment selection becomes the full suite;
-// an empty architecture becomes the explicit 1oom default; a batch width
-// of 1 (which computes exactly what width 0 does — the batched kernel
-// only activates from 2 up) becomes 0, so both encodings share one hash
-// and cache entry.
+// dropped; a zero rare-event tilt becomes the 0.3 default; an empty
+// experiment selection becomes the full suite; an empty architecture
+// becomes the explicit 1oom default; a batch width of 1 (which computes
+// exactly what width 0 does — the batched kernel only activates from 2
+// up) becomes 0, so both encodings share one hash and cache entry.
 func (j Job) normalized() Job {
 	switch j.Kind {
 	case JobMonteCarlo:

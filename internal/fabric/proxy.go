@@ -236,9 +236,9 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 // resolve performs a routed request for an existing submission ID,
 // trying the nodes in rendezvous order of the ID's routing key. A 404
 // moves on to the next candidate (after a failover the job may live off
-// its rendezvous home); any other answer wins. sawDown reports that at least one
-// candidate was unreachable, which turns an all-404 sweep into a 503
-// rather than a lying 404.
+// its rendezvous home); any other answer wins. sawDown reports that at
+// least one candidate was unreachable, which turns an all-404 sweep into
+// a 503 rather than a lying 404.
 func (c *Coordinator) resolve(ctx context.Context, method, path, subID, reqID string) (up *upstream, idx int, sawDown bool) {
 	for _, i := range c.candidates(subID) {
 		if !c.nodes[i].up.Load() {
