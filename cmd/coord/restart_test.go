@@ -137,7 +137,11 @@ func waitReady(t *testing.T, base string) {
 }
 
 const fastSpec = `{"kind":"montecarlo","montecarlo":{"model":{"scenario":"safety-grade","scenarioSeed":7},"versions":2,"reps":100000,"workers":2,"seed":42}}`
-const slowSpec = `{"kind":"montecarlo","montecarlo":{"model":{"scenario":"safety-grade","scenarioSeed":7},"versions":2,"reps":2000000000,"workers":1,"seed":99}}`
+
+// slowSpec streams: a buffered run would first allocate 32 GB of sample
+// slices, and a smaller host dies doing that before the test sees the
+// job running.
+const slowSpec = `{"kind":"montecarlo","montecarlo":{"model":{"scenario":"safety-grade","scenarioSeed":7},"versions":2,"reps":2000000000,"workers":1,"seed":99,"streaming":true}}`
 
 // TestCoordCrashRecovery drives the PR 8 durability contract through the
 // coordinator: SIGKILL the node under it, restart it on the same port

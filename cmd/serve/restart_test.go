@@ -57,8 +57,10 @@ func startServeProcess(t *testing.T, bin string, extra ...string) (string, *exec
 }
 
 // slowSpecJSON runs long enough to still be in flight when the test
-// kills the server.
-const slowSpecJSON = `{"kind":"montecarlo","montecarlo":{"model":{"scenario":"safety-grade","scenarioSeed":7},"versions":2,"reps":2000000000,"workers":1,"seed":99}}`
+// kills the server. It streams: a buffered run would first allocate
+// 32 GB of sample slices, and a smaller host dies doing that before the
+// test sees the job running.
+const slowSpecJSON = `{"kind":"montecarlo","montecarlo":{"model":{"scenario":"safety-grade","scenarioSeed":7},"versions":2,"reps":2000000000,"workers":1,"seed":99,"streaming":true}}`
 
 func submitSpec(t *testing.T, base, spec string) jobView {
 	t.Helper()
