@@ -64,7 +64,8 @@ type tileWorker struct {
 	skips int64 // geometric skip draws (sparse kernel)
 
 	// Exactly one sink is active: the streaming aggregates (moments of
-	// the current block only) or the buffered result slices.
+	// the current block only) or the buffered result slices, indexed by
+	// global replication number.
 	vAgg, sAgg            *Agg
 	versionPFD, systemPFD []float64
 	counts                [2]int // (versionFaultFree, systemFaultFree)
