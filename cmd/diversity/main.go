@@ -51,7 +51,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	k := flags.Float64("k", 1.0, "sigma multiplier for the confidence bounds")
 	confidence := flags.Float64("confidence", 0.99, "confidence level for the normal-approximation bound")
 	seed := flags.Uint64("seed", 1, "seed for scenario generation")
-	adjudicatorPFD := flags.Float64("adjudicator-pfd", 0, "per-demand failure probability of the voter/actuator stage (0 = the paper's perfect adjudication)")
 	adjName := flags.String("adjudicator", "", "voting rule for the N-version pool table: 1oon | majority | KooN (e.g. 2oo3), optionally @pfd for an imperfect adjudication stage")
 	versions := flags.Int("versions", 2, "pool size for the -adjudicator closed forms")
 	mcReps := flags.Int("mc", 0, "cross-check the analytic moments by Monte-Carlo simulation with this many replications (0 = off)")
@@ -63,9 +62,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	tf := cliutil.RegisterTelemetryFlags(flags)
 	if err := flags.Parse(args); err != nil {
 		return err
-	}
-	if *adjudicatorPFD < 0 || *adjudicatorPFD > 1 {
-		return fmt.Errorf("adjudicator PFD %v must be a probability", *adjudicatorPFD)
 	}
 	var adj system.Adjudicator
 	if *adjName != "" {
@@ -190,31 +186,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		return err
 	}
 
-	if *adjudicatorPFD > 0 {
-		fmt.Fprintln(out)
-		totalSingle := 1 - (1-rep.Mu1)*(1-*adjudicatorPFD)
-		totalPair := 1 - (1-rep.Mu2)*(1-*adjudicatorPFD)
-		stage, err := report.NewTable(
-			fmt.Sprintf("Total mean PFD with adjudicator PFD %s (extension of the paper's perfect-adjudication assumption)", report.Fmt(*adjudicatorPFD)),
-			"system", "software-only", "with adjudicator")
-		if err != nil {
-			return err
-		}
-		if err := stage.AddRow("1 version", report.Fmt(rep.Mu1), report.Fmt(totalSingle)); err != nil {
-			return err
-		}
-		if err := stage.AddRow("1-out-of-2", report.Fmt(rep.Mu2), report.Fmt(totalPair)); err != nil {
-			return err
-		}
-		if err := stage.Render(out); err != nil {
-			return err
-		}
-		if totalPair > 0 {
-			fmt.Fprintf(out, "total gain from diversity: %s (software-only: %s)\n",
-				report.Fmt(totalSingle/totalPair), report.Fmt(rep.Mu1/rep.Mu2))
-		}
-	}
-
 	if adj != nil {
 		if err := renderPool(out, fs, adj, *versions, rep.Mu1); err != nil {
 			return err
@@ -231,10 +202,13 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 
 // renderPool prints the generalised k-of-N closed forms for the requested
 // adjudicated pool next to the single-version baseline: the adjudicated
-// mean system PFD (the k-of-N extension of equation (1), including any
-// imperfect-stage composition) and the probability that the pool carries
-// at least one defeating fault.
+// mean system PFD (the k-of-N extension of equation (1)) and the
+// probability that the pool carries at least one defeating fault. An
+// imperfect adjudication stage (an "@pfd" rule) is composed onto both the
+// pool and the single version, so the gain is the total one the stage
+// leaves.
 func renderPool(out io.Writer, fs *faultmodel.FaultSet, adj system.Adjudicator, versions int, mu1 float64) error {
+	mu1 = system.ApplyStagePFD(adj, mu1)
 	mean, err := system.MeanSystemPFD(fs, adj, versions)
 	if err != nil {
 		return err

@@ -92,19 +92,27 @@ func TestRunCustomK(t *testing.T) {
 func TestRunWithAdjudicator(t *testing.T) {
 	t.Parallel()
 
+	// An imperfect stage of PFD 1e-4 over this model totals 0.0011 for one
+	// version and 2.000e-04 for the pair, a total gain of 5.49977: the
+	// values the stage table printed before the stage became part of the
+	// voting rule.
 	path := writeModel(t, `{"faults": [{"p": 0.1, "q": 0.01}]}`)
 	var out strings.Builder
-	if err := run(context.Background(), []string{"-model", path, "-adjudicator-pfd", "0.0001"}, &out); err != nil {
+	if err := run(context.Background(), []string{"-model", path, "-adjudicator", "1oon@1e-4"}, &out); err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	text := out.String()
-	for _, want := range []string{"with adjudicator", "total gain from diversity"} {
+	text := strings.Join(strings.Fields(out.String()), " ")
+	for _, want := range []string{
+		"(2 versions, 1oon@0.0001 adjudication)",
+		"mean system PFD (k-of-N eq 1) 2.000e-04 0.0011",
+		"mean gain vs 1 version 5.49977",
+	} {
 		if !strings.Contains(text, want) {
-			t.Errorf("output missing %q:\n%s", want, text)
+			t.Errorf("output missing %q:\n%s", want, out.String())
 		}
 	}
-	if err := run(context.Background(), []string{"-model", path, "-adjudicator-pfd", "2"}, &out); err == nil {
-		t.Error("invalid adjudicator PFD succeeded, want error")
+	if err := run(context.Background(), []string{"-model", path, "-adjudicator", "1oon@2"}, &out); err == nil {
+		t.Error("invalid adjudicator stage PFD succeeded, want error")
 	}
 }
 
@@ -123,8 +131,8 @@ func TestFlagValidation(t *testing.T) {
 		{"both model and scenario", []string{"-model", path, "-scenario", "safety-grade"}, "not both"},
 		{"unknown scenario", []string{"-scenario", "bogus"}, `unknown scenario "bogus"`},
 		{"negative k", []string{"-model", path, "-k", "-1"}, "must be non-negative"},
-		{"adjudicator stage PFD above one", []string{"-model", path, "-adjudicator-pfd", "2"}, "must be a probability"},
-		{"negative adjudicator stage PFD", []string{"-model", path, "-adjudicator-pfd", "-0.5"}, "must be a probability"},
+		{"adjudicator stage PFD above one", []string{"-model", path, "-adjudicator", "1oon@2"}, "must be a probability"},
+		{"negative adjudicator stage PFD", []string{"-model", path, "-adjudicator", "1oon@-0.5"}, "must be a probability"},
 		{"unknown adjudicator", []string{"-model", path, "-adjudicator", "sideways"}, "unknown adjudicator"},
 		{"adjudicator pool too small", []string{"-model", path, "-adjudicator", "majority", "-versions", "2"}, "cannot vote over 2 versions"},
 	}

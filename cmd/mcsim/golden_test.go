@@ -13,7 +13,8 @@ import (
 // (pre-adjudicator) CLI, the batched, correlated and 2oo3 files from the
 // CLI before the replication loops were unified into one bitset pipeline.
 // The Monte-Carlo files were re-captured once when replication blocks got
-// their own streams. These tests assert the refactors' core compatibility
+// their own streams, and their first lines once when the report began to
+// name every voting rule by its adjudicator name ("1oon"). These tests assert the refactors' core compatibility
 // promise: every invocation renders byte-identical output — same variate
 // sequence, same summation order, same report text — and, because each
 // block's randomness is keyed by its index, at every worker count.
@@ -29,6 +30,12 @@ func TestGoldenLegacyOutputs(t *testing.T) {
 		{
 			name:   "dense buffered",
 			args:   []string{"-model", model, "-reps", "20000", "-seed", "3"},
+			golden: "golden_dense.txt",
+		},
+		{
+			// The default rule and its explicit spelling are one report.
+			name:   "dense buffered 1oon",
+			args:   []string{"-model", model, "-reps", "20000", "-seed", "3", "-adjudicator", "1oon"},
 			golden: "golden_dense.txt",
 		},
 		{

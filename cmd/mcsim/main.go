@@ -1,6 +1,6 @@
 // Command mcsim runs Monte-Carlo simulations of the fault creation
 // process: it develops many version pairs (or larger version groups),
-// assembles them into 1-out-of-m or majority-voted systems, and reports
+// combines them under a voting rule (-adjudicator), and reports
 // the simulated PFD populations next to the model's analytic predictions.
 //
 // Runs are expressed as engine jobs and executed through the unified
@@ -19,7 +19,7 @@
 //
 // Usage:
 //
-//	mcsim -scenario commercial-grade -reps 200000 [-versions 2] [-arch 1oom]
+//	mcsim -scenario commercial-grade -reps 200000 [-versions 2] [-adjudicator 1oon]
 //	mcsim -model model.json -reps 100000 -correlation 0.2
 package main
 
@@ -54,8 +54,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	scenarioName := flags.String("scenario", "", "named scenario: safety-grade | many-small-faults | commercial-grade | n-version-pool | million-faults")
 	reps := flags.Int("reps", 100000, "number of replications")
 	versions := flags.Int("versions", 2, "versions per replication")
-	archName := flags.String("arch", "1oom", "system architecture: 1oom | majority")
-	adjName := flags.String("adjudicator", "", "voting rule: 1oon | majority | KooN (e.g. 2oo3), optionally @pfd for an imperfect adjudication stage (e.g. 2oo3@1e-4); overrides -arch")
+	adjName := flags.String("adjudicator", "", "voting rule: 1oon (default) | majority | KooN (e.g. 2oo3), optionally @pfd for an imperfect adjudication stage (e.g. 2oo3@1e-4)")
 	workers := flags.Int("workers", 0, "worker goroutines (0 = all cores); output depends on -seed alone, not on this")
 	seed := flags.Uint64("seed", 1, "random seed")
 	correlation := flags.Float64("correlation", 0, "common-cause probability (0 = the paper's independent model)")
@@ -78,23 +77,9 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	if *versions < 1 {
 		return fmt.Errorf("versions per replication %d must be at least 1", *versions)
 	}
-	arch, err := engine.ParseArch(*archName)
+	adj, err := engine.ResolveAdjudicator("", *adjName, *versions)
 	if err != nil {
 		return err
-	}
-	// -adjudicator generalises -arch: when set, the spec carries the
-	// adjudicator alone (the engine rejects specs setting both) and the
-	// report is driven by the parsed rule.
-	var adj system.Adjudicator
-	specArch := *archName
-	if *adjName != "" {
-		if adj, err = system.ParseAdjudicator(*adjName); err != nil {
-			return err
-		}
-		if err := adj.Validate(*versions); err != nil {
-			return err
-		}
-		specArch = ""
 	}
 	if *correlation < 0 || *correlation > 1 {
 		return fmt.Errorf("correlation %v must be a probability", *correlation)
@@ -141,7 +126,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	res, err := eng.Run(ctx, engine.NewMonteCarloJob(engine.MonteCarloSpec{
 		Model:       model,
 		Versions:    *versions,
-		Arch:        specArch,
 		Adjudicator: *adjName,
 		Reps:        *reps,
 		Workers:     *workers,
@@ -158,18 +142,17 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	if *progress {
 		cliutil.ReportJob(os.Stderr, res)
 	}
-	if err := renderSimulation(out, res, *versions, *reps, arch, adj); err != nil {
+	if err := renderSimulation(out, res, *versions, *reps, adj); err != nil {
 		return err
 	}
 	return tel.Flush()
 }
 
 // renderSimulation prints the simulated PFD populations next to the
-// model's analytic predictions. A nil adj renders the legacy arch-driven
-// report byte for byte; a non-nil adj labels the run with the rule's
-// canonical name and fills the model columns from the generalised k-of-N
-// closed forms.
-func renderSimulation(out io.Writer, eres *engine.Result, versions, reps int, arch system.Architecture, adj system.Adjudicator) error {
+// model's analytic predictions: the k-of-N closed forms of the run's
+// voting rule, plus the standard deviation (eq 2) and, for pairs, the
+// eq (10) risk ratio that the paper derives for the plain 1-out-of-N rule.
+func renderSimulation(out io.Writer, eres *engine.Result, versions, reps int, adj system.Adjudicator) error {
 	fs, name, res := eres.FaultSet, eres.ModelName, eres.MonteCarlo
 	if name == "" {
 		name = "unnamed model"
@@ -184,12 +167,8 @@ func renderSimulation(out io.Writer, eres *engine.Result, versions, reps int, ar
 	if res.Batched {
 		mode += fmt.Sprintf(", batched kernel (width %d)", res.BatchWidth)
 	}
-	adjLabel := arch.String()
-	if adj != nil {
-		adjLabel = adj.Name()
-	}
 	fmt.Fprintf(out, "Model: %s — %d replications of %d versions (%s adjudication%s)\n\n",
-		name, reps, versions, adjLabel, mode)
+		name, reps, versions, res.Adjudicator, mode)
 
 	// The summary helpers serve both aggregation modes: exact sample
 	// statistics for buffered runs, histogram-resolution quantiles for
@@ -215,26 +194,20 @@ func renderSimulation(out io.Writer, eres *engine.Result, versions, reps int, ar
 	if err != nil {
 		return err
 	}
-	modelMu2, modelSigma2 := "n/a", "n/a"
-	switch {
-	case adj != nil:
-		// The generalised closed form covers every rule; the second moment
-		// has no k-of-N closed form here, so the sigma column stays n/a.
-		mu, err := system.MeanSystemPFD(fs, adj, versions)
-		if err != nil {
-			return err
-		}
-		modelMu2 = report.Fmt(mu)
-	case versions >= 1 && arch == system.Arch1OutOfM:
-		mu, err := fs.MeanPFD(versions)
-		if err != nil {
-			return err
-		}
+	// The second moment has a closed form only for the plain 1-out-of-N
+	// rule; for every other rule the sigma column stays n/a.
+	paperRule := adj == system.OneOutOfN{}
+	mu, err := system.MeanSystemPFD(fs, adj, versions)
+	if err != nil {
+		return err
+	}
+	modelMu2, modelSigma2 := report.Fmt(mu), "n/a"
+	if paperRule {
 		sg, err := fs.SigmaPFD(versions)
 		if err != nil {
 			return err
 		}
-		modelMu2, modelSigma2 = report.Fmt(mu), report.Fmt(sg)
+		modelSigma2 = report.Fmt(sg)
 	}
 	rows := [][5]string{
 		{"mean", report.Fmt(verStats.Mean), report.Fmt(sysStats.Mean), report.Fmt(mu1), modelMu2},
@@ -262,27 +235,16 @@ func renderSimulation(out io.Writer, eres *engine.Result, versions, reps int, ar
 	if err != nil {
 		return err
 	}
-	modelSys := "n/a"
-	switch {
-	case adj != nil:
-		pAny, err := system.PAnySystemFault(fs, adj, versions)
-		if err != nil {
-			return err
-		}
-		modelSys = report.Fmt(1 - pAny)
-	case arch == system.Arch1OutOfM:
-		v, err := fs.PNoFault(versions)
-		if err != nil {
-			return err
-		}
-		modelSys = report.Fmt(v)
+	noFaultSys, err := system.PNoSystemFault(fs, adj, versions)
+	if err != nil {
+		return err
 	}
 	if err := events.AddRow("version fault-free", fmt.Sprintf("%d", res.VersionFaultFree),
 		report.Fmt(float64(res.VersionFaultFree)/float64(reps)), report.Fmt(noFault1)); err != nil {
 		return err
 	}
 	if err := events.AddRow("system fault-free", fmt.Sprintf("%d", res.SystemFaultFree),
-		report.Fmt(float64(res.SystemFaultFree)/float64(reps)), modelSys); err != nil {
+		report.Fmt(float64(res.SystemFaultFree)/float64(reps)), report.Fmt(noFaultSys)); err != nil {
 		return err
 	}
 	if err := events.Render(out); err != nil {
@@ -291,7 +253,7 @@ func renderSimulation(out io.Writer, eres *engine.Result, versions, reps int, ar
 
 	if ratio, err := res.RiskRatio(); err == nil {
 		fmt.Fprintf(out, "\nEmpirical risk ratio P(N_sys>0)/P(N1>0) = %s", report.Fmt(ratio))
-		if modelRatio, err := fs.RiskRatio(); err == nil && adj == nil && arch == system.Arch1OutOfM && versions == 2 {
+		if modelRatio, err := fs.RiskRatio(); err == nil && paperRule && versions == 2 {
 			fmt.Fprintf(out, " (model eq (10): %s)", report.Fmt(modelRatio))
 		}
 		fmt.Fprintln(out)
@@ -300,19 +262,14 @@ func renderSimulation(out io.Writer, eres *engine.Result, versions, reps int, ar
 }
 
 // renderRare prints the importance-sampled estimate against the naive
-// estimator and the closed form. A nil adj keeps the legacy 1-out-of-N
-// header; an adjudicated run names its rule.
+// estimator and the closed form.
 func renderRare(out io.Writer, eres *engine.Result, versions, reps int, adj system.Adjudicator) error {
 	name, re := eres.ModelName, eres.RareEvent
 	if name == "" {
 		name = "unnamed model"
 	}
-	if adj != nil {
-		fmt.Fprintf(out, "Model: %s — rare-event estimation of P(any %s-defeating fault in %d versions) over %d replications\n\n",
-			name, adj.Name(), versions, reps)
-	} else {
-		fmt.Fprintf(out, "Model: %s — rare-event estimation of P(N_%d > 0) over %d replications\n\n", name, versions, reps)
-	}
+	fmt.Fprintf(out, "Model: %s — rare-event estimation of P(any %s-defeating fault in %d versions) over %d replications\n\n",
+		name, adj.Name(), versions, reps)
 	tbl, err := report.NewTable("P(system carries any defeating fault)",
 		"method", "estimate", "std err", "hit fraction")
 	if err != nil {

@@ -14,6 +14,7 @@ import (
 	"diversity/internal/faultmodel"
 	"diversity/internal/montecarlo"
 	"diversity/internal/report"
+	"diversity/internal/system"
 	"diversity/internal/telemetry"
 )
 
@@ -50,11 +51,11 @@ func TestRunMajority(t *testing.T) {
 
 	path := writeModel(t, `{"faults": [{"p": 0.3, "q": 0.05}]}`)
 	var out strings.Builder
-	if err := run(context.Background(), []string{"-model", path, "-reps", "5000", "-versions", "3", "-arch", "majority"}, &out); err != nil {
+	if err := run(context.Background(), []string{"-model", path, "-reps", "5000", "-versions", "3", "-adjudicator", "majority"}, &out); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	if !strings.Contains(out.String(), "majority adjudication") {
-		t.Errorf("output missing architecture:\n%s", out.String())
+		t.Errorf("output missing voting rule:\n%s", out.String())
 	}
 }
 
@@ -94,8 +95,8 @@ func TestRunErrors(t *testing.T) {
 		t.Error("unknown scenario succeeded, want error")
 	}
 	path := writeModel(t, `{"faults": [{"p": 0.1, "q": 0.05}]}`)
-	if err := run(context.Background(), []string{"-model", path, "-arch", "bogus"}, &out); err == nil {
-		t.Error("unknown architecture succeeded, want error")
+	if err := run(context.Background(), []string{"-model", path, "-adjudicator", "bogus"}, &out); err == nil {
+		t.Error("unknown adjudicator succeeded, want error")
 	}
 	if err := run(context.Background(), []string{"-model", path, "-reps", "0"}, &out); err == nil {
 		t.Error("zero reps succeeded, want error")
@@ -117,6 +118,30 @@ func TestRunRareEstimation(t *testing.T) {
 	for _, want := range []string{"rare-event estimation", "importance sampling", "naive Monte Carlo", "closed form"} {
 		if !strings.Contains(text, want) {
 			t.Errorf("output missing %q:\n%s", want, text)
+		}
+	}
+
+	// The rare path reads the voting rule: a majority pool of 3 prints the
+	// majority closed form, not the 1-out-of-3 one.
+	fs, err := faultmodel.New([]faultmodel.Fault{{P: 0.003, Q: 0.001}, {P: 0.002, Q: 0.002}})
+	if err != nil {
+		t.Fatalf("faultmodel.New: %v", err)
+	}
+	majority, err := system.PAnySystemFault(fs, system.MajorityVote{}, 3)
+	if err != nil {
+		t.Fatalf("PAnySystemFault: %v", err)
+	}
+	out.Reset()
+	if err := run(context.Background(), []string{"-model", path, "-reps", "20000", "-rare", "-adjudicator", "majority", "-versions", "3"}, &out); err != nil {
+		t.Fatalf("run majority: %v", err)
+	}
+	text = strings.Join(strings.Fields(out.String()), " ")
+	for _, want := range []string{
+		"P(any majority-defeating fault in 3 versions)",
+		"closed form (eq 10 numerator) " + report.Fmt(majority),
+	} {
+		if !strings.Contains(text, want) {
+			t.Errorf("majority rare output missing %q:\n%s", want, out.String())
 		}
 	}
 }
@@ -231,7 +256,7 @@ func TestFlagValidation(t *testing.T) {
 		{"negative reps", []string{"-model", path, "-reps", "-5"}, "replication count -5"},
 		{"negative workers", []string{"-model", path, "-reps", "100000000", "-workers", "-1"}, "worker count -1"},
 		{"zero versions", []string{"-model", path, "-reps", "100000000", "-versions", "0"}, "versions per replication 0"},
-		{"unknown arch", []string{"-model", path, "-arch", "sideways"}, `unknown architecture "sideways"`},
+		{"unknown adjudicator", []string{"-model", path, "-adjudicator", "sideways"}, `unknown adjudicator "sideways"`},
 		{"correlation above one", []string{"-model", path, "-correlation", "2"}, "must be a probability"},
 		{"both model and scenario", []string{"-model", path, "-scenario", "safety-grade"}, "not both"},
 		{"no model", nil, "a model is required"},

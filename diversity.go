@@ -108,8 +108,6 @@ type (
 	StreamingAggregate = montecarlo.Agg
 	// PFDSummary holds descriptive statistics of a PFD population.
 	PFDSummary = stats.Summary
-	// Architecture selects the system adjudication arrangement.
-	Architecture = system.Architecture
 )
 
 // GoldenThreshold is (sqrt(5)-1)/2: presence probabilities at or below it
@@ -123,15 +121,9 @@ const (
 	TrendStationary    = faultmodel.TrendStationary
 )
 
-// Architecture values, re-exported.
-const (
-	Arch1OutOfM  = system.Arch1OutOfM
-	ArchMajority = system.ArchMajority
-)
-
 // Adjudicator types, re-exported. An Adjudicator is a pluggable voting
-// rule over an N-version pool — the generalisation of the fixed
-// Architecture enum. MonteCarloConfig.Adjudicator, the engine job specs'
+// rule over an N-version pool; the paper's Fig. 1 pair is OneOutOfN over
+// 2 versions. MonteCarloConfig.Adjudicator, the engine job specs'
 // adjudicator strings, and the closed-form helpers below all accept them.
 type (
 	// Adjudicator is a voting rule combining N version outputs.

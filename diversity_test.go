@@ -104,8 +104,8 @@ func TestPublicAPIConstants(t *testing.T) {
 	if math.Abs(diversity.GoldenThreshold-0.618033987) > 1e-8 {
 		t.Errorf("GoldenThreshold = %v", diversity.GoldenThreshold)
 	}
-	if diversity.Arch1OutOfM.String() != "1-out-of-m" {
-		t.Errorf("Arch1OutOfM = %v", diversity.Arch1OutOfM)
+	if got := (diversity.OneOutOfN{}).Name(); got != "1oon" {
+		t.Errorf("OneOutOfN name = %q", got)
 	}
 	if diversity.TrendReducesGain.String() == "" {
 		t.Error("trend label empty")

@@ -123,9 +123,9 @@ func TestIntegrationGeometryAgreesWithFaultModel(t *testing.T) {
 		t.Fatalf("CommonPFD: %v", err)
 	}
 	// View 2: system package.
-	sys, err := system.New(fs, system.Arch1OutOfM, vA, vB)
+	sys, err := system.NewVoted(fs, system.OneOutOfN{}, vA, vB)
 	if err != nil {
-		t.Fatalf("system.New: %v", err)
+		t.Fatalf("system.NewVoted: %v", err)
 	}
 	if math.Abs(sys.PFD()-faultLevel) > 1e-15 {
 		t.Errorf("system PFD %v != common PFD %v", sys.PFD(), faultLevel)

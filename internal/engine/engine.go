@@ -468,15 +468,7 @@ func (e *Engine) runRareEvent(ctx context.Context, spec *RareEventSpec, span *te
 	if err != nil {
 		return nil, err
 	}
-	// The legacy closed form stays on fs.PAnyFault so unadjudicated specs
-	// keep their exact historical floats; adjudicated specs take the
-	// general defeat-probability product.
-	var truth float64
-	if spec.Adjudicator == "" {
-		truth, err = fs.PAnyFault(spec.Versions)
-	} else {
-		truth, err = system.PAnySystemFault(fs, adj, spec.Versions)
-	}
+	truth, err := system.PAnySystemFault(fs, adj, spec.Versions)
 	if err != nil {
 		return nil, err
 	}

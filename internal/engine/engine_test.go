@@ -12,6 +12,7 @@ import (
 	"diversity/internal/devsim"
 	"diversity/internal/faultmodel"
 	"diversity/internal/montecarlo"
+	"diversity/internal/system"
 )
 
 func testModel(t *testing.T) ModelSpec {
@@ -391,6 +392,10 @@ func TestJobValidation(t *testing.T) {
 		{"negative workers", NewMonteCarloJob(MonteCarloSpec{Model: model, Versions: 2, Reps: 10, Workers: -1, Seed: 1})},
 		{"zero versions", NewMonteCarloJob(MonteCarloSpec{Model: model, Versions: 0, Reps: 10, Seed: 1})},
 		{"bad arch", NewMonteCarloJob(MonteCarloSpec{Model: model, Versions: 2, Reps: 10, Arch: "bogus", Seed: 1})},
+		// arch is a wire alias with a closed set of names: adjudicator
+		// spellings are rejected there, so one rule keeps one job hash.
+		{"arch spelled as adjudicator kooN", NewMonteCarloJob(MonteCarloSpec{Model: model, Versions: 3, Reps: 10, Arch: "2oo3", Seed: 1})},
+		{"arch spelled as adjudicator 1oon", NewMonteCarloJob(MonteCarloSpec{Model: model, Versions: 2, Reps: 10, Arch: "1oon", Seed: 1})},
 		{"bad correlation", NewMonteCarloJob(MonteCarloSpec{Model: model, Versions: 2, Reps: 10, Correlation: 2, Seed: 1})},
 		{"empty model", NewMonteCarloJob(MonteCarloSpec{Versions: 2, Reps: 10, Seed: 1})},
 		{"model with scenario and faults", NewMonteCarloJob(MonteCarloSpec{Model: ModelSpec{Scenario: "safety-grade", Faults: model.Faults}, Versions: 2, Reps: 10, Seed: 1})},
@@ -409,6 +414,33 @@ func TestJobValidation(t *testing.T) {
 				t.Errorf("Run accepted invalid job %+v", tc.job)
 			}
 		})
+	}
+}
+
+// TestResolveAdjudicatorArchAlias: the arch wire alias resolves to the
+// same adjudicator as the adjudicator field spelling that rule.
+func TestResolveAdjudicatorArchAlias(t *testing.T) {
+	t.Parallel()
+
+	cases := []struct {
+		arch, adjudicator string
+		versions          int
+		want              system.Adjudicator
+	}{
+		{"", "", 2, system.OneOutOfN{}},
+		{"1oom", "", 2, system.OneOutOfN{}},
+		{"majority", "", 3, system.MajorityVote{}},
+		{"", "majority", 3, system.MajorityVote{}},
+	}
+	for _, tc := range cases {
+		got, err := ResolveAdjudicator(tc.arch, tc.adjudicator, tc.versions)
+		if err != nil || got != tc.want {
+			t.Errorf("ResolveAdjudicator(%q, %q, %d) = %#v, %v; want %#v", tc.arch, tc.adjudicator, tc.versions, got, err, tc.want)
+		}
+	}
+	var vce *system.VersionCountError
+	if _, err := ResolveAdjudicator("majority", "", 2); !errors.As(err, &vce) {
+		t.Errorf("arch majority over 2 versions: error = %v, want *VersionCountError", err)
 	}
 }
 

@@ -117,8 +117,9 @@ type MonteCarloSpec struct {
 	Model ModelSpec `json:"model"`
 	// Versions is the number of versions per replication.
 	Versions int `json:"versions"`
-	// Arch is the legacy adjudication architecture: "1oom" (default) or
-	// "majority". Ignored unless Adjudicator is empty.
+	// Arch is the wire alias for Adjudicator that specs written before
+	// adjudicators existed use: "1oom" (the default) or "majority".
+	// ResolveAdjudicator turns it into the adjudicator of that name.
 	Arch string `json:"arch,omitempty"`
 	// Adjudicator selects the voting rule by spec string — "1oon",
 	// "majority", or k-of-N forms like "2oo3", any with an optional
@@ -270,42 +271,29 @@ func validateBatchWidth(width int) error {
 	return nil
 }
 
-// ParseArch maps a spec architecture name to the system architecture; the
-// empty string selects the 1-out-of-m default.
-func ParseArch(name string) (system.Architecture, error) {
-	switch name {
-	case "", "1oom":
-		return system.Arch1OutOfM, nil
-	case "majority":
-		return system.ArchMajority, nil
-	default:
-		return 0, fmt.Errorf("unknown architecture %q (want 1oom or majority)", name)
-	}
-}
-
 // ResolveAdjudicator resolves a spec's voting rule from its adjudicator
-// string (taking precedence) or its legacy arch name, and validates the
+// string or from arch, the adjudicator's wire alias, and validates the
 // rule against the version count — a 2oo3 rule over 2 versions fails here
 // with a system.*VersionCountError, which the serve layer surfaces as
-// HTTP 400. Setting both arch and adjudicator is an error.
+// HTTP 400. Setting both arch and adjudicator is an error. arch accepts
+// only the names it always has, "" and "1oom" (1-out-of-N) and
+// "majority": any other spelling of an existing rule would hash the same
+// computation under a second job ID.
 func ResolveAdjudicator(arch, adjudicator string, versions int) (system.Adjudicator, error) {
 	if arch != "" && adjudicator != "" {
 		return nil, fmt.Errorf("engine: set either arch %q or adjudicator %q, not both", arch, adjudicator)
 	}
-	var adj system.Adjudicator
-	if adjudicator != "" {
-		var err error
-		if adj, err = system.ParseAdjudicator(adjudicator); err != nil {
-			return nil, fmt.Errorf("engine: %w", err)
+	if adjudicator == "" {
+		switch arch {
+		case "", "1oom", "majority":
+			adjudicator = arch
+		default:
+			return nil, fmt.Errorf("engine: unknown architecture %q (want 1oom or majority)", arch)
 		}
-	} else {
-		a, err := ParseArch(arch)
-		if err != nil {
-			return nil, fmt.Errorf("engine: %w", err)
-		}
-		if adj, err = a.Adjudicator(); err != nil {
-			return nil, fmt.Errorf("engine: %w", err)
-		}
+	}
+	adj, err := system.ParseAdjudicator(adjudicator)
+	if err != nil {
+		return nil, fmt.Errorf("engine: %w", err)
 	}
 	if err := adj.Validate(versions); err != nil {
 		return nil, fmt.Errorf("engine: %w", err)
@@ -426,12 +414,11 @@ func (j Job) normalized() Job {
 		if spec.BatchWidth == 1 {
 			spec.BatchWidth = 0
 		}
-		// The explicit-arch normalisation predates adjudicators; it only
-		// applies when the legacy field is in play. An adjudicator spec
-		// must NOT have an arch filled in (the pair would fail validation),
-		// and the Adjudicator field itself is never normalised — unset
-		// stays unset, keeping every legacy 1oo2 hash and cache key
-		// byte-identical.
+		// A spec naming no rule hashes as the arch alias "1oom", as it
+		// always has. An adjudicator spec must NOT have an arch filled in
+		// (the pair would fail validation), and the Adjudicator field
+		// itself is never normalised — unset stays unset, keeping every
+		// legacy 1oo2 hash and cache key byte-identical.
 		if spec.Arch == "" && spec.Adjudicator == "" {
 			spec.Arch = "1oom"
 		}

@@ -48,17 +48,14 @@ func runE23Adjudicator(ctx context.Context, cfg Config) (*Result, error) {
 	}
 	sweep := []float64{0, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3}
 	gains := make([]float64, 0, len(sweep))
-	for _, adj := range sweep {
-		totalSingle := 1 - (1-single)*(1-adj)
-		totalPair := 1 - (1-pair)*(1-adj)
+	for _, stagePFD := range sweep {
+		adj := system.ImperfectAdjudicator{Voter: system.OneOutOfN{}, StagePFD: stagePFD}
+		totalSingle := system.ApplyStagePFD(adj, single)
+		totalPair := system.ApplyStagePFD(adj, pair)
 		gain := totalSingle / totalPair
 		gains = append(gains, gain)
-		worth, err := system.DiversityWorthwhile(single, pair, adj, 5)
-		if err != nil {
-			return nil, err
-		}
-		if err := tbl.AddRow(report.Fmt(adj), report.Fmt(totalSingle),
-			report.Fmt(totalPair), report.Fmt(gain), fmt.Sprintf("%v", worth)); err != nil {
+		if err := tbl.AddRow(report.Fmt(stagePFD), report.Fmt(totalSingle),
+			report.Fmt(totalPair), report.Fmt(gain), fmt.Sprintf("%v", gain >= 5)); err != nil {
 			return nil, err
 		}
 	}

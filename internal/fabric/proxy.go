@@ -444,7 +444,7 @@ func (c *Coordinator) handleEvents(w http.ResponseWriter, r *http.Request) {
 	}
 	if terminalSeen || ctx.Err() != nil {
 		if c.isDraining() {
-			writeSSE(w, flusher, "draining", map[string]string{"status": "draining"})
+			server.WriteSSE(w, flusher, "draining", map[string]string{"status": "draining"})
 		}
 		return
 	}
@@ -505,7 +505,7 @@ func (c *Coordinator) recoverStream(ctx context.Context, w http.ResponseWriter, 
 		select {
 		case <-ctx.Done():
 			if c.isDraining() {
-				writeSSE(w, flusher, "draining", map[string]string{"status": "draining"})
+				server.WriteSSE(w, flusher, "draining", map[string]string{"status": "draining"})
 			}
 			return
 		case <-ticker.C:
@@ -534,14 +534,4 @@ func (c *Coordinator) recoverStream(ctx context.Context, w http.ResponseWriter, 
 			flusher.Flush()
 		}
 	}
-}
-
-// writeSSE emits one named SSE event with a JSON payload.
-func writeSSE(w http.ResponseWriter, flusher http.Flusher, event string, v any) {
-	data, err := json.Marshal(v)
-	if err != nil {
-		return
-	}
-	fmt.Fprintf(w, "event: %s\ndata: %s\n\n", event, data)
-	flusher.Flush()
 }

@@ -364,7 +364,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	ch, cur, hasCur := js.tracker.subscribe()
 	defer js.tracker.unsubscribe(ch)
 	if hasCur {
-		writeSSE(w, flusher, "progress", progressView{Run: js.runID, Stage: cur.Stage, Done: cur.Done, Total: cur.Total})
+		WriteSSE(w, flusher, "progress", progressView{Run: js.runID, Stage: cur.Stage, Done: cur.Done, Total: cur.Total})
 	}
 
 	keepalive := time.NewTicker(15 * time.Second)
@@ -372,20 +372,20 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	for {
 		select {
 		case p := <-ch:
-			writeSSE(w, flusher, "progress", progressView{Run: js.runID, Stage: p.Stage, Done: p.Done, Total: p.Total})
+			WriteSSE(w, flusher, "progress", progressView{Run: js.runID, Stage: p.Stage, Done: p.Done, Total: p.Total})
 		case <-js.tracker.Done():
 			// Drain reports published before the terminal transition so
 			// the stream never ends short of the last counts.
 			for {
 				select {
 				case p := <-ch:
-					writeSSE(w, flusher, "progress", progressView{Run: js.runID, Stage: p.Stage, Done: p.Done, Total: p.Total})
+					WriteSSE(w, flusher, "progress", progressView{Run: js.runID, Stage: p.Stage, Done: p.Done, Total: p.Total})
 					continue
 				default:
 				}
 				break
 			}
-			writeSSE(w, flusher, "done", s.viewOf(js, true))
+			WriteSSE(w, flusher, "done", s.viewOf(js, true))
 			return
 		case <-keepalive.C:
 			fmt.Fprint(w, ": keepalive\n\n")
@@ -395,14 +395,16 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		case <-s.drainCh:
 			// Server draining: tell the client to re-poll rather than
 			// holding the listener open.
-			writeSSE(w, flusher, "draining", map[string]string{"status": "draining"})
+			WriteSSE(w, flusher, "draining", map[string]string{"status": "draining"})
 			return
 		}
 	}
 }
 
-// writeSSE emits one named SSE event with a JSON payload.
-func writeSSE(w http.ResponseWriter, flusher http.Flusher, event string, v any) {
+// WriteSSE emits one named SSE event with a JSON payload. Exported, like
+// WriteJSON, so the fabric coordinator streams events in exactly this
+// package's wire format.
+func WriteSSE(w http.ResponseWriter, flusher http.Flusher, event string, v any) {
 	data, err := json.Marshal(v)
 	if err != nil {
 		return

@@ -496,6 +496,8 @@ func TestBadRequests(t *testing.T) {
 		{"unknown adjudicator", `{"kind":"montecarlo","montecarlo":{"model":{"scenario":"safety-grade"},"versions":3,"adjudicator":"sideways","reps":100,"seed":1}}`},
 		{"adjudicator pool too small", `{"kind":"montecarlo","montecarlo":{"model":{"scenario":"safety-grade"},"versions":2,"adjudicator":"2oo3","reps":100,"seed":1}}`},
 		{"arch and adjudicator both set", `{"kind":"montecarlo","montecarlo":{"model":{"scenario":"safety-grade"},"versions":3,"arch":"majority","adjudicator":"2oo3","reps":100,"seed":1}}`},
+		{"arch spelled as adjudicator kooN", `{"kind":"montecarlo","montecarlo":{"model":{"scenario":"safety-grade"},"versions":3,"arch":"2oo3","reps":100,"seed":1}}`},
+		{"arch spelled as adjudicator 1oon", `{"kind":"montecarlo","montecarlo":{"model":{"scenario":"safety-grade"},"versions":2,"arch":"1oon","reps":100,"seed":1}}`},
 		{"negative batch width", `{"kind":"montecarlo","montecarlo":{"model":{"scenario":"safety-grade"},"versions":2,"reps":100,"seed":1,"batchWidth":-1}}`},
 		{"batch width over cap", `{"kind":"montecarlo","montecarlo":{"model":{"scenario":"safety-grade"},"versions":2,"reps":100,"seed":1,"batchWidth":100000}}`},
 	}

@@ -7,9 +7,9 @@
 // a demand only when every channel fails on it. Under the disjoint-region
 // model a region causes system failure exactly when the corresponding
 // fault is present in all channels. The package generalises this to
-// 1-out-of-m and, as an extension, to majority-voted N-version systems
-// where a region defeats the system when strictly more than half the
-// versions contain the fault.
+// N-version pools combined by an Adjudicator: 1-out-of-N, strict
+// majority, k-of-N, and any of these behind an imperfect adjudication
+// stage.
 package system
 
 import (
@@ -23,58 +23,12 @@ import (
 // ErrNoVersions is returned when a system is assembled with no versions.
 var ErrNoVersions = errors.New("system: at least one version is required")
 
-// Architecture identifies how channel failures combine into system failure.
-type Architecture int
-
-const (
-	// Arch1OutOfM is the parallel/OR protection arrangement: the system
-	// fails on a demand only if every channel fails (the paper's Fig. 1
-	// for m = 2). "1-out-of-m" reads: one working channel suffices.
-	Arch1OutOfM Architecture = iota + 1
-	// ArchMajority is a majority-voting N-version system: the system
-	// fails when more than half the versions fail on the demand.
-	ArchMajority
-)
-
-// String returns the architecture name.
-func (a Architecture) String() string {
-	switch a {
-	case Arch1OutOfM:
-		return "1-out-of-m"
-	case ArchMajority:
-		return "majority"
-	default:
-		return fmt.Sprintf("Architecture(%d)", int(a))
-	}
-}
-
 // System is a redundant software system: a set of versions over a common
 // fault universe combined by an adjudicator.
 type System struct {
 	fs       *faultmodel.FaultSet
 	versions []*devsim.Version
-	arch     Architecture
 	adj      Adjudicator
-}
-
-// New assembles a system from the legacy Architecture enum: Arch1OutOfM
-// maps to the OneOutOfN adjudicator and ArchMajority to MajorityVote. It
-// returns an error if no versions are given, the architecture is unknown,
-// the version count does not satisfy the adjudicator (a
-// *VersionCountError — e.g. a majority vote over fewer than 3 versions,
-// which used to be silently representable), or any version was developed
-// against a different fault universe size than fs.
-func New(fs *faultmodel.FaultSet, arch Architecture, versions ...*devsim.Version) (*System, error) {
-	adj, err := arch.Adjudicator()
-	if err != nil {
-		return nil, err
-	}
-	s, err := NewVoted(fs, adj, versions...)
-	if err != nil {
-		return nil, err
-	}
-	s.arch = arch
-	return s, nil
 }
 
 // NewVoted assembles a system from an adjudicator. It returns
@@ -91,15 +45,6 @@ func NewVoted(fs *faultmodel.FaultSet, adj Adjudicator, versions ...*devsim.Vers
 	if err := adj.Validate(len(versions)); err != nil {
 		return nil, err
 	}
-	return newVoted(fs, adj, versions)
-}
-
-// newVoted performs the universe checks and assembly shared by New and
-// NewVoted, after pool-size validation has been settled by the caller.
-func newVoted(fs *faultmodel.FaultSet, adj Adjudicator, versions []*devsim.Version) (*System, error) {
-	if len(versions) == 0 {
-		return nil, ErrNoVersions
-	}
 	for i, v := range versions {
 		if v.NumPotential() != fs.N() {
 			return nil, fmt.Errorf("system: version %d has %d potential faults, fault set has %d", i, v.NumPotential(), fs.N())
@@ -112,22 +57,6 @@ func newVoted(fs *faultmodel.FaultSet, adj Adjudicator, versions []*devsim.Versi
 
 // NumVersions returns the number of channels.
 func (s *System) NumVersions() int { return len(s.versions) }
-
-// Architecture returns the legacy adjudication architecture enum: the
-// value New was given, or the closest equivalent (zero if none) for
-// NewVoted-assembled systems.
-func (s *System) Architecture() Architecture {
-	if s.arch != 0 {
-		return s.arch
-	}
-	switch VotingRule(s.adj).(type) {
-	case OneOutOfN:
-		return Arch1OutOfM
-	case MajorityVote:
-		return ArchMajority
-	}
-	return 0
-}
 
 // Adjudicator returns the system's adjudicator.
 func (s *System) Adjudicator() Adjudicator { return s.adj }

@@ -51,9 +51,9 @@ func TestOneOutOfTwoPFDIsIntersection(t *testing.T) {
 			{true, true, false},
 			{false, true, true},
 		})
-	sys, err := New(fs, Arch1OutOfM, vs...)
+	sys, err := NewVoted(fs, OneOutOfN{}, vs...)
 	if err != nil {
-		t.Fatalf("New: %v", err)
+		t.Fatalf("NewVoted: %v", err)
 	}
 	// Only fault 1 is common.
 	if got := sys.PFD(); math.Abs(got-0.02) > 1e-15 {
@@ -62,8 +62,8 @@ func TestOneOutOfTwoPFDIsIntersection(t *testing.T) {
 	if got := sys.SystemFaultCount(); got != 1 {
 		t.Errorf("SystemFaultCount = %d, want 1", got)
 	}
-	if sys.NumVersions() != 2 || sys.Architecture() != Arch1OutOfM {
-		t.Errorf("metadata wrong: %d versions, arch %v", sys.NumVersions(), sys.Architecture())
+	if sys.NumVersions() != 2 || sys.Adjudicator() != (OneOutOfN{}) {
+		t.Errorf("metadata wrong: %d versions, adjudicator %#v", sys.NumVersions(), sys.Adjudicator())
 	}
 }
 
@@ -82,9 +82,9 @@ func TestOneOutOfTwoMatchesCommonPFD(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		a := proc.Develop(r)
 		b := proc.Develop(r)
-		sys, err := New(fs, Arch1OutOfM, a, b)
+		sys, err := NewVoted(fs, OneOutOfN{}, a, b)
 		if err != nil {
-			t.Fatalf("New: %v", err)
+			t.Fatalf("NewVoted: %v", err)
 		}
 		want, err := devsim.CommonPFD(fs, a, b)
 		if err != nil {
@@ -100,9 +100,9 @@ func TestSingleVersionSystem(t *testing.T) {
 	t.Parallel()
 
 	fs, vs := develop(t, []float64{0.01, 0.02}, [][]bool{{true, false}})
-	sys, err := New(fs, Arch1OutOfM, vs...)
+	sys, err := NewVoted(fs, OneOutOfN{}, vs...)
 	if err != nil {
-		t.Fatalf("New: %v", err)
+		t.Fatalf("NewVoted: %v", err)
 	}
 	if got := sys.PFD(); math.Abs(got-0.01) > 1e-15 {
 		t.Errorf("single-version PFD = %v, want 0.01 (the version's own PFD)", got)
@@ -122,9 +122,9 @@ func TestMajorityTwoOutOfThree(t *testing.T) {
 			{true, false, true, false},
 			{false, false, true, false},
 		})
-	sys, err := New(fs, ArchMajority, vs...)
+	sys, err := NewVoted(fs, MajorityVote{}, vs...)
 	if err != nil {
-		t.Fatalf("New: %v", err)
+		t.Fatalf("NewVoted: %v", err)
 	}
 	// Fault 0: in 2/3 -> fails. Fault 1: 1/3 -> ok. Fault 2: 2/3 -> fails.
 	// Fault 3: 1/3 -> ok. PFD = 0.01+0.04.
@@ -150,13 +150,13 @@ func TestMajorityThreeVersionsWorseThan1oo3(t *testing.T) {
 	r := randx.NewStream(9)
 	for trial := 0; trial < 300; trial++ {
 		a, b, c := proc.Develop(r), proc.Develop(r), proc.Develop(r)
-		oneOf, err := New(fs, Arch1OutOfM, a, b, c)
+		oneOf, err := NewVoted(fs, OneOutOfN{}, a, b, c)
 		if err != nil {
-			t.Fatalf("New: %v", err)
+			t.Fatalf("NewVoted: %v", err)
 		}
-		maj, err := New(fs, ArchMajority, a, b, c)
+		maj, err := NewVoted(fs, MajorityVote{}, a, b, c)
 		if err != nil {
-			t.Fatalf("New: %v", err)
+			t.Fatalf("NewVoted: %v", err)
 		}
 		if oneOf.PFD() > maj.PFD()+1e-15 {
 			t.Fatalf("trial %d: 1oo3 PFD %v exceeds majority PFD %v", trial, oneOf.PFD(), maj.PFD())
@@ -168,27 +168,64 @@ func TestNewValidation(t *testing.T) {
 	t.Parallel()
 
 	fs, vs := develop(t, []float64{0.01}, [][]bool{{true}})
-	if _, err := New(fs, Arch1OutOfM); !errors.Is(err, ErrNoVersions) {
+	if _, err := NewVoted(fs, OneOutOfN{}); !errors.Is(err, ErrNoVersions) {
 		t.Errorf("no versions error = %v, want ErrNoVersions", err)
 	}
-	if _, err := New(fs, Architecture(42), vs...); err == nil {
-		t.Error("unknown architecture succeeded, want error")
+	if _, err := NewVoted(fs, OneOutOfN{}, vs...); err != nil {
+		t.Errorf("valid pool: %v", err)
 	}
 	// Mismatched universe.
-	other, otherVs := develop(t, []float64{0.01, 0.02}, [][]bool{{true, false}})
-	if _, err := New(fs, Arch1OutOfM, otherVs...); err == nil {
+	_, otherVs := develop(t, []float64{0.01, 0.02}, [][]bool{{true, false}})
+	if _, err := NewVoted(fs, OneOutOfN{}, otherVs...); err == nil {
 		t.Error("mismatched universe succeeded, want error")
 	}
-	_ = other
 }
 
-func TestArchitectureString(t *testing.T) {
+// TestPFDWithAdjudicator: an imperfect adjudication stage composes onto the
+// software PFD as 1 - (1-software)·(1-stage), a perfect stage leaves the
+// paper's PFD unchanged, and a stage PFD outside [0, 1] is rejected.
+func TestPFDWithAdjudicator(t *testing.T) {
 	t.Parallel()
 
-	if Arch1OutOfM.String() != "1-out-of-m" || ArchMajority.String() != "majority" {
-		t.Error("architecture labels wrong")
+	fs, vs := develop(t, []float64{0.01, 0.02}, [][]bool{
+		{true, true},
+		{false, true},
+	})
+	software, err := NewVoted(fs, OneOutOfN{}, vs...)
+	if err != nil {
+		t.Fatalf("NewVoted: %v", err)
 	}
-	if got := Architecture(9).String(); got != "Architecture(9)" {
-		t.Errorf("unknown architecture label = %q", got)
+	for _, stage := range []float64{0, 0.001, 1} {
+		sys, err := NewVoted(fs, ImperfectAdjudicator{Voter: OneOutOfN{}, StagePFD: stage}, vs...)
+		if err != nil {
+			t.Fatalf("NewVoted(stage %v): %v", stage, err)
+		}
+		want := 1 - (1-software.PFD())*(1-stage)
+		if got := sys.PFD(); math.Abs(got-want) > 1e-15 {
+			t.Errorf("stage %v: PFD = %v, want %v", stage, got, want)
+		}
+	}
+	for _, bad := range []float64{-0.1, 1.5, math.NaN()} {
+		if _, err := NewVoted(fs, ImperfectAdjudicator{Voter: OneOutOfN{}, StagePFD: bad}, vs...); err == nil {
+			t.Errorf("stage PFD %v succeeded, want error", bad)
+		}
+	}
+}
+
+// TestAdjudicatorFloor: with no defeating fault the stage alone floors the
+// total PFD.
+func TestAdjudicatorFloor(t *testing.T) {
+	t.Parallel()
+
+	fs, clean := develop(t, []float64{0.01, 0.02}, [][]bool{
+		{true, false},
+		{false, true},
+	})
+	floored, err := NewVoted(fs, ImperfectAdjudicator{Voter: OneOutOfN{}, StagePFD: 0.0005}, clean...)
+	if err != nil {
+		t.Fatalf("NewVoted: %v", err)
+	}
+	if got := floored.PFD(); math.Abs(got-0.0005) > 1e-15 {
+		t.Errorf("fault-free pool PFD = %v, want the stage floor 0.0005", got)
 	}
 }

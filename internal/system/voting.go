@@ -9,15 +9,15 @@ import (
 	"diversity/internal/faultmodel"
 )
 
-// This file generalises the fixed Architecture enum to pluggable
-// adjudicators. The paper's 1-out-of-2 protection pair is the m = 2 point
-// of a family: an N-version pool whose per-demand outputs are combined by
-// a voting rule. Under the disjoint-region model every rule of practical
-// interest is a threshold voter — a demand in the region of fault i
-// defeats the system exactly when the number of versions carrying fault i
-// reaches a rule-specific threshold — so adjudication per fault reduces to
-// a popcount over the N stacked presence masks compared against that
-// threshold, and closed forms reduce to binomial tail probabilities.
+// This file defines the pluggable adjudicators. The paper's 1-out-of-2
+// protection pair is the m = 2 point of a family: an N-version pool whose
+// per-demand outputs are combined by a voting rule. Under the
+// disjoint-region model every rule of practical interest is a threshold
+// voter — a demand in the region of fault i defeats the system exactly
+// when the number of versions carrying fault i reaches a rule-specific
+// threshold — so adjudication per fault reduces to a popcount over the N
+// stacked presence masks compared against that threshold, and closed
+// forms reduce to binomial tail probabilities.
 
 // Adjudicator is a voting rule combining N version outputs into one system
 // output. Implementations must be pure values: Defeated must depend only
@@ -127,14 +127,20 @@ func (a KOutOfN) Validate(n int) error {
 	return nil
 }
 
-// ImperfectAdjudicator wraps a voting rule with an adjudication stage that
-// itself fails — independently of the software, per demand — with
-// probability StagePFD. Voting is unchanged (Defeated delegates to the
-// inner rule); the stage failure composes analytically on top of the
-// software PFD as 1 - (1-software)·(1-stage), the identity
-// PFDWithAdjudicator introduced. The evaluation kernels and closed forms
-// apply the composition automatically, so an imperfect 2oo3 system's PFD
-// is floored at StagePFD no matter how diverse the pool.
+// ImperfectAdjudicator relaxes the paper's "perfect adjudication (simple
+// OR combination of binary outputs)": it wraps a voting rule with an
+// adjudication stage (voter hardware, actuation) that itself fails —
+// independently of the software, per demand — with probability StagePFD.
+// Voting is unchanged (Defeated delegates to the inner rule). The system
+// misses a demand when either the software arrangement or the stage does,
+// so ApplyStagePFD composes the stage onto a software PFD as
+//
+//	PFD_total = 1 - (1 - PFD_software)·(1 - StagePFD).
+//
+// The evaluation kernels and closed forms apply the composition
+// automatically. The stage floors the total PFD at StagePFD no matter how
+// diverse the pool, so software diversity beyond that floor buys nothing:
+// the voter becomes the bottleneck (experiment E23).
 type ImperfectAdjudicator struct {
 	// Voter is the wrapped voting rule.
 	Voter Adjudicator
@@ -241,18 +247,6 @@ func parseKooN(s string) (k, n int, ok bool) {
 	return k, n, true
 }
 
-// Adjudicator maps the legacy enum value to its adjudicator.
-func (a Architecture) Adjudicator() (Adjudicator, error) {
-	switch a {
-	case Arch1OutOfM:
-		return OneOutOfN{}, nil
-	case ArchMajority:
-		return MajorityVote{}, nil
-	default:
-		return nil, fmt.Errorf("system: unknown architecture %d", int(a))
-	}
-}
-
 // DefeatThreshold returns the smallest carrier count that defeats the
 // rule over an n-version pool, or n+1 if no count does. It relies on the
 // interface's monotonicity contract: the kernels hoist this scan out of
@@ -317,17 +311,29 @@ func MeanSystemPFD(fs *faultmodel.FaultSet, adj Adjudicator, n int) (float64, er
 	return ApplyStagePFD(adj, sum), nil
 }
 
-// PAnySystemFault returns P(the pool carries at least one defeating
-// fault) = 1 - Π(1 - d_i) — the k-of-N generalisation of the Section-4
-// risk P(N_m > 0). The imperfect stage concerns demands, not fault
-// presence, so it does not enter this probability.
-func PAnySystemFault(fs *faultmodel.FaultSet, adj Adjudicator, n int) (float64, error) {
+// PNoSystemFault returns P(the pool carries no defeating fault) =
+// Π(1 - d_i) — the k-of-N generalisation of the Section-4 probability
+// P(N_m = 0), bit for bit faultmodel's PNoFault for the 1-out-of-N rule.
+// The imperfect stage concerns demands, not fault presence, so it does
+// not enter this probability.
+func PNoSystemFault(fs *faultmodel.FaultSet, adj Adjudicator, n int) (float64, error) {
 	if err := adj.Validate(n); err != nil {
 		return 0, err
 	}
 	prod := 1.0
 	for i := 0; i < fs.N(); i++ {
 		prod *= 1 - DefeatProbability(adj, n, fs.Fault(i).P)
+	}
+	return prod, nil
+}
+
+// PAnySystemFault returns P(the pool carries at least one defeating
+// fault) = 1 - PNoSystemFault — the k-of-N generalisation of the
+// Section-4 risk P(N_m > 0).
+func PAnySystemFault(fs *faultmodel.FaultSet, adj Adjudicator, n int) (float64, error) {
+	prod, err := PNoSystemFault(fs, adj, n)
+	if err != nil {
+		return 0, err
 	}
 	return 1 - prod, nil
 }

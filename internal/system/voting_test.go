@@ -155,10 +155,9 @@ func TestNewVotedVersionCountError(t *testing.T) {
 	if vce.Adjudicator != "2oo3" || vce.Versions != 2 {
 		t.Errorf("error fields = %+v, want adjudicator 2oo3 over 2 versions", vce)
 	}
-	// Legacy New path: a majority vote over 2 versions used to be silently
-	// representable; it is now the same typed error.
-	if _, err := New(fs, ArchMajority, vs...); !errors.As(err, &vce) {
-		t.Errorf("New(majority, 2 versions) error = %v, want *VersionCountError", err)
+	// A majority vote over 2 versions is the same typed error.
+	if _, err := NewVoted(fs, MajorityVote{}, vs...); !errors.As(err, &vce) {
+		t.Errorf("NewVoted(majority, 2 versions) error = %v, want *VersionCountError", err)
 	}
 	if _, err := NewVoted(fs, nil, vs...); err == nil {
 		t.Error("nil adjudicator succeeded, want error")
@@ -295,8 +294,20 @@ func TestPAnySystemFault(t *testing.T) {
 	if err != nil {
 		t.Fatalf("faultmodel.New: %v", err)
 	}
-	// 1oon must reproduce the paper's P(N_m > 0) = 1 - Π(1 - p_i^m).
+	// 1oon must reproduce the paper's P(N_m = 0) = Π(1 - p_i^m) and
+	// P(N_m > 0) bit for bit: the reports print these for the default rule.
 	for m := 1; m <= 3; m++ {
+		wantNo, err := fs.PNoFault(m)
+		if err != nil {
+			t.Fatalf("PNoFault: %v", err)
+		}
+		gotNo, err := PNoSystemFault(fs, OneOutOfN{}, m)
+		if err != nil {
+			t.Fatalf("PNoSystemFault: %v", err)
+		}
+		if gotNo != wantNo {
+			t.Errorf("PNoSystemFault(1oon, %d) = %v, PNoFault = %v", m, gotNo, wantNo)
+		}
 		want, err := fs.PAnyFault(m)
 		if err != nil {
 			t.Fatalf("PAnyFault: %v", err)
@@ -305,7 +316,7 @@ func TestPAnySystemFault(t *testing.T) {
 		if err != nil {
 			t.Fatalf("PAnySystemFault: %v", err)
 		}
-		if math.Abs(got-want) > 1e-15 {
+		if got != want {
 			t.Errorf("PAnySystemFault(1oon, %d) = %v, PAnyFault = %v", m, got, want)
 		}
 	}
@@ -356,21 +367,5 @@ func TestVotingRuleUnwrap(t *testing.T) {
 	}
 	if got := VotingRule(inner); got != inner {
 		t.Errorf("VotingRule(plain) = %#v, want unchanged", got)
-	}
-}
-
-func TestArchitectureAdjudicator(t *testing.T) {
-	t.Parallel()
-
-	adj, err := Arch1OutOfM.Adjudicator()
-	if err != nil || adj != (OneOutOfN{}) {
-		t.Errorf("Arch1OutOfM.Adjudicator() = %#v, %v", adj, err)
-	}
-	adj, err = ArchMajority.Adjudicator()
-	if err != nil || adj != (MajorityVote{}) {
-		t.Errorf("ArchMajority.Adjudicator() = %#v, %v", adj, err)
-	}
-	if _, err := Architecture(42).Adjudicator(); err == nil {
-		t.Error("unknown architecture succeeded, want error")
 	}
 }
