@@ -13,8 +13,10 @@ import (
 // (pre-adjudicator) CLI, the batched, correlated and 2oo3 files from the
 // CLI before the replication loops were unified into one bitset pipeline.
 // The Monte-Carlo files were re-captured once when replication blocks got
-// their own streams, and their first lines once when the report began to
-// name every voting rule by its adjudicator name ("1oon"). These tests assert the refactors' core compatibility
+// their own streams, the rare-event file once when the rare-event
+// estimators moved onto those blocks, and their first lines once when the
+// report began to name every voting rule by its adjudicator name
+// ("1oon"). These tests assert the refactors' core compatibility
 // promise: every invocation renders byte-identical output — same variate
 // sequence, same summation order, same report text — and, because each
 // block's randomness is keyed by its index, at every worker count.

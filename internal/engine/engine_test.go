@@ -207,9 +207,9 @@ func TestRareEventJob(t *testing.T) {
 		t.Fatalf("Resolve: %v", err)
 	}
 	// TiltTarget 0 normalises to the 0.3 default.
-	want, err := montecarlo.EstimateRareSystemFault(fs, 2, 20_000, 3, 0.3)
+	want, err := montecarlo.EstimateRareSystemFaultOpts(context.Background(), fs, 2, 20_000, 3, 0.3, montecarlo.RareOptions{})
 	if err != nil {
-		t.Fatalf("EstimateRareSystemFault: %v", err)
+		t.Fatalf("EstimateRareSystemFaultOpts: %v", err)
 	}
 	if res.RareEvent.ImportanceSampling != want {
 		t.Errorf("importance-sampling estimate differs: %+v vs %+v", res.RareEvent.ImportanceSampling, want)

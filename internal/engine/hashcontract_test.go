@@ -43,19 +43,20 @@ func legacySpecs() map[string]Job {
 }
 
 // legacyHashes pins the canonical hash of each legacy spec. They were
-// captured before the adjudicator refactor and re-pinned once with the
-// bump to diversity/engine/v2, which left every legacy document
-// unchanged except that workers no longer appears in it. Regenerate
+// captured before the adjudicator refactor and re-pinned once with each
+// hashDomain bump: diversity/engine/v2 left every legacy document
+// unchanged except that workers no longer appears in it, and
+// diversity/engine/v3 changed only the domain prefix. Regenerate
 // deliberately — only with a hashDomain bump — via: go test
 // ./internal/engine -run TestLegacySpecHashContract -v (the failure
 // message prints got hashes).
 var legacyHashes = map[string]string{
-	"mc-scenario-default-arch": "4e1e9c340161c52af7b898f0028e6577774c9bb9748d22fcb56b4702d83a287a",
-	"mc-majority":              "8d9675cb8685e1df4b8b3d099d405607ad3567b66e77c9b2ec40e6f9934947e4",
-	"mc-inline-stream-sparse":  "1e95a1047fcf7c44ea2168104d5f94b8b3a11c9fa23231a8314064b4b6d21492",
-	"rare-event":               "1dd54b1e8969cdb3742694005e9833465e9ff1e245cb6fdbe7448d95d159f6c3",
-	"experiments":              "25804b7a6dba84710d6c2bb7bebb14d4d75bf3b4bf8661525578c09be6212a2d",
-	"analytic":                 "7969a53052a8740269160992e3e7e57db6377905c3ec4649fbbdfbef07dbbeea",
+	"mc-scenario-default-arch": "3401106c517a673c3704a6292bc0b0907a0d647118c18183a1625f8082c27075",
+	"mc-majority":              "74a1a78c07b1d8854c9273783af7d827c170c362451fb793d0b40bd4a218d016",
+	"mc-inline-stream-sparse":  "db4e476e462e67711299c2ac0b5ee5c6d873a84db886d781b568ab8451c6c538",
+	"rare-event":               "70c295ddfc9da96879c01bbfc4947ae7fea233ae8b3d0293cd3fccae227e35d3",
+	"experiments":              "b392922529f5d0f2256d8b006d9bc617fe72ea26bd11a7af312efc49cf29fd9e",
+	"analytic":                 "7c1fcf0c35b49e30b504947a672970940e02a921482d6debc297c6c91a21f8ed",
 }
 
 // TestLegacySpecHashContract proves that pre-refactor 1oo2 (and legacy

@@ -53,8 +53,10 @@ const (
 // job schema or to result semantics must invalidate previously cached or
 // persisted hashes. v2: Monte-Carlo replication blocks draw from streams
 // keyed by block index, which changed every fixed-seed Monte-Carlo and
-// experiments result, and the worker count left the encoding.
-const hashDomain = "diversity/engine/v2"
+// experiments result, and the worker count left the encoding. v3: the
+// rare-event estimators run on the same blocks, which changed every
+// fixed-seed rare-event result; no other kind's result moved.
+const hashDomain = "diversity/engine/v3"
 
 // ModelSpec names the fault-set model a job runs against. Exactly one of
 // Scenario or Faults must be set. Model files are resolved to inline

@@ -105,18 +105,31 @@ func TestRunProgressDoesNotPerturbResults(t *testing.T) {
 	}
 }
 
+// TestRareContextCancelled: both estimators stop with context.Canceled
+// when the context is cancelled before the first block, and when it is
+// cancelled mid-run from the progress hook while other workers hold
+// blocks.
 func TestRareContextCancelled(t *testing.T) {
 	t.Parallel()
 
 	fs := testProcess(t).FaultSet()
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	_, err := EstimateRareSystemFaultContext(ctx, fs, 2, 1_000_000, 1, 0.3)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("EstimateRareSystemFaultContext: err = %v, want context.Canceled", err)
-	}
-	_, err = EstimateNaiveSystemFaultContext(ctx, fs, 2, 1_000_000, 1)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("EstimateNaiveSystemFaultContext: err = %v, want context.Canceled", err)
+	for _, tilt := range []float64{0.3, 0} {
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		if _, err := estimateTilted(ctx, fs, 2, 1_000_000, 1, tilt, RareOptions{}, 4); !errors.Is(err, context.Canceled) {
+			t.Errorf("tilt %v pre-cancelled: err = %v, want context.Canceled", tilt, err)
+		}
+
+		ctx, cancel = context.WithCancel(context.Background())
+		opts := RareOptions{Progress: func(done, total int) {
+			if done > 0 {
+				cancel()
+			}
+		}}
+		_, err := estimateTilted(ctx, fs, 2, 1_000_000, 1, tilt, opts, 4)
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("tilt %v cancelled after the first block: err = %v, want context.Canceled", tilt, err)
+		}
 	}
 }

@@ -105,9 +105,9 @@ type Config struct {
 	BatchWidth int
 	// Progress, when non-nil, is called as replications complete with the
 	// total completed so far and the configured total. It is invoked from
-	// worker goroutines once per block (never per sample) and must
-	// therefore be safe for concurrent use. Progress does not affect the
-	// sampled distribution.
+	// worker goroutines once per block (never per sample); the calls are
+	// serialised and done increases from call to call. Progress does not
+	// affect the sampled distribution.
 	Progress func(done, total int)
 	// Metrics, when non-nil, receives run measurements: total
 	// replications, replications per second, worker imbalance, and
@@ -237,10 +237,6 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	if err := adj.Validate(cfg.Versions); err != nil {
 		return nil, fmt.Errorf("montecarlo: %w", err)
 	}
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("montecarlo: run cancelled before start: %w", err)
 	}
@@ -269,16 +265,13 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		res.SystemPFD = make([]float64, cfg.Reps)
 	}
 
-	blocks := (cfg.Reps + blockSize - 1) / blockSize
-	workers = min(workers, blocks)
-	var wg sync.WaitGroup
-	var claimed, done atomic.Int64
-	fold := momentFold{pending: make(map[int][2]stats.Moments)}
+	workers := blockWorkers(cfg.Workers, cfg.Reps)
+	fold := newMomentFold(2)
 	tiles := make([]*tileWorker, workers)
 
 	// The cancellation watcher timestamps the moment the context is
 	// cancelled so the drain latency — cancellation to last worker exit —
-	// can be measured after wg.Wait.
+	// can be measured after the workers have drained.
 	runStart := time.Now()
 	var cancelledAt atomic.Int64 // unix nanos; 0 = not cancelled
 	watcherStop, watcherDone := make(chan struct{}), make(chan struct{})
@@ -294,43 +287,35 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	}
 	workerElapsed := make([]time.Duration, workers)
 
-	for w := 0; w < workers; w++ {
-		w := w
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if cfg.TraceSpan != nil {
-				span := cfg.TraceSpan.Child(fmt.Sprintf("shard-%02d", w))
-				defer span.End()
-			}
-			workerStart := time.Now()
-			defer func() { workerElapsed[w] = time.Since(workerStart) }()
-			tw := newTileWorker(fs, adj, cfg.Versions, k)
+	done := runBlocks(ctx, cfg.Reps, workers, cfg.Progress, func(w int) (func(b, lo, hi int), func()) {
+		var span *telemetry.Span
+		if cfg.TraceSpan != nil {
+			span = cfg.TraceSpan.Child(fmt.Sprintf("shard-%02d", w))
+		}
+		workerStart := time.Now()
+		tw := newTileWorker(fs, adj, cfg.Versions, k)
+		if cfg.Streaming {
+			tw.vAgg, tw.sAgg = new(Agg), new(Agg)
+		} else {
+			tw.versionPFD, tw.systemPFD = res.VersionPFD, res.SystemPFD
+		}
+		tiles[w] = tw
+		run := func(b, lo, hi int) {
+			tw.r.SeedAt(cfg.Seed, uint64(b))
+			tw.run(lo, hi)
 			if cfg.Streaming {
-				tw.vAgg, tw.sAgg = new(Agg), new(Agg)
-			} else {
-				tw.versionPFD, tw.systemPFD = res.VersionPFD, res.SystemPFD
+				fold.add(b, tw.vAgg.Moments, tw.sAgg.Moments)
+				tw.vAgg.Moments, tw.sAgg.Moments = stats.Moments{}, stats.Moments{}
 			}
-			tiles[w] = tw
-			for ctx.Err() == nil {
-				b := int(claimed.Add(1) - 1)
-				if b >= blocks {
-					return
-				}
-				lo, hi := b*blockSize, min((b+1)*blockSize, cfg.Reps)
-				tw.r.SeedAt(cfg.Seed, uint64(b))
-				tw.run(lo, hi)
-				if cfg.Streaming {
-					fold.add(b, tw.vAgg, tw.sAgg)
-				}
-				completed := done.Add(int64(hi - lo))
-				if cfg.Progress != nil {
-					cfg.Progress(int(completed), cfg.Reps)
-				}
+		}
+		stop := func() {
+			workerElapsed[w] = time.Since(workerStart)
+			if span != nil {
+				span.End()
 			}
-		}()
-	}
-	wg.Wait()
+		}
+		return run, stop
+	})
 	for _, tw := range tiles {
 		res.SparseSkips += tw.skips
 		res.VersionFaultFree += tw.counts[0]
@@ -343,10 +328,10 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 			close(watcherStop)
 		}
 		<-watcherDone
-		recordRunMetrics(cfg.Metrics, res, runStart, done.Load(), workerElapsed, cancelledAt.Load())
+		recordRunMetrics(cfg.Metrics, res, runStart, int64(done), workerElapsed, cancelledAt.Load())
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("montecarlo: run cancelled after %d of %d replications: %w", done.Load(), cfg.Reps, err)
+		return nil, fmt.Errorf("montecarlo: run cancelled after %d of %d replications: %w", done, cfg.Reps, err)
 	}
 	if cfg.Streaming {
 		// Counts, extremes and histograms merge exactly in any order;
@@ -357,9 +342,62 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 			res.VersionAgg.Merge(tw.vAgg)
 			res.SystemAgg.Merge(tw.sAgg)
 		}
-		res.VersionAgg.Moments, res.SystemAgg.Moments = fold.v, fold.s
+		res.VersionAgg.Moments, res.SystemAgg.Moments = fold.sum[0], fold.sum[1]
 	}
 	return res, nil
+}
+
+// blockWorkers resolves a requested worker count for a reps-replication
+// run: zero or less means runtime.GOMAXPROCS(0), and no run starts more
+// workers than it has blocks.
+func blockWorkers(workers, reps int) int {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	return min(workers, (reps+blockSize-1)/blockSize)
+}
+
+// runBlocks is the block scheduler of every replication loop in this
+// package. It cuts reps replications into blocks of blockSize; block b
+// covers replications [b·blockSize, min((b+1)·blockSize, reps)). Each of
+// workers goroutines gets its block function and an optional exit hook
+// from start(w), then claims blocks from a shared counter until none
+// remain or ctx is cancelled, checking ctx before every claim. After each
+// block, progress (when non-nil) receives the replications completed so
+// far; its calls are serialised and done never decreases. runBlocks
+// returns that count once every worker has exited.
+func runBlocks(ctx context.Context, reps, workers int, progress func(done, total int), start func(w int) (run func(b, lo, hi int), stop func())) int {
+	blocks := (reps + blockSize - 1) / blockSize
+	var wg sync.WaitGroup
+	var claimed atomic.Int64
+	var mu sync.Mutex
+	done := 0
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			run, stop := start(w)
+			if stop != nil {
+				defer stop()
+			}
+			for ctx.Err() == nil {
+				b := int(claimed.Add(1) - 1)
+				if b >= blocks {
+					return
+				}
+				lo, hi := b*blockSize, min((b+1)*blockSize, reps)
+				run(b, lo, hi)
+				mu.Lock()
+				done += hi - lo
+				if progress != nil {
+					progress(done, reps)
+				}
+				mu.Unlock()
+			}
+		}()
+	}
+	wg.Wait()
+	return done
 }
 
 // momentFold merges per-block moments in block order. Workers finish
@@ -369,22 +407,26 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 type momentFold struct {
 	mu      sync.Mutex
 	next    int
-	pending map[int][2]stats.Moments
-	v, s    stats.Moments
+	pending map[int][]stats.Moments
+	sum     []stats.Moments // one running fold per accumulated quantity
 }
 
-// add takes the moments the aggregates accumulated over block b, resets
-// them for the worker's next block, and folds every block that is now
-// next in order.
-func (f *momentFold) add(b int, vAgg, sAgg *Agg) {
+// newMomentFold returns a fold over n quantities.
+func newMomentFold(n int) *momentFold {
+	return &momentFold{pending: make(map[int][]stats.Moments), sum: make([]stats.Moments, n)}
+}
+
+// add takes the moments of every quantity over block b, in the fold's
+// quantity order, and folds every block that is now next in order.
+func (f *momentFold) add(b int, ms ...stats.Moments) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.pending[b] = [2]stats.Moments{vAgg.Moments, sAgg.Moments}
-	vAgg.Moments, sAgg.Moments = stats.Moments{}, stats.Moments{}
-	for m, ok := f.pending[f.next]; ok; m, ok = f.pending[f.next] {
+	f.pending[b] = ms
+	for ms, ok := f.pending[f.next]; ok; ms, ok = f.pending[f.next] {
 		delete(f.pending, f.next)
-		f.v.Merge(m[0])
-		f.s.Merge(m[1])
+		for i, m := range ms {
+			f.sum[i].Merge(m)
+		}
 		f.next++
 	}
 }

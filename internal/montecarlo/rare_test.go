@@ -2,6 +2,7 @@ package montecarlo
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"testing"
 
@@ -36,9 +37,9 @@ func TestEstimateRareSystemFaultUnbiased(t *testing.T) {
 	if truth > 1e-4 {
 		t.Fatalf("fixture is not rare enough: P = %v", truth)
 	}
-	est, err := EstimateRareSystemFault(fs, 2, 50000, 7, 0.3)
+	est, err := EstimateRareSystemFaultOpts(context.Background(), fs, 2, 50000, 7, 0.3, RareOptions{})
 	if err != nil {
-		t.Fatalf("EstimateRareSystemFault: %v", err)
+		t.Fatalf("EstimateRareSystemFaultOpts: %v", err)
 	}
 	if math.Abs(est.Probability-truth) > 5*est.StdErr+1e-12 {
 		t.Errorf("IS estimate %v ± %v vs truth %v", est.Probability, est.StdErr, truth)
@@ -70,16 +71,16 @@ func TestEstimateRareMatchesModerateProbability(t *testing.T) {
 	if err != nil {
 		t.Fatalf("PAnyFault: %v", err)
 	}
-	is, err := EstimateRareSystemFault(fs, 2, 100000, 3, 0.3)
+	is, err := EstimateRareSystemFaultOpts(context.Background(), fs, 2, 100000, 3, 0.3, RareOptions{})
 	if err != nil {
-		t.Fatalf("EstimateRareSystemFault: %v", err)
+		t.Fatalf("EstimateRareSystemFaultOpts: %v", err)
 	}
 	if math.Abs(is.Probability-truth) > 5*is.StdErr+1e-9 {
 		t.Errorf("IS estimate %v ± %v vs truth %v", is.Probability, is.StdErr, truth)
 	}
-	naive, err := EstimateNaiveSystemFault(fs, 2, 100000, 3)
+	naive, err := EstimateNaiveSystemFaultOpts(context.Background(), fs, 2, 100000, 3, RareOptions{})
 	if err != nil {
-		t.Fatalf("EstimateNaiveSystemFault: %v", err)
+		t.Fatalf("EstimateNaiveSystemFaultOpts: %v", err)
 	}
 	if math.Abs(naive.Probability-truth) > 5*naive.StdErr+1e-9 {
 		t.Errorf("naive estimate %v ± %v vs truth %v", naive.Probability, naive.StdErr, truth)
@@ -91,13 +92,13 @@ func TestEstimateRareVarianceReduction(t *testing.T) {
 
 	fs := rareFaultSet(t)
 	const reps = 20000
-	is, err := EstimateRareSystemFault(fs, 2, reps, 11, 0.3)
+	is, err := EstimateRareSystemFaultOpts(context.Background(), fs, 2, reps, 11, 0.3, RareOptions{})
 	if err != nil {
-		t.Fatalf("EstimateRareSystemFault: %v", err)
+		t.Fatalf("EstimateRareSystemFaultOpts: %v", err)
 	}
-	naive, err := EstimateNaiveSystemFault(fs, 2, reps, 11)
+	naive, err := EstimateNaiveSystemFaultOpts(context.Background(), fs, 2, reps, 11, RareOptions{})
 	if err != nil {
-		t.Fatalf("EstimateNaiveSystemFault: %v", err)
+		t.Fatalf("EstimateNaiveSystemFaultOpts: %v", err)
 	}
 	// Naive MC at 2e4 reps almost surely sees zero events (P ~ 1e-5 for
 	// versions, ~1e-8 at system level), so its estimate/error are
@@ -132,9 +133,9 @@ func TestEstimateRareImpossibleFaults(t *testing.T) {
 	if err != nil {
 		t.Fatalf("PAnyFault: %v", err)
 	}
-	est, err := EstimateRareSystemFault(fs, 2, 20000, 5, 0.3)
+	est, err := EstimateRareSystemFaultOpts(context.Background(), fs, 2, 20000, 5, 0.3, RareOptions{})
 	if err != nil {
-		t.Fatalf("EstimateRareSystemFault: %v", err)
+		t.Fatalf("EstimateRareSystemFaultOpts: %v", err)
 	}
 	if math.Abs(est.Probability-truth) > 5*est.StdErr+1e-12 {
 		t.Errorf("estimate %v ± %v vs truth %v", est.Probability, est.StdErr, truth)
@@ -148,9 +149,9 @@ func TestEstimateRareAllZero(t *testing.T) {
 	if err != nil {
 		t.Fatalf("faultmodel.New: %v", err)
 	}
-	est, err := EstimateRareSystemFault(fs, 2, 1000, 1, 0.3)
+	est, err := EstimateRareSystemFaultOpts(context.Background(), fs, 2, 1000, 1, 0.3, RareOptions{})
 	if err != nil {
-		t.Fatalf("EstimateRareSystemFault: %v", err)
+		t.Fatalf("EstimateRareSystemFaultOpts: %v", err)
 	}
 	if est.Probability != 0 || est.HitFraction != 0 {
 		t.Errorf("zero set gave estimate %+v", est)
@@ -161,36 +162,38 @@ func TestEstimateRareValidation(t *testing.T) {
 	t.Parallel()
 
 	fs := rareFaultSet(t)
-	if _, err := EstimateRareSystemFault(nil, 2, 100, 1, 0.3); err == nil {
+	if _, err := EstimateRareSystemFaultOpts(context.Background(), nil, 2, 100, 1, 0.3, RareOptions{}); err == nil {
 		t.Error("nil fault set succeeded, want error")
 	}
-	if _, err := EstimateRareSystemFault(fs, 0, 100, 1, 0.3); err == nil {
+	if _, err := EstimateRareSystemFaultOpts(context.Background(), fs, 0, 100, 1, 0.3, RareOptions{}); err == nil {
 		t.Error("m=0 succeeded, want error")
 	}
-	if _, err := EstimateRareSystemFault(fs, 2, 1, 1, 0.3); err == nil {
+	if _, err := EstimateRareSystemFaultOpts(context.Background(), fs, 2, 1, 1, 0.3, RareOptions{}); err == nil {
 		t.Error("1 rep succeeded, want error")
 	}
-	if _, err := EstimateRareSystemFault(fs, 2, 100, 1, 0); err == nil {
+	if _, err := EstimateRareSystemFaultOpts(context.Background(), fs, 2, 100, 1, 0, RareOptions{}); err == nil {
 		t.Error("zero tilt succeeded, want error")
 	}
-	if _, err := EstimateRareSystemFault(fs, 2, 100, 1, 1); err == nil {
+	if _, err := EstimateRareSystemFaultOpts(context.Background(), fs, 2, 100, 1, 1, RareOptions{}); err == nil {
 		t.Error("tilt=1 succeeded, want error")
 	}
-	if _, err := EstimateNaiveSystemFault(nil, 2, 100, 1); err == nil {
+	if _, err := EstimateNaiveSystemFaultOpts(context.Background(), nil, 2, 100, 1, RareOptions{}); err == nil {
 		t.Error("naive nil fault set succeeded, want error")
 	}
-	if _, err := EstimateNaiveSystemFault(fs, 0, 100, 1); err == nil {
+	if _, err := EstimateNaiveSystemFaultOpts(context.Background(), fs, 0, 100, 1, RareOptions{}); err == nil {
 		t.Error("naive m=0 succeeded, want error")
 	}
-	if _, err := EstimateNaiveSystemFault(fs, 2, 1, 1); err == nil {
+	if _, err := EstimateNaiveSystemFaultOpts(context.Background(), fs, 2, 1, 1, RareOptions{}); err == nil {
 		t.Error("naive 1 rep succeeded, want error")
 	}
 }
 
 // TestRareEstimatorBitPins pins both estimators' safety-grade outputs bit
-// for bit, dense and batched, under the 1-out-of-2 and 2-out-of-3 rules:
+// for bit, for every kernel under the 1-out-of-2 and 2-out-of-3 rules:
 // refactors of the replication loops must not move a single variate or
-// change any summation order.
+// change any summation order. Each key has one pin for every worker
+// count: the run spans ten blocks, so 2 and 3 workers claim them out of
+// order and 8 workers leave some idle.
 func TestRareEstimatorBitPins(t *testing.T) {
 	t.Parallel()
 
@@ -198,50 +201,72 @@ func TestRareEstimatorBitPins(t *testing.T) {
 	if err != nil {
 		t.Fatalf("SafetyGrade: %v", err)
 	}
-	pins := []struct {
-		estimator, adj string
-		width          int
-		prob, se, hit  uint64
+	kernels := []struct {
+		name string
+		opts RareOptions
 	}{
-		{"is", "1oon", 0, 0x3f5045b12c4b8d31, 0x3ef648e0859c1d47, 0x3fee2f837b4a233a},
-		{"naive", "1oon", 0, 0x3f5205bc01a36e2f, 0x3f2eb8e1f07dbf7d, 0x3f5205bc01a36e2f},
-		{"is", "1oon", 64, 0x3f50696d8faed616, 0x3ef661205279ba4e, 0x3fee339c0ebedfa4},
-		{"naive", "1oon", 64, 0x3f4bda5119ce075f, 0x3f2b027b9b38e632, 0x3f4bda5119ce075f},
-		{"is", "2oo3", 0, 0x3f6824cb401773ef, 0x3f107f25c55c0980, 0x3fee2f837b4a233a},
-		{"naive", "2oo3", 0, 0x3f682a9930be0ded, 0x3f3921e6a8e4720e, 0x3f682a9930be0ded},
-		{"is", "2oo3", 64, 0x3f68597bfa2f37ad, 0x3f10911104c1e46a, 0x3fee339c0ebedfa4},
-		{"naive", "2oo3", 64, 0x3f6a36e2eb1c432d, 0x3f3a2c23efd0eed9, 0x3f6a36e2eb1c432d},
+		{"dense", RareOptions{}},
+		{"batched", RareOptions{BatchWidth: 64}},
+		{"sparse", RareOptions{Sparse: true}},
 	}
 	ctx := context.Background()
-	for _, pin := range pins {
-		adj, err := system.ParseAdjudicator(pin.adj)
-		if err != nil {
-			t.Fatalf("ParseAdjudicator(%q): %v", pin.adj, err)
+	for _, estimator := range []string{"is", "naive"} {
+		tilt := 0.3
+		if estimator == "naive" {
+			tilt = 0
 		}
-		m := 2
-		if pin.adj == "2oo3" {
-			m = 3
-		}
-		opts := RareOptions{Adjudicator: adj, BatchWidth: pin.width}
-		var est RareEventEstimate
-		if pin.estimator == "is" {
-			est, err = EstimateRareSystemFaultOpts(ctx, sc.FaultSet, m, 20000, 2, 0.3, opts)
-		} else {
-			est, err = EstimateNaiveSystemFaultOpts(ctx, sc.FaultSet, m, 20000, 2, opts)
-		}
-		if err != nil {
-			t.Fatalf("%s %s width=%d: %v", pin.estimator, pin.adj, pin.width, err)
-		}
-		got := [3]uint64{math.Float64bits(est.Probability), math.Float64bits(est.StdErr), math.Float64bits(est.HitFraction)}
-		if want := [3]uint64{pin.prob, pin.se, pin.hit}; got != want {
-			t.Errorf("%s %s width=%d: bits %#x, pinned %#x (%+v)", pin.estimator, pin.adj, pin.width, got, want, est)
+		for _, rule := range []string{"1oon", "2oo3"} {
+			adj, err := system.ParseAdjudicator(rule)
+			if err != nil {
+				t.Fatalf("ParseAdjudicator(%q): %v", rule, err)
+			}
+			m := 2
+			if rule == "2oo3" {
+				m = 3
+			}
+			for _, k := range kernels {
+				key := fmt.Sprintf("%s/%s/%s", estimator, rule, k.name)
+				opts := k.opts
+				opts.Adjudicator = adj
+				for _, workers := range []int{1, 2, 3, 8} {
+					est, err := estimateTilted(ctx, sc.FaultSet, m, 20000, 2, tilt, opts, workers)
+					if err != nil {
+						t.Fatalf("%s workers=%d: %v", key, workers, err)
+					}
+					if got, want := estimateBits(est), rarePins[key]; got != want {
+						t.Errorf("%q: %#x, // pinned %#x (workers %d, %+v)", key, got, want, workers, est)
+					}
+				}
+			}
 		}
 	}
 }
 
+// estimateBits is an estimate's three values as float64 bits.
+func estimateBits(est RareEventEstimate) [3]uint64 {
+	return [3]uint64{math.Float64bits(est.Probability), math.Float64bits(est.StdErr), math.Float64bits(est.HitFraction)}
+}
+
+var rarePins = map[string][3]uint64{
+	"is/1oon/dense":      {0x3f5024d5599b454a, 0x3ef60bddd0321ebb, 0x3fee39c0ebedfa44},
+	"is/1oon/batched":    {0x3f50638f65695af5, 0x3ef65aa31719a004, 0x3fee2a9930be0ded},
+	"is/1oon/sparse":     {0x3f51105aaef99025, 0x3ef6c124c433037d, 0x3fee395810624dd3},
+	"is/2oo3/dense":      {0x3f67f46e0b7b764e, 0x3f105223d813c8dc, 0x3fee39c0ebedfa44},
+	"is/2oo3/batched":    {0x3f6850ec8f33bd4e, 0x3f108c4d50fe6747, 0x3fee2a9930be0ded},
+	"is/2oo3/sparse":     {0x3f69513b19afc187, 0x3f10d822b6d55ab2, 0x3fee395810624dd3},
+	"naive/1oon/dense":   {0x3f50624dd2f1aa0b, 0x3f2d4b3f24950c6c, 0x3f50624dd2f1a9fc},
+	"naive/1oon/batched": {0x3f52d77318fc5051, 0x3f2f69713b953856, 0x3f52d77318fc5048},
+	"naive/1oon/sparse":  {0x3f4f212d77318fdf, 0x3f2c8d8b5dd374d4, 0x3f4f212d77318fc5},
+	"naive/2oo3/dense":   {0x3f6b089a0275254f, 0x3f3a93aef462d53f, 0x3f6b089a02752546},
+	"naive/2oo3/batched": {0x3f67c1bda5119ceb, 0x3f38eb4da93026cc, 0x3f67c1bda5119ce0},
+	"naive/2oo3/sparse":  {0x3f68fc504816f00d, 0x3f398db69ad4bb3d, 0x3f68fc504816f007},
+}
+
 // TestRareCertainFault: a fault present with probability 1 defeats every
-// system without consuming a variate, exactly as Bernoulli(1) does, so the
-// dense estimators keep their pinned outputs and every replication hits.
+// system without consuming a variate, exactly as Bernoulli(1) does, and
+// contributes the likelihood ratio 1, so every replication hits, the
+// naive estimate is exactly 1 and the importance-sampling estimate is
+// finite and near 1 under every kernel.
 func TestRareCertainFault(t *testing.T) {
 	t.Parallel()
 
@@ -256,25 +281,24 @@ func TestRareCertainFault(t *testing.T) {
 	if err != nil {
 		t.Fatalf("importance sampling: %v", err)
 	}
-	if got, want := [3]uint64{math.Float64bits(is.Probability), math.Float64bits(is.StdErr), math.Float64bits(is.HitFraction)},
-		[3]uint64{0x3feef482ccc97248, 0x3f93e12118701973, 0x3ff0000000000000}; got != want {
+	if got, want := estimateBits(is), [3]uint64{0x3ff04c6c73535f46, 0x3f94211fcded5e8c, 0x3ff0000000000000}; got != want {
 		t.Errorf("importance sampling bits %#x, pinned %#x (%+v)", got, want, is)
 	}
-	for _, width := range []int{0, 64} {
-		naive, err := EstimateNaiveSystemFaultOpts(ctx, fs, 2, 5000, 4, RareOptions{BatchWidth: width})
+	for _, opts := range []RareOptions{{}, {BatchWidth: 64}, {Sparse: true}} {
+		naive, err := EstimateNaiveSystemFaultOpts(ctx, fs, 2, 5000, 4, opts)
 		if err != nil {
-			t.Fatalf("naive width=%d: %v", width, err)
+			t.Fatalf("naive %+v: %v", opts, err)
 		}
 		if naive != (RareEventEstimate{Probability: 1, HitFraction: 1}) {
-			t.Errorf("naive width=%d: %+v, want certain hits", width, naive)
+			t.Errorf("naive %+v: %+v, want certain hits", opts, naive)
 		}
-	}
-	batched, err := EstimateRareSystemFaultOpts(ctx, fs, 2, 5000, 4, 0.3, RareOptions{BatchWidth: 64})
-	if err != nil {
-		t.Fatalf("batched importance sampling: %v", err)
-	}
-	if batched.HitFraction != 1 || math.Abs(batched.Probability-1) > 5*batched.StdErr {
-		t.Errorf("batched importance sampling %+v, want every replication hit and an estimate near 1", batched)
+		tilted, err := EstimateRareSystemFaultOpts(ctx, fs, 2, 5000, 4, 0.3, opts)
+		if err != nil {
+			t.Fatalf("importance sampling %+v: %v", opts, err)
+		}
+		if tilted.HitFraction != 1 || !(math.Abs(tilted.Probability-1) <= 5*tilted.StdErr) {
+			t.Errorf("importance sampling %+v: %+v, want every replication hit and an estimate near 1", opts, tilted)
+		}
 	}
 }
 
@@ -287,7 +311,7 @@ func BenchmarkEstimateRareIS(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := EstimateRareSystemFault(fs, 2, 10000, uint64(i), 0.3); err != nil {
+		if _, err := EstimateRareSystemFaultOpts(context.Background(), fs, 2, 10000, uint64(i), 0.3, RareOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -302,7 +326,7 @@ func BenchmarkEstimateRareNaive(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := EstimateNaiveSystemFault(fs, 2, 10000, uint64(i)); err != nil {
+		if _, err := EstimateNaiveSystemFaultOpts(context.Background(), fs, 2, 10000, uint64(i), RareOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -95,55 +95,49 @@ func TestCancelledRunRecordsLatency(t *testing.T) {
 }
 
 // TestRareOptsProgressMonotonic asserts the estimators' progress
-// contract directly: Done starts at 0, never decreases, includes
-// intermediate counts past the context-check boundary, and ends at
+// contract: with several workers, reports carry the configured total,
+// start at 0, never decrease, include intermediate counts and end at
 // total.
 func TestRareOptsProgressMonotonic(t *testing.T) {
 	t.Parallel()
 
 	fs := testProcess(t).FaultSet()
 	const reps = 20_000
-	check := func(t *testing.T, dones []int) {
-		t.Helper()
-		if len(dones) < 3 {
-			t.Fatalf("progress reports = %v, want first/intermediate/final", dones)
+	for _, tilt := range []float64{0.3, 0} {
+		// Calls are serialised, so the hook appends without a lock; the
+		// race detector checks that promise.
+		var dones []int
+		opts := RareOptions{Progress: func(done, total int) {
+			if total != reps {
+				t.Errorf("progress total = %d, want %d", total, reps)
+			}
+			dones = append(dones, done)
+		}}
+		if _, err := estimateTilted(context.Background(), fs, 2, reps, 1, tilt, opts, 3); err != nil {
+			t.Fatalf("tilt %v: %v", tilt, err)
 		}
-		if dones[0] != 0 || dones[len(dones)-1] != reps {
-			t.Errorf("progress endpoints = %d..%d, want 0..%d", dones[0], dones[len(dones)-1], reps)
+		if len(dones) < 3 || dones[0] != 0 || dones[len(dones)-1] != reps {
+			t.Errorf("tilt %v: progress reports %v, want 0, intermediate counts, %d", tilt, dones, reps)
 		}
 		for i := 1; i < len(dones); i++ {
-			if dones[i] < dones[i-1] {
-				t.Fatalf("Done regressed: %v", dones)
+			if dones[i] <= dones[i-1] {
+				t.Fatalf("tilt %v: Done did not increase: %v", tilt, dones)
 			}
 		}
 	}
-
-	var isDones []int
-	opts := RareOptions{Progress: func(done, total int) { isDones = append(isDones, done) }}
-	if _, err := EstimateRareSystemFaultOpts(context.Background(), fs, 2, reps, 1, 0.3, opts); err != nil {
-		t.Fatalf("EstimateRareSystemFaultOpts: %v", err)
-	}
-	check(t, isDones)
-
-	var naiveDones []int
-	opts = RareOptions{Progress: func(done, total int) { naiveDones = append(naiveDones, done) }}
-	if _, err := EstimateNaiveSystemFaultOpts(context.Background(), fs, 2, reps, 1, opts); err != nil {
-		t.Fatalf("EstimateNaiveSystemFaultOpts: %v", err)
-	}
-	check(t, naiveDones)
 }
 
-// TestRareOptsMatchContextVariants: instrumentation must not change the
-// estimates.
-func TestRareOptsMatchContextVariants(t *testing.T) {
+// TestRareOptsInstrumentation: progress and metrics hooks must not
+// change the estimates, and the metrics count every replication.
+func TestRareOptsInstrumentation(t *testing.T) {
 	t.Parallel()
 
 	fs := testProcess(t).FaultSet()
 	reg := telemetry.NewRegistry()
 	opts := RareOptions{Progress: func(done, total int) {}, Metrics: reg}
-	plain, err := EstimateRareSystemFaultContext(context.Background(), fs, 2, 10_000, 1, 0.3)
+	plain, err := EstimateRareSystemFaultOpts(context.Background(), fs, 2, 10_000, 1, 0.3, RareOptions{})
 	if err != nil {
-		t.Fatalf("EstimateRareSystemFaultContext: %v", err)
+		t.Fatalf("EstimateRareSystemFaultOpts: %v", err)
 	}
 	metered, err := EstimateRareSystemFaultOpts(context.Background(), fs, 2, 10_000, 1, 0.3, opts)
 	if err != nil {

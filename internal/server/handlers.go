@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -156,12 +157,21 @@ func (s *Server) instrument(route string, h http.HandlerFunc) http.Handler {
 
 // WriteJSON writes v as JSON with the given status. Exported so the
 // fabric coordinator answers in exactly this package's response shape.
+// v is encoded before the status is sent, so a value that cannot be
+// encoded (a NaN, say) answers 500 with the error envelope instead of
+// the status with an empty body.
 func WriteJSON(w http.ResponseWriter, status int, v any) {
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(v); err != nil {
+		buf.Reset()
+		status = http.StatusInternalServerError
+		enc.Encode(errorBody{Error: fmt.Sprintf("encoding the response failed: %v", err)})
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
+	w.Write(buf.Bytes())
 }
 
 // errorBody is the uniform error envelope.

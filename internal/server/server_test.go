@@ -6,6 +6,8 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -13,6 +15,7 @@ import (
 	"time"
 
 	"diversity/internal/engine"
+	"diversity/internal/montecarlo"
 )
 
 // newTestServer builds a started server around an optional stub runner
@@ -625,4 +628,47 @@ func TestServerMetricsRegistered(t *testing.T) {
 			t.Errorf("gauge %q not pre-registered", name)
 		}
 	}
+}
+
+// TestUnencodableResultAnswers500: a result view that JSON cannot encode
+// (here a NaN estimate) must poll as a 500 carrying the error envelope,
+// not as a 200 with an empty body.
+func TestUnencodableResultAnswers500(t *testing.T) {
+	t.Parallel()
+	runStub := func(ctx context.Context, job engine.Job, progress func(engine.Progress)) (*engine.Result, error) {
+		nan := montecarlo.RareEventEstimate{Probability: math.NaN()}
+		return &engine.Result{Kind: job.Kind, RareEvent: &engine.RareEventResult{ImportanceSampling: nan, Naive: nan}}, nil
+	}
+	_, ts := newTestServer(t, Config{Workers: 1}, runStub)
+	_, sub := postJob(t, ts, analyticJobJSON)
+	deadline := time.Now().Add(10 * time.Second)
+	for time.Now().Before(deadline) {
+		resp, err := http.Get(ts.URL + "/v1/jobs/" + sub.ID)
+		if err != nil {
+			t.Fatalf("GET job: %v", err)
+		}
+		raw, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatalf("reading job view: %v", err)
+		}
+		if resp.StatusCode == http.StatusInternalServerError {
+			var body struct {
+				Error string `json:"error"`
+			}
+			if err := json.Unmarshal(raw, &body); err != nil || !strings.Contains(body.Error, "NaN") {
+				t.Fatalf("500 body %q (%v), want the error envelope naming the NaN", raw, err)
+			}
+			return
+		}
+		var v jobView
+		if err := json.Unmarshal(raw, &v); err != nil {
+			t.Fatalf("status %d with body %q: %v", resp.StatusCode, raw, err)
+		}
+		if v.Status == "done" {
+			t.Fatalf("done job with a NaN result answered %d: %s", resp.StatusCode, raw)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	t.Fatal("job never finished")
 }
