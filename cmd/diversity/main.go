@@ -5,10 +5,10 @@
 // approximation — optionally with the exact PFD distribution quantiles.
 //
 // The computation runs as an analytic job on the unified execution engine
-// (internal/engine); -no-cache disables the engine's result cache. The
-// shared observability flags apply: -metrics-addr serves Prometheus
-// exposition (/metrics), expvar, pprof, /debug/events and /debug/traces;
-// -telemetry-json writes the final snapshot atomically.
+// (internal/engine); -no-cache disables the engine's result and model
+// caches. The shared observability flags apply: -metrics-addr serves
+// Prometheus exposition (/metrics), expvar, pprof, /debug/events and
+// /debug/traces; -telemetry-json writes the final snapshot atomically.
 //
 // Usage:
 //
@@ -58,7 +58,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	sparse := flags.Bool("sparse", false, "run the -mc cross-check with the geometric skip-sampling development kernel")
 	batch := flags.Int("batch", 0, "run the -mc cross-check with the batched replication kernel at this tile width (0 or 1 = off; ignored with -sparse)")
 	progress := flags.Bool("progress", false, "report job IDs and -mc cross-check progress on stderr")
-	noCache := flags.Bool("no-cache", false, "disable the engine's in-memory result cache")
+	noCache := flags.Bool("no-cache", false, "disable the engine's in-memory result and model caches")
 	tf := cliutil.RegisterTelemetryFlags(flags)
 	if err := flags.Parse(args); err != nil {
 		return err

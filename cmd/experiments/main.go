@@ -7,10 +7,10 @@
 // (internal/engine): Ctrl-C cancels between and inside experiments,
 // -progress reports the experiment stage on stderr, and repeated
 // identical jobs within one process are served from the engine's result
-// cache (disable with -no-cache). The shared observability flags apply:
-// -metrics-addr serves Prometheus exposition (/metrics), expvar, pprof,
-// /debug/events and /debug/traces; -telemetry-json writes the final
-// snapshot atomically.
+// cache (disable it and the model cache with -no-cache). The shared
+// observability flags apply: -metrics-addr serves Prometheus exposition
+// (/metrics), expvar, pprof, /debug/events and /debug/traces;
+// -telemetry-json writes the final snapshot atomically.
 //
 // Usage:
 //
@@ -59,7 +59,7 @@ func run(ctx context.Context, args []string, out io.Writer) (int, error) {
 	list := flags.Bool("list", false, "list experiments and exit")
 	markdown := flags.Bool("markdown", false, "emit a Markdown report (EXPERIMENTS.md format)")
 	progress := flags.Bool("progress", false, "report the running experiment on stderr")
-	noCache := flags.Bool("no-cache", false, "disable the engine's in-memory result cache")
+	noCache := flags.Bool("no-cache", false, "disable the engine's in-memory result and model caches")
 	tf := cliutil.RegisterTelemetryFlags(flags)
 	if err := flags.Parse(args); err != nil {
 		return 1, err

@@ -7,7 +7,7 @@
 // execution engine (internal/engine): Ctrl-C cancels a long run promptly,
 // -progress reports replications completed on stderr, and repeated
 // identical jobs within one process are served from the engine's result
-// cache (disable with -no-cache).
+// cache (disable it and the model cache with -no-cache).
 //
 // Observability (shared with the other CLIs): -metrics-addr serves
 // Prometheus exposition (/metrics), expvar, pprof, the flight recorder
@@ -64,7 +64,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	sparse := flags.Bool("sparse", false, "geometric skip-sampling development kernel (O(faults present) per replication; different variate sequence, identical distribution)")
 	batch := flags.Int("batch", 0, "batched replication kernel tile width (0 or 1 = off; >= 2 tiles Bernoulli draws and bitset evaluation across that many replications; different variate sequence, identical distribution; ignored with -sparse)")
 	progress := flags.Bool("progress", false, "report progress on stderr as replications complete")
-	noCache := flags.Bool("no-cache", false, "disable the engine's in-memory result cache")
+	noCache := flags.Bool("no-cache", false, "disable the engine's in-memory result and model caches")
 	tf := cliutil.RegisterTelemetryFlags(flags)
 	if err := flags.Parse(args); err != nil {
 		return err

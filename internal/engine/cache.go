@@ -5,65 +5,82 @@ import (
 	"sync"
 )
 
-// lruCache is a goroutine-safe fixed-capacity LRU map from canonical job
-// hashes to results. Stored results are treated as immutable: the engine
-// hands the same *Result (behind a shallow copy of the envelope) to every
-// hit.
-type lruCache struct {
+// lruCache is a goroutine-safe fixed-capacity LRU map from string keys to
+// values. The engine keeps two: results by canonical job hash, treated as
+// immutable and handed to every hit, and resolved models by model-spec
+// hash.
+type lruCache[V any] struct {
 	mu    sync.Mutex
 	cap   int
 	order *list.List // front = most recently used
 	items map[string]*list.Element
 }
 
-type lruEntry struct {
+type lruEntry[V any] struct {
 	key string
-	res *Result
+	val V
 }
 
-func newLRUCache(capacity int) *lruCache {
-	return &lruCache{
+func newLRUCache[V any](capacity int) *lruCache[V] {
+	return &lruCache[V]{
 		cap:   capacity,
 		order: list.New(),
 		items: make(map[string]*list.Element, capacity),
 	}
 }
 
-// get returns the cached result for key, marking it most recently used.
-func (c *lruCache) get(key string) (*Result, bool) {
+// get returns the cached value for key, marking it most recently used.
+func (c *lruCache[V]) get(key string) (val V, ok bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.items[key]
 	if !ok {
-		return nil, false
+		return val, false
 	}
 	c.order.MoveToFront(el)
-	return el.Value.(*lruEntry).res, true
+	return el.Value.(*lruEntry[V]).val, true
 }
 
-// put stores res under key, evicting the least recently used entries
-// when the cache is full, and returns how many entries were evicted.
-func (c *lruCache) put(key string, res *Result) int {
+// getOrPut returns the value cached under key, storing val there first
+// if there is none. Concurrent callers thus agree on one value per key.
+func (c *lruCache[V]) getOrPut(key string, val V) V {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {
 		c.order.MoveToFront(el)
-		el.Value.(*lruEntry).res = res
+		return el.Value.(*lruEntry[V]).val
+	}
+	c.putLocked(key, val)
+	return val
+}
+
+// put stores val under key, evicting the least recently used entries
+// when the cache is full, and returns how many entries were evicted.
+func (c *lruCache[V]) put(key string, val V) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.items[key]; ok {
+		c.order.MoveToFront(el)
+		el.Value.(*lruEntry[V]).val = val
 		return 0
 	}
-	c.items[key] = c.order.PushFront(&lruEntry{key: key, res: res})
+	return c.putLocked(key, val)
+}
+
+func (c *lruCache[V]) putLocked(key string, val V) int {
+	c.items[key] = c.order.PushFront(&lruEntry[V]{key: key, val: val})
 	evicted := 0
 	for c.order.Len() > c.cap {
 		oldest := c.order.Back()
 		c.order.Remove(oldest)
-		delete(c.items, oldest.Value.(*lruEntry).key)
+		delete(c.items, oldest.Value.(*lruEntry[V]).key)
 		evicted++
 	}
 	return evicted
 }
 
 // len returns the number of cached entries.
-func (c *lruCache) len() int {
+func (c *lruCache[V]) len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.order.Len()

@@ -5,7 +5,7 @@ import "testing"
 func TestLRUCacheEviction(t *testing.T) {
 	t.Parallel()
 
-	c := newLRUCache(2)
+	c := newLRUCache[*Result](2)
 	a, b, d := &Result{Hash: "a"}, &Result{Hash: "b"}, &Result{Hash: "d"}
 	c.put("a", a)
 	c.put("b", b)
@@ -31,7 +31,7 @@ func TestLRUCacheEviction(t *testing.T) {
 func TestLRUCacheOverwrite(t *testing.T) {
 	t.Parallel()
 
-	c := newLRUCache(2)
+	c := newLRUCache[*Result](2)
 	c.put("a", &Result{Hash: "a1"})
 	updated := &Result{Hash: "a2"}
 	c.put("a", updated)

@@ -2,6 +2,8 @@ package engine
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/json"
 	"fmt"
 	"log/slog"
 	"sync"
@@ -31,7 +33,7 @@ type Options struct {
 	// CacheSize caps the number of cached results; values <= 0 select the
 	// default of 128.
 	CacheSize int
-	// DisableCache turns result caching off entirely.
+	// DisableCache turns off both the result cache and the model cache.
 	DisableCache bool
 	// Progress, when non-nil, receives progress reports. The engine
 	// serialises calls, so the callback needs no locking of its own.
@@ -48,9 +50,10 @@ type Options struct {
 	Logger *slog.Logger
 }
 
-// Engine executes jobs, caching results by canonical job hash.
+// Engine executes jobs, caching results by job hash and models by spec.
 type Engine struct {
-	cache      *lruCache // nil when caching is disabled
+	cache      *lruCache[*Result] // nil when caching is disabled
+	models     *lruCache[*model]  // nil when caching is disabled
 	progressMu sync.Mutex
 	progress   func(Progress)
 	tele       *telemetry.Registry // nil when telemetry is disabled
@@ -65,13 +68,16 @@ func New(opts Options) *Engine {
 		if size <= 0 {
 			size = 128
 		}
-		e.cache = newLRUCache(size)
+		e.cache = newLRUCache[*Result](size)
+		e.models = newLRUCache[*model](modelCacheSize)
 		if e.tele != nil {
 			// Pre-register the cache counters so every snapshot carries
 			// hit, miss and eviction counts — zeros included.
 			e.tele.Counter("engine.cache.hits")
 			e.tele.Counter("engine.cache.misses")
 			e.tele.Counter("engine.cache.evictions")
+			e.tele.Counter("engine.model_cache.hits")
+			e.tele.Counter("engine.model_cache.misses")
 		}
 	}
 	// Pre-register the simulation kernel's metrics too: dashboards see
@@ -165,6 +171,8 @@ type Result struct {
 	RunID string
 	// ModelName and FaultSet describe the resolved model (nil for
 	// experiment-suite jobs, which sweep their own scenario populations).
+	// The model cache shares FaultSet across jobs and results over the
+	// same model.
 	ModelName string
 	FaultSet  *faultmodel.FaultSet
 	// Exactly one of the following is set, matching Kind.
@@ -389,6 +397,56 @@ func (e *Engine) RunConfig(ctx context.Context, cfg montecarlo.Config) (*monteca
 	return montecarlo.RunContext(ctx, cfg)
 }
 
+// modelCacheSize caps the resolved models an engine keeps.
+const modelCacheSize = 16
+
+// model is one resolved ModelSpec plus the independent process all jobs
+// over it share. fs stays nil until a resolution under mu succeeds.
+type model struct {
+	mu   sync.Mutex
+	fs   *faultmodel.FaultSet
+	name string
+	proc *devsim.IndependentProcess
+}
+
+// ResolveModel returns the fault set spec names and its display name,
+// shared with every job over spec while it stays in the model cache.
+func (e *Engine) ResolveModel(spec ModelSpec) (*faultmodel.FaultSet, string, error) {
+	m, err := e.model(spec)
+	if err != nil {
+		return nil, "", err
+	}
+	return m.fs, m.name, nil
+}
+
+// model resolves spec through the model cache, keyed by the SHA-256 of
+// its JSON. Concurrent requests wait on one resolution; a failed one
+// leaves the entry empty for the next request to retry.
+func (e *Engine) model(spec ModelSpec) (*model, error) {
+	m := new(model)
+	if e.models != nil {
+		doc, err := json.Marshal(spec)
+		if err != nil {
+			return nil, fmt.Errorf("engine: encoding model: %w", err)
+		}
+		sum := sha256.Sum256(doc)
+		m = e.models.getOrPut(string(sum[:]), m)
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.fs != nil {
+		e.count("engine.model_cache.hits")
+		return m, nil
+	}
+	e.count("engine.model_cache.misses")
+	fs, name, err := spec.Resolve()
+	if err != nil {
+		return nil, err
+	}
+	m.fs, m.name, m.proc = fs, name, devsim.NewIndependentProcess(fs)
+	return m, nil
+}
+
 // stage opens a named child span under parent, returning a no-op closer
 // when tracing is off.
 func stage(parent *telemetry.Span, name string) func() {
@@ -400,7 +458,7 @@ func stage(parent *telemetry.Span, name string) func() {
 }
 
 func (e *Engine) runMonteCarlo(ctx context.Context, spec *MonteCarloSpec, span *telemetry.Span, emit func(Progress)) (*Result, error) {
-	fs, name, err := spec.Model.Resolve()
+	m, err := e.model(spec.Model)
 	if err != nil {
 		return nil, err
 	}
@@ -408,14 +466,12 @@ func (e *Engine) runMonteCarlo(ctx context.Context, spec *MonteCarloSpec, span *
 	if err != nil {
 		return nil, err
 	}
-	var proc devsim.Process
+	var proc devsim.Process = m.proc
 	if spec.Correlation > 0 {
-		proc, err = devsim.NewCommonCauseProcess(fs, spec.Correlation, spec.Boost)
+		proc, err = devsim.NewCommonCauseProcess(m.fs, spec.Correlation, spec.Boost)
 		if err != nil {
 			return nil, err
 		}
-	} else {
-		proc = devsim.NewIndependentProcess(fs)
 	}
 	var repSpan *telemetry.Span
 	if span != nil {
@@ -441,7 +497,7 @@ func (e *Engine) runMonteCarlo(ctx context.Context, spec *MonteCarloSpec, span *
 	if err != nil {
 		return nil, err
 	}
-	return &Result{ModelName: name, FaultSet: fs, MonteCarlo: mc}, nil
+	return &Result{ModelName: m.name, FaultSet: m.fs, MonteCarlo: mc}, nil
 }
 
 // rareStageOpts builds estimator options that forward intermediate Done
@@ -460,7 +516,7 @@ func (e *Engine) rareStageOpts(name string, sparse bool, batchWidth int, adj sys
 }
 
 func (e *Engine) runRareEvent(ctx context.Context, spec *RareEventSpec, span *telemetry.Span, emit func(Progress)) (*Result, error) {
-	fs, name, err := spec.Model.Resolve()
+	fs, name, err := e.ResolveModel(spec.Model)
 	if err != nil {
 		return nil, err
 	}
@@ -516,7 +572,7 @@ func (e *Engine) runExperiments(ctx context.Context, spec *ExperimentsSpec, span
 }
 
 func (e *Engine) runAnalytic(spec *AnalyticSpec) (*Result, error) {
-	fs, name, err := spec.Model.Resolve()
+	fs, name, err := e.ResolveModel(spec.Model)
 	if err != nil {
 		return nil, err
 	}

@@ -17,9 +17,10 @@ import (
 const restartReason = "interrupted by server restart"
 
 // storedResult is the persisted form of an engine result: the envelope
-// minus the resolved fault set, which is rebuilt from the job spec on
-// replay — journaling a million-fault scenario's parameters with every
-// result would dominate the ledger.
+// with the same fields, converted to and from engine.Result, minus the
+// resolved fault set in the encoding. The fault set is rebuilt from the
+// job spec on replay — journaling a million-fault scenario's parameters
+// with every result would dominate the ledger.
 type storedResult struct {
 	Kind        engine.JobKind          `json:"kind"`
 	Hash        string                  `json:"hash"`
@@ -27,6 +28,7 @@ type storedResult struct {
 	FromCache   bool                    `json:"fromCache,omitempty"`
 	RunID       string                  `json:"runId,omitempty"`
 	ModelName   string                  `json:"model,omitempty"`
+	FaultSet    *faultmodel.FaultSet    `json:"-"`
 	MonteCarlo  *montecarlo.Result      `json:"montecarlo,omitempty"`
 	RareEvent   *engine.RareEventResult `json:"rareEvent,omitempty"`
 	Experiments []*experiments.Result   `json:"experiments,omitempty"`
@@ -35,81 +37,32 @@ type storedResult struct {
 
 // encodeResult maps an engine result to its persisted form.
 func encodeResult(res *engine.Result) (json.RawMessage, error) {
-	return json.Marshal(storedResult{
-		Kind:        res.Kind,
-		Hash:        res.Hash,
-		ID:          res.ID,
-		FromCache:   res.FromCache,
-		RunID:       res.RunID,
-		ModelName:   res.ModelName,
-		MonteCarlo:  res.MonteCarlo,
-		RareEvent:   res.RareEvent,
-		Experiments: res.Experiments,
-		Analytic:    res.Analytic,
-	})
+	return json.Marshal(storedResult(*res))
 }
 
-// modelResolver memoises fault-set resolution across one replay, so a
-// ledger full of jobs over the same scenario resolves it once.
-type modelResolver struct {
-	cache map[string]*faultmodel.FaultSet
-}
-
-func newModelResolver() *modelResolver {
-	return &modelResolver{cache: make(map[string]*faultmodel.FaultSet)}
-}
-
-// resolve rebuilds the fault set of the job's model spec, best effort:
-// a spec that no longer resolves (a scenario renamed across versions)
-// yields nil, and the replayed result simply omits the model fault
-// count.
-func (r *modelResolver) resolve(job engine.Job) *faultmodel.FaultSet {
-	var spec *engine.ModelSpec
-	switch {
-	case job.MonteCarlo != nil:
-		spec = &job.MonteCarlo.Model
-	case job.RareEvent != nil:
-		spec = &job.RareEvent.Model
-	case job.Analytic != nil:
-		spec = &job.Analytic.Model
-	default:
-		return nil // experiment suites sweep their own populations
-	}
-	key, err := json.Marshal(spec)
-	if err != nil {
-		return nil
-	}
-	if fs, ok := r.cache[string(key)]; ok {
-		return fs
-	}
-	fs, _, err := spec.Resolve()
-	if err != nil {
-		fs = nil
-	}
-	r.cache[string(key)] = fs
-	return fs
-}
-
-// decodeResult rebuilds an engine result from its persisted form,
-// reattaching the fault set resolved from the job spec.
-func (r *modelResolver) decodeResult(raw json.RawMessage, job engine.Job) (*engine.Result, error) {
+// decodeResult rebuilds an engine result from its persisted form and
+// resolves its model through the engine, best effort: a spec that no
+// longer resolves (a scenario renamed across versions) leaves FaultSet
+// nil, and the replayed view omits the model fault count.
+func (s *Server) decodeResult(raw json.RawMessage, job engine.Job) (*engine.Result, error) {
 	var sr storedResult
 	if err := json.Unmarshal(raw, &sr); err != nil {
 		return nil, err
 	}
-	return &engine.Result{
-		Kind:        sr.Kind,
-		Hash:        sr.Hash,
-		ID:          sr.ID,
-		FromCache:   sr.FromCache,
-		RunID:       sr.RunID,
-		ModelName:   sr.ModelName,
-		FaultSet:    r.resolve(job),
-		MonteCarlo:  sr.MonteCarlo,
-		RareEvent:   sr.RareEvent,
-		Experiments: sr.Experiments,
-		Analytic:    sr.Analytic,
-	}, nil
+	res := engine.Result(sr)
+	var model *engine.ModelSpec
+	switch {
+	case job.MonteCarlo != nil:
+		model = &job.MonteCarlo.Model
+	case job.RareEvent != nil:
+		model = &job.RareEvent.Model
+	case job.Analytic != nil:
+		model = &job.Analytic.Model
+	default:
+		return &res, nil // experiment suites sweep their own populations
+	}
+	res.FaultSet, _, _ = s.eng.ResolveModel(*model)
+	return &res, nil
 }
 
 // storePut journals a fresh submission. Called with s.mu held, before
@@ -184,7 +137,6 @@ func (s *Server) replayFromStore() {
 	defer s.mu.Unlock()
 	records := s.store.Jobs()
 	s.seq = s.store.MaxSeq()
-	resolver := newModelResolver()
 	var interrupted, warmed int
 	for i := range records {
 		rec := &records[i]
@@ -223,7 +175,7 @@ func (s *Server) replayFromStore() {
 			interrupted++
 		case statusDone:
 			if len(rec.Result) > 0 {
-				res, err := resolver.decodeResult(rec.Result, js.job)
+				res, err := s.decodeResult(rec.Result, js.job)
 				if err != nil {
 					if s.log != nil {
 						s.log.Warn("replayed job has an undecodable result", "id", rec.ID, "error", err)

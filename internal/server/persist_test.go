@@ -223,3 +223,43 @@ func TestEvictionPersistsAcrossRestart(t *testing.T) {
 		}
 	}
 }
+
+// TestReplaySharesModel: replayed results and a new job over the same
+// scenario carry one fault set, resolved through the engine's model
+// cache, and the replayed views keep their model fault count.
+func TestReplaySharesModel(t *testing.T) {
+	dir := t.TempDir()
+	st := openStore(t, dir)
+	s1, ts1 := newTestServer(t, Config{Workers: 2, Store: st}, nil)
+	_, a := postJob(t, ts1, analyticJobJSON)
+	_, m := postJob(t, ts1, mcJobJSON)
+	before := map[string]jobView{a.ID: pollUntilTerminal(t, ts1, a.ID), m.ID: pollUntilTerminal(t, ts1, m.ID)}
+	stopServer(t, s1, ts1)
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	st2 := openStore(t, dir)
+	t.Cleanup(func() { st2.Close() })
+	s2, ts2 := newTestServer(t, Config{Workers: 2, Store: st2}, nil)
+	for id, v := range before {
+		if _, got := fetchJob(t, ts2, id); got.Result == nil || got.Result.ModelFaults != v.Result.ModelFaults || got.Result.ModelFaults == 0 {
+			t.Fatalf("replayed job %s modelFaults changed across restart (before %+v)", id, v.Result)
+		}
+	}
+	_, fresh := postJob(t, ts2, strings.Replace(mcJobJSON, `"seed":1`, `"seed":2`, 1))
+	if v := pollUntilTerminal(t, ts2, fresh.ID); v.Status != "done" || v.Result.FromCache {
+		t.Fatalf("post-restart job: status %q, result %+v", v.Status, v.Result)
+	}
+	s2.mu.Lock()
+	defer s2.mu.Unlock()
+	shared := s2.jobs[fresh.ID].result.FaultSet
+	if shared == nil {
+		t.Fatal("post-restart result has no fault set")
+	}
+	for id := range before {
+		if got := s2.jobs[id].result.FaultSet; got != shared {
+			t.Errorf("replayed job %s fault set %p, want the shared %p", id, got, shared)
+		}
+	}
+}
