@@ -15,6 +15,8 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
+	"slices"
+	"strings"
 
 	"diversity/internal/engine"
 	"diversity/internal/modelfile"
@@ -25,7 +27,8 @@ import (
 // JobModel builds the engine model spec selected by the -model/-scenario
 // flag pair. A model file is loaded eagerly and inlined into the spec so
 // that the job hash covers the model parameters rather than the path; a
-// scenario is validated here but carried by reference (name + seed).
+// scenario's name is validated here, without generating the scenario,
+// and the scenario is carried by reference (name + seed).
 func JobModel(modelPath, scenarioName string, seed uint64) (engine.ModelSpec, error) {
 	switch {
 	case modelPath != "" && scenarioName != "":
@@ -37,8 +40,8 @@ func JobModel(modelPath, scenarioName string, seed uint64) (engine.ModelSpec, er
 		}
 		return engine.ModelFromFaultSet(fs, name), nil
 	case scenarioName != "":
-		if _, err := scenario.ByName(scenarioName, seed); err != nil {
-			return engine.ModelSpec{}, err
+		if names := scenario.Names(); !slices.Contains(names, scenarioName) {
+			return engine.ModelSpec{}, fmt.Errorf("unknown scenario %q (want %s)", scenarioName, strings.Join(names, ", "))
 		}
 		return engine.ModelSpec{Scenario: scenarioName, ScenarioSeed: seed}, nil
 	default:

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"diversity/internal/engine"
+	"diversity/internal/scenario"
 )
 
 func TestJobModel(t *testing.T) {
@@ -55,8 +56,9 @@ func TestJobModel(t *testing.T) {
 	})
 
 	t.Run("unknown scenario rejected", func(t *testing.T) {
-		if _, err := JobModel("", "bogus", 1); err == nil || !strings.Contains(err.Error(), "unknown scenario") {
-			t.Errorf("err = %v, want unknown-scenario error", err)
+		_, want := scenario.ByName("bogus", 1)
+		if _, err := JobModel("", "bogus", 1); err == nil || want == nil || err.Error() != want.Error() {
+			t.Errorf("err = %v, want the scenario package's error %v", err, want)
 		}
 	})
 

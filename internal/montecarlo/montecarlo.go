@@ -131,7 +131,7 @@ type Result struct {
 	Adjudicator string
 	// Streaming reports which aggregation mode produced the result:
 	// buffered runs fill VersionPFD/SystemPFD, streaming runs fill
-	// VersionAgg/SystemAgg.
+	// VersionAgg/SystemAgg, and a summarised result holds neither.
 	Streaming bool
 	// Sparse reports whether the run used the sparse development kernel
 	// (Config.Sparse); for processes without the SparseDeveloper
@@ -161,6 +161,11 @@ type Result struct {
 	// SystemAgg is the streaming aggregate of the system PFDs. It is nil
 	// for buffered runs.
 	SystemAgg *Agg
+	// VersionSum and SystemSum are the held summaries of a result reduced
+	// by Summarized, which leaves the samples and aggregates above nil.
+	// They are nil for results straight from a run.
+	VersionSum *stats.Summary `json:",omitempty"`
+	SystemSum  *stats.Summary `json:",omitempty"`
 	// VersionFaultFree counts replications whose first version had no
 	// faults (N1 = 0).
 	VersionFaultFree int
@@ -173,15 +178,39 @@ type Result struct {
 // population in either aggregation mode: exact sample statistics for
 // buffered runs, exact moments with histogram-resolution quantiles for
 // streaming runs. Both modes fold the moments in block order, so they
-// agree bit for bit on every moment.
+// agree bit for bit on every moment. A summarised result returns its
+// held summary, which is the same value.
 func (res *Result) VersionSummary() (stats.Summary, error) {
-	return summarize(res.VersionAgg, res.VersionPFD)
+	return summarize(res.VersionSum, res.VersionAgg, res.VersionPFD)
 }
 
 // SystemSummary returns descriptive statistics of the system PFD
 // population, as VersionSummary does for the first version.
 func (res *Result) SystemSummary() (stats.Summary, error) {
-	return summarize(res.SystemAgg, res.SystemPFD)
+	return summarize(res.SystemSum, res.SystemAgg, res.SystemPFD)
+}
+
+// Summarized returns a copy of res that holds its two summaries in place
+// of the samples and aggregates they are computed from, so the copy no
+// longer pins O(Reps) memory. Every accessor of the copy returns what it
+// returns on res; only the raw PFDs are gone. A result that is already
+// summarised is returned as it is.
+func (res *Result) Summarized() (*Result, error) {
+	if res.VersionSum != nil && res.SystemSum != nil {
+		return res, nil
+	}
+	v, err := res.VersionSummary()
+	if err != nil {
+		return nil, err
+	}
+	s, err := res.SystemSummary()
+	if err != nil {
+		return nil, err
+	}
+	out := *res
+	out.VersionSum, out.SystemSum = &v, &s
+	out.VersionPFD, out.SystemPFD, out.VersionAgg, out.SystemAgg = nil, nil, nil, nil
+	return &out, nil
 }
 
 // PVersionAnyFault returns the empirical estimate of P(N1 > 0).
@@ -445,10 +474,13 @@ func blockMoments(xs []float64) stats.Moments {
 	return total
 }
 
-// summarize summarises a streaming aggregate or, when agg is nil, a
-// buffered population: exact order statistics from the sample, moments
-// from the block-ordered fold.
-func summarize(agg *Agg, xs []float64) (stats.Summary, error) {
+// summarize returns a held summary or summarises a streaming aggregate
+// or, when both are nil, a buffered population: exact order statistics
+// from the sample, moments from the block-ordered fold.
+func summarize(held *stats.Summary, agg *Agg, xs []float64) (stats.Summary, error) {
+	if held != nil {
+		return *held, nil
+	}
 	if agg != nil {
 		return agg.Summary()
 	}

@@ -1,6 +1,7 @@
 package montecarlo
 
 import (
+	"encoding/json"
 	"math"
 	"testing"
 
@@ -218,5 +219,55 @@ func TestResultRiskRatioUndefined(t *testing.T) {
 	res := &Result{Reps: 10, VersionFaultFree: 10, SystemFaultFree: 10}
 	if _, err := res.RiskRatio(); err == nil {
 		t.Error("risk ratio with zero denominator succeeded, want error")
+	}
+}
+
+// TestSummarizedKeepsSummaries: a summarised result answers every
+// accessor exactly as the run's result does, in both aggregation modes,
+// holds no samples or aggregates, survives a JSON round trip bit for
+// bit, and is a fixed point of Summarized.
+func TestSummarizedKeepsSummaries(t *testing.T) {
+	t.Parallel()
+
+	for _, streaming := range []bool{false, true} {
+		res, err := Run(Config{Process: testProcess(t), Versions: 2, Reps: 5000, Seed: 3, Workers: 2, Streaming: streaming})
+		if err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+		sum, err := res.Summarized()
+		if err != nil {
+			t.Fatalf("Summarized: %v", err)
+		}
+		if sum.VersionPFD != nil || sum.SystemPFD != nil || sum.VersionAgg != nil || sum.SystemAgg != nil {
+			t.Fatalf("streaming=%v: summarised result still holds samples or aggregates", streaming)
+		}
+		if res.VersionSum != nil || res.SystemSum != nil {
+			t.Fatalf("streaming=%v: Summarized modified its receiver", streaming)
+		}
+		var back Result
+		raw, err := json.Marshal(sum)
+		if err != nil {
+			t.Fatalf("encoding summarised result: %v", err)
+		}
+		if err := json.Unmarshal(raw, &back); err != nil {
+			t.Fatalf("decoding summarised result: %v", err)
+		}
+		for _, got := range []*Result{sum, &back} {
+			for _, summary := range []func(*Result) (stats.Summary, error){(*Result).VersionSummary, (*Result).SystemSummary} {
+				w, werr := summary(res)
+				g, gerr := summary(got)
+				if werr != nil || gerr != nil || w != g {
+					t.Errorf("streaming=%v: summary %+v (%v), want %+v (%v)", streaming, g, gerr, w, werr)
+				}
+			}
+			wr, _ := res.RiskRatio()
+			gr, _ := got.RiskRatio()
+			if gr != wr || got.VersionFaultFree != res.VersionFaultFree || got.Reps != res.Reps || got.Streaming != streaming {
+				t.Errorf("streaming=%v: summarised counts or flags differ from the run's", streaming)
+			}
+		}
+		if again, err := sum.Summarized(); err != nil || again != sum {
+			t.Errorf("streaming=%v: re-summarising returned %p (%v), want the receiver %p", streaming, again, err, sum)
+		}
 	}
 }

@@ -20,7 +20,11 @@ const restartReason = "interrupted by server restart"
 // with the same fields, converted to and from engine.Result, minus the
 // resolved fault set in the encoding. The fault set is rebuilt from the
 // job spec on replay — journaling a million-fault scenario's parameters
-// with every result would dominate the ledger.
+// with every result would dominate the ledger. A Monte-Carlo payload is
+// journaled summarised (montecarlo.Result.Summarized), about 1 kB
+// whatever the replication count; records written before the node
+// summarised results carry the raw samples instead, and decodeResult
+// summarises those on replay.
 type storedResult struct {
 	Kind        engine.JobKind          `json:"kind"`
 	Hash        string                  `json:"hash"`
@@ -40,16 +44,21 @@ func encodeResult(res *engine.Result) (json.RawMessage, error) {
 	return json.Marshal(storedResult(*res))
 }
 
-// decodeResult rebuilds an engine result from its persisted form and
-// resolves its model through the engine, best effort: a spec that no
-// longer resolves (a scenario renamed across versions) leaves FaultSet
-// nil, and the replayed view omits the model fault count.
+// decodeResult rebuilds an engine result from its persisted form, in
+// the summarised form the live path keeps, and resolves its model
+// through the engine, best effort: a spec that no longer resolves (a
+// scenario renamed across versions) leaves FaultSet nil, and the
+// replayed view omits the model fault count.
 func (s *Server) decodeResult(raw json.RawMessage, job engine.Job) (*engine.Result, error) {
 	var sr storedResult
 	if err := json.Unmarshal(raw, &sr); err != nil {
 		return nil, err
 	}
-	res := engine.Result(sr)
+	stored := engine.Result(sr)
+	res, err := summarized(&stored)
+	if err != nil {
+		return nil, err
+	}
 	var model *engine.ModelSpec
 	switch {
 	case job.MonteCarlo != nil:
@@ -59,10 +68,26 @@ func (s *Server) decodeResult(raw json.RawMessage, job engine.Job) (*engine.Resu
 	case job.Analytic != nil:
 		model = &job.Analytic.Model
 	default:
-		return &res, nil // experiment suites sweep their own populations
+		return res, nil // experiment suites sweep their own populations
 	}
 	res.FaultSet, _, _ = s.eng.ResolveModel(*model)
-	return &res, nil
+	return res, nil
+}
+
+// summarized returns res with its Monte-Carlo payload reduced to the
+// two summaries the result view shows; other kinds are returned as they
+// are.
+func summarized(res *engine.Result) (*engine.Result, error) {
+	if res.MonteCarlo == nil {
+		return res, nil
+	}
+	mc, err := res.MonteCarlo.Summarized()
+	if err != nil {
+		return nil, err
+	}
+	out := *res
+	out.MonteCarlo = mc
+	return &out, nil
 }
 
 // storePut journals a fresh submission. Called with s.mu held, before

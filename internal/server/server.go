@@ -383,6 +383,9 @@ func (s *Server) execute(js *jobState) {
 	s.reg.Gauge("server.jobs_inflight").Set(float64(s.inflight.Add(1)))
 	res, err := s.runJob(ctx, js.job, js.tracker.publish)
 	s.reg.Gauge("server.jobs_inflight").Set(float64(s.inflight.Add(-1)))
+	if err == nil {
+		res = s.keepSummary(js, res)
+	}
 
 	js.mu.Lock()
 	js.finished = time.Now()
@@ -417,6 +420,26 @@ func (s *Server) execute(js *jobState) {
 		s.log.InfoContext(js.logCtx(), "job finished", "id", js.id, "status", string(final))
 	}
 	js.tracker.finish()
+}
+
+// keepSummary reduces a done job's Monte-Carlo result to its summaries,
+// the only form the API shows, so the job table, the journal and the
+// engine cache hold kilobytes instead of the buffered samples, and no
+// view sorts them again. A fresh result also replaces the cache entry
+// its run stored, as replay would warm it. A result that cannot be
+// summarised is kept as it is.
+func (s *Server) keepSummary(js *jobState, res *engine.Result) *engine.Result {
+	sum, err := summarized(res)
+	if err != nil {
+		if s.log != nil {
+			s.log.WarnContext(js.logCtx(), "summarising job result failed; keeping samples", "id", js.id, "error", err)
+		}
+		return res
+	}
+	if !res.FromCache {
+		s.eng.WarmCache(res.Hash, sum)
+	}
+	return sum
 }
 
 // reject marks a never-started job failed (used for queued jobs caught

@@ -35,8 +35,10 @@ type progressView struct {
 
 // resultView is the API representation of an engine result: the stable
 // job identity and cache disposition, plus a kind-matched payload. It
-// summarises rather than dumps — a million-fault model's parameters and
-// a buffered run's raw PFD samples stay server-side.
+// summarises rather than dumps. A million-fault model's parameters stay
+// server-side, and a buffered run's raw PFD samples are not retained at
+// all: the node keeps each Monte-Carlo result as its two summaries from
+// the moment the job finishes, so a view only copies fields.
 type resultView struct {
 	JobID       string           `json:"jobId"`
 	Hash        string           `json:"hash"`
