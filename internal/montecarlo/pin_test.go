@@ -35,35 +35,7 @@ func runDigest(res *Result) string {
 func TestRunBitPins(t *testing.T) {
 	t.Parallel()
 
-	faults := make([]faultmodel.Fault, 150)
-	for i := range faults {
-		faults[i] = faultmodel.Fault{P: 0.02 + 0.3*float64(i%7)/7, Q: 0.5 / 150}
-	}
-	fs, err := faultmodel.New(faults)
-	if err != nil {
-		t.Fatalf("faultmodel.New: %v", err)
-	}
-	cc, err := devsim.NewCommonCauseProcess(fs, 0.2, 2)
-	if err != nil {
-		t.Fatalf("NewCommonCauseProcess: %v", err)
-	}
-	rs, err := devsim.NewResourceShiftProcess(fs, 0.5)
-	if err != nil {
-		t.Fatalf("NewResourceShiftProcess: %v", err)
-	}
-	tied, err := devsim.NewTiedPairsProcess(fs, [][2]int{{0, 100}, {5, 70}, {64, 127}})
-	if err != nil {
-		t.Fatalf("NewTiedPairsProcess: %v", err)
-	}
-	procs := []struct {
-		name string
-		proc devsim.Process
-	}{
-		{"independent", devsim.NewIndependentProcess(fs)},
-		{"common-cause", cc},
-		{"resource-shift", rs},
-		{"tied", tied},
-	}
+	procs := pinProcesses(t)
 	pools := []struct {
 		versions int
 		adj      system.Adjudicator
@@ -102,6 +74,214 @@ func TestRunBitPins(t *testing.T) {
 			}
 		}
 	}
+}
+
+// pinProcess is one development process of the pinned runs.
+type pinProcess struct {
+	name string
+	proc devsim.Process
+}
+
+// pinProcesses returns the four development processes over the pins'
+// 150-fault universe, whose tied pairs cross bitset words.
+func pinProcesses(t *testing.T) []pinProcess {
+	t.Helper()
+	faults := make([]faultmodel.Fault, 150)
+	for i := range faults {
+		faults[i] = faultmodel.Fault{P: 0.02 + 0.3*float64(i%7)/7, Q: 0.5 / 150}
+	}
+	fs, err := faultmodel.New(faults)
+	if err != nil {
+		t.Fatalf("faultmodel.New: %v", err)
+	}
+	cc, err := devsim.NewCommonCauseProcess(fs, 0.2, 2)
+	if err != nil {
+		t.Fatalf("NewCommonCauseProcess: %v", err)
+	}
+	rs, err := devsim.NewResourceShiftProcess(fs, 0.5)
+	if err != nil {
+		t.Fatalf("NewResourceShiftProcess: %v", err)
+	}
+	tied, err := devsim.NewTiedPairsProcess(fs, [][2]int{{0, 100}, {5, 70}, {64, 127}})
+	if err != nil {
+		t.Fatalf("NewTiedPairsProcess: %v", err)
+	}
+	return []pinProcess{
+		{"independent", devsim.NewIndependentProcess(fs)},
+		{"common-cause", cc},
+		{"resource-shift", rs},
+		{"tied", tied},
+	}
+}
+
+// TestBatchedBitPins pins the batched kernel bit for bit beyond
+// TestRunBitPins' width-64 1oon and 2oo3 pools: an imperfect adjudication
+// stage, a 1-version pool and a 3oo5 pool, at widths 64 and 100 (two lane
+// groups, one partial, and a partial last tile in every block), and at
+// tiles of a single lane. A batched tile is only one lane wide when the
+// run is one replication long, so each width-1 pin digests 16
+// one-replication runs at seeds 1..16.
+func TestBatchedBitPins(t *testing.T) {
+	t.Parallel()
+
+	pools := []struct {
+		versions int
+		adj      system.Adjudicator
+	}{
+		{3, system.ImperfectAdjudicator{Voter: system.KOutOfN{K: 2, N: 3}, StagePFD: 1e-4}},
+		{1, system.OneOutOfN{}},
+		{5, system.KOutOfN{K: 3, N: 5}},
+		{2, system.OneOutOfN{}},
+		{3, system.KOutOfN{K: 2, N: 3}},
+	}
+	for _, p := range pinProcesses(t) {
+		for _, pool := range pools {
+			prefix := fmt.Sprintf("%s/%s/v%d", p.name, pool.adj.Name(), pool.versions)
+			for _, width := range []int{64, 100} {
+				for _, streaming := range []bool{false, true} {
+					key := fmt.Sprintf("%s/w%d/streaming=%v", prefix, width, streaming)
+					for _, workers := range []int{1, 3} {
+						res, err := Run(Config{
+							Process: p.proc, Versions: pool.versions, Adjudicator: pool.adj,
+							Reps: 4*blockSize + 300, Workers: workers, Seed: 8, Streaming: streaming,
+							BatchWidth: width,
+						})
+						if err != nil {
+							t.Fatalf("%s: %v", key, err)
+						}
+						if !res.Batched || res.BatchWidth != width {
+							t.Fatalf("%s: batched=%v width=%d, want a width-%d batched run", key, res.Batched, res.BatchWidth, width)
+						}
+						if got, want := runDigest(res), batchedPins[key]; got != want {
+							t.Errorf("%q: %q, // pinned %q (workers %d)", key, got, want, workers)
+						}
+					}
+				}
+			}
+			key := prefix + "/w1"
+			digests := ""
+			for seed := uint64(1); seed <= 16; seed++ {
+				res, err := Run(Config{
+					Process: p.proc, Versions: pool.versions, Adjudicator: pool.adj,
+					Reps: 1, Seed: seed, BatchWidth: 64,
+				})
+				if err != nil {
+					t.Fatalf("%s: %v", key, err)
+				}
+				if !res.Batched || res.BatchWidth != 1 {
+					t.Fatalf("%s: batched=%v width=%d, want a width-1 batched run", key, res.Batched, res.BatchWidth)
+				}
+				digests += runDigest(res)
+			}
+			sum := sha256.Sum256([]byte(digests))
+			if got, want := fmt.Sprintf("%x", sum[:8]), batchedPins[key]; got != want {
+				t.Errorf("%q: %q, // pinned %q", key, got, want)
+			}
+		}
+	}
+}
+
+var batchedPins = map[string]string{
+	"common-cause/1oon/v1/w1":                            "dd9b8b71704c2d2a",
+	"common-cause/1oon/v1/w100/streaming=false":          "b9eb1127d56a9dee",
+	"common-cause/1oon/v1/w100/streaming=true":           "05871d769beaf500",
+	"common-cause/1oon/v1/w64/streaming=false":           "a01503ec7e5af7a5",
+	"common-cause/1oon/v1/w64/streaming=true":            "95ee56d84996c6f5",
+	"common-cause/1oon/v2/w1":                            "4406e857440ee793",
+	"common-cause/1oon/v2/w100/streaming=false":          "4157e8f09df3a541",
+	"common-cause/1oon/v2/w100/streaming=true":           "9c110cdc38d39fd2",
+	"common-cause/1oon/v2/w64/streaming=false":           "672969bb3b84c06b",
+	"common-cause/1oon/v2/w64/streaming=true":            "991f52d5fc94437a",
+	"common-cause/2oo3/v3/w1":                            "4ceb12b854c24e4c",
+	"common-cause/2oo3/v3/w100/streaming=false":          "14cfaa7d1e71ac73",
+	"common-cause/2oo3/v3/w100/streaming=true":           "ad54f0a6da90a4fd",
+	"common-cause/2oo3/v3/w64/streaming=false":           "68cfc9d4d929660a",
+	"common-cause/2oo3/v3/w64/streaming=true":            "f3e14ac9236d22f9",
+	"common-cause/2oo3@0.0001/v3/w1":                     "0893db9e9a360e88",
+	"common-cause/2oo3@0.0001/v3/w100/streaming=false":   "3d3e522ea138720a",
+	"common-cause/2oo3@0.0001/v3/w100/streaming=true":    "60ce75f07dd99d01",
+	"common-cause/2oo3@0.0001/v3/w64/streaming=false":    "91488d934186a8bb",
+	"common-cause/2oo3@0.0001/v3/w64/streaming=true":     "91066ead368686cb",
+	"common-cause/3oo5/v5/w1":                            "c7cc7525499662d3",
+	"common-cause/3oo5/v5/w100/streaming=false":          "147031d6d1fcea52",
+	"common-cause/3oo5/v5/w100/streaming=true":           "4c4ee1085636a4e6",
+	"common-cause/3oo5/v5/w64/streaming=false":           "135cdc6fd86e0135",
+	"common-cause/3oo5/v5/w64/streaming=true":            "1e5962148e5cf2b3",
+	"independent/1oon/v1/w1":                             "21fc53c9a26f8c78",
+	"independent/1oon/v1/w100/streaming=false":           "38333195409828d2",
+	"independent/1oon/v1/w100/streaming=true":            "5abc434d9f1703f3",
+	"independent/1oon/v1/w64/streaming=false":            "4145a60a23c72237",
+	"independent/1oon/v1/w64/streaming=true":             "a000ef4c50ead0aa",
+	"independent/1oon/v2/w1":                             "a0009bc16e3f9a11",
+	"independent/1oon/v2/w100/streaming=false":           "755ac8287823fc38",
+	"independent/1oon/v2/w100/streaming=true":            "b0968d965c289b57",
+	"independent/1oon/v2/w64/streaming=false":            "fd625dc627fb6d75",
+	"independent/1oon/v2/w64/streaming=true":             "b122c5683c376120",
+	"independent/2oo3/v3/w1":                             "b64fd27cd2a1f6f6",
+	"independent/2oo3/v3/w100/streaming=false":           "984507371e6d447e",
+	"independent/2oo3/v3/w100/streaming=true":            "7c981e38b30fa80c",
+	"independent/2oo3/v3/w64/streaming=false":            "f4ff2cc63a5c7131",
+	"independent/2oo3/v3/w64/streaming=true":             "3d5359e2d879fa6e",
+	"independent/2oo3@0.0001/v3/w1":                      "64ffdafded0b7ba6",
+	"independent/2oo3@0.0001/v3/w100/streaming=false":    "288909a43cd24a87",
+	"independent/2oo3@0.0001/v3/w100/streaming=true":     "a5f0fdc8e00cef7a",
+	"independent/2oo3@0.0001/v3/w64/streaming=false":     "fc5c7282e6a34771",
+	"independent/2oo3@0.0001/v3/w64/streaming=true":      "f76fb847265b747f",
+	"independent/3oo5/v5/w1":                             "c2fac1198eb48d9b",
+	"independent/3oo5/v5/w100/streaming=false":           "33a0a86c4ae0ac54",
+	"independent/3oo5/v5/w100/streaming=true":            "05ccc56ede8f12f2",
+	"independent/3oo5/v5/w64/streaming=false":            "473937172f05beae",
+	"independent/3oo5/v5/w64/streaming=true":             "69d08d6b3c90b8b1",
+	"resource-shift/1oon/v1/w1":                          "5deb65726edbb81f",
+	"resource-shift/1oon/v1/w100/streaming=false":        "02827124e84b4c3f",
+	"resource-shift/1oon/v1/w100/streaming=true":         "8d6428e6a7a9287a",
+	"resource-shift/1oon/v1/w64/streaming=false":         "8516ce8d64e5d828",
+	"resource-shift/1oon/v1/w64/streaming=true":          "7fde8745f5ba6bfd",
+	"resource-shift/1oon/v2/w1":                          "f21138eb2dc4a9f4",
+	"resource-shift/1oon/v2/w100/streaming=false":        "1bd3fdb54c3c0e6d",
+	"resource-shift/1oon/v2/w100/streaming=true":         "ea78246a35bef7e0",
+	"resource-shift/1oon/v2/w64/streaming=false":         "52a7f3a9ec5106ef",
+	"resource-shift/1oon/v2/w64/streaming=true":          "b8470e9a2fc25678",
+	"resource-shift/2oo3/v3/w1":                          "c8fd4f1fa8846d4d",
+	"resource-shift/2oo3/v3/w100/streaming=false":        "c05425a85262faeb",
+	"resource-shift/2oo3/v3/w100/streaming=true":         "315ab2dceb545f60",
+	"resource-shift/2oo3/v3/w64/streaming=false":         "507af539a432b591",
+	"resource-shift/2oo3/v3/w64/streaming=true":          "54ba0601fcdb3d86",
+	"resource-shift/2oo3@0.0001/v3/w1":                   "d5e55758223568c2",
+	"resource-shift/2oo3@0.0001/v3/w100/streaming=false": "3b75d2ccdf4cf886",
+	"resource-shift/2oo3@0.0001/v3/w100/streaming=true":  "db241c6125574deb",
+	"resource-shift/2oo3@0.0001/v3/w64/streaming=false":  "ff4729fb47be4165",
+	"resource-shift/2oo3@0.0001/v3/w64/streaming=true":   "9892e4ef511e2a0d",
+	"resource-shift/3oo5/v5/w1":                          "f3039456b06e68e5",
+	"resource-shift/3oo5/v5/w100/streaming=false":        "ba4e269021cf3e09",
+	"resource-shift/3oo5/v5/w100/streaming=true":         "3e03ed39f007b4ec",
+	"resource-shift/3oo5/v5/w64/streaming=false":         "fb97ab634ed57149",
+	"resource-shift/3oo5/v5/w64/streaming=true":          "765333d958a0c613",
+	"tied/1oon/v1/w1":                                    "703772a495b8b34e",
+	"tied/1oon/v1/w100/streaming=false":                  "3b87b868c2ff5947",
+	"tied/1oon/v1/w100/streaming=true":                   "5fe0a4f021133222",
+	"tied/1oon/v1/w64/streaming=false":                   "aff3baf4089156d0",
+	"tied/1oon/v1/w64/streaming=true":                    "573a62107a81a628",
+	"tied/1oon/v2/w1":                                    "07dabcf846aa2bf9",
+	"tied/1oon/v2/w100/streaming=false":                  "22aa56faaa45423b",
+	"tied/1oon/v2/w100/streaming=true":                   "83388a43fc971b2a",
+	"tied/1oon/v2/w64/streaming=false":                   "2cead957bd3e1a23",
+	"tied/1oon/v2/w64/streaming=true":                    "244eca16d8ae69b8",
+	"tied/2oo3/v3/w1":                                    "4ec35bd30f6718d4",
+	"tied/2oo3/v3/w100/streaming=false":                  "1dc13a1f4c7871b2",
+	"tied/2oo3/v3/w100/streaming=true":                   "61db0180190f82c9",
+	"tied/2oo3/v3/w64/streaming=false":                   "15c062c817d8944c",
+	"tied/2oo3/v3/w64/streaming=true":                    "1fab2dbf6794eaf3",
+	"tied/2oo3@0.0001/v3/w1":                             "caba23b5b2aef329",
+	"tied/2oo3@0.0001/v3/w100/streaming=false":           "3debb7d2f07e6e46",
+	"tied/2oo3@0.0001/v3/w100/streaming=true":            "75505d760aeb2b1d",
+	"tied/2oo3@0.0001/v3/w64/streaming=false":            "3a4fc7b27a151e8c",
+	"tied/2oo3@0.0001/v3/w64/streaming=true":             "51e2378589c3abb7",
+	"tied/3oo5/v5/w1":                                    "fe7d5a1c5409f0d0",
+	"tied/3oo5/v5/w100/streaming=false":                  "521e3adfc273cfe0",
+	"tied/3oo5/v5/w100/streaming=true":                   "398d9031c4ee42ec",
+	"tied/3oo5/v5/w64/streaming=false":                   "9df9504ecfdcae14",
+	"tied/3oo5/v5/w64/streaming=true":                    "a53fe5d3e839be2e",
 }
 
 var runPins = map[string]string{
