@@ -7,31 +7,34 @@ import (
 )
 
 // BatchDeveloper is an optional Process extension for the batched
-// replication kernel. DevelopBatch overwrites each column in cols
-// (clearing any stale state) with one independent development, visiting
-// the faults in fault-major order: every fault draws its Bernoulli
-// variates for all columns as a batch — fused draw-and-compare
-// randx.Stream.Hits calls for the independent process, a
-// randx.Stream.FillUint64 batch threshold-compared branchlessly (see
-// BernoulliThreshold) for the correlated processes — into per-fault
-// lane masks, and a final 64×64 bit transpose scatters the fault-major
-// masks into the per-replication bitset columns. That amortizes the RNG
-// call and the per-fault probability lookup across the whole tile and
-// keeps the hot loop free of both branches (random hit patterns would
-// mispredict heavily) and scattered memory writes.
+// replication kernel. DevelopRows develops width independent versions —
+// the tile's lanes — and returns their fault-major mask rows: for
+// g = ceil(width/64) lane groups, bit j of rows[i*g+k] is fault i's
+// presence in lane 64k+j, and the bits past width in the last group are
+// clear. Every fault draws its Bernoulli variates for all lanes as a
+// batch — fused draw-and-compare randx.Stream.Hits calls for the
+// independent process, a randx.Stream.FillUint64 batch threshold-compared
+// branchlessly (see BernoulliThreshold) for the correlated processes —
+// straight into its lane masks. That amortizes the RNG call and the
+// per-fault probability lookup across the whole tile and keeps the hot
+// loop free of both branches (random hit patterns would mispredict
+// heavily) and scattered memory writes. The rows are the form the
+// evaluation kernel scores (system.RowScorer); nothing on the
+// Monte-Carlo path transposes them into per-lane columns.
 //
-// scratch is caller-owned space of length >= BatchScratchLen(len(cols),
-// n): draw lanes, latent-coin lanes (common-cause day, resource-shift
-// pair), and the fault-major mask rows the transpose reads. Reusing one
-// scratch slice across calls keeps the steady state allocation-free.
+// scratch is caller-owned space of length >= BatchScratchLen(width, n):
+// draw lanes, latent-coin lanes (common-cause day, resource-shift pair),
+// and the mask rows, which the returned slice aliases until the next
+// call with the same scratch. Reusing one scratch slice across calls
+// keeps the steady state allocation-free.
 //
-// Like SparseDeveloper's contract, DevelopBatch consumes the stream in
+// Like SparseDeveloper's contract, DevelopRows consumes the stream in
 // its own (fault-major) order, so for a given seed it produces a
 // different — but distributionally identical — sample than Develop's
 // replication-major order. Implementations must be safe for concurrent
-// use from multiple goroutines with distinct streams and columns.
+// use from multiple goroutines with distinct streams and scratch.
 type BatchDeveloper interface {
-	DevelopBatch(r *randx.Stream, cols []*Bitset, scratch []uint64)
+	DevelopRows(r *randx.Stream, width int, scratch []uint64) []uint64
 }
 
 // Every shipped process supports the batched kernel.
@@ -42,7 +45,7 @@ var (
 	_ BatchDeveloper = (*TiedPairsProcess)(nil)
 )
 
-// BatchScratchLen returns the scratch length DevelopBatch requires for a
+// BatchScratchLen returns the scratch length DevelopRows requires for a
 // tile of the given width over a universe of n faults: width draw lanes,
 // width latent-coin lanes, and n rows of ceil(width/64) fault-major mask
 // words.
@@ -119,8 +122,8 @@ func transpose64(a *[64]uint64) {
 	}
 }
 
-// scatterRows transposes the fault-major mask rows into the
-// replication-major columns, overwriting every word of every column and
+// scatterRows transposes fault-major mask rows into per-lane columns,
+// overwriting every word of every column and
 // rebuilding the touched lists — which both clears stale state and
 // restores the Bitset O(touched) contract for the evaluation kernels.
 func scatterRows(rows []uint64, cols []*Bitset, n int) {
@@ -171,17 +174,15 @@ func (p *IndependentProcess) batchThresholds() []uint64 {
 	return p.thresholds
 }
 
-// DevelopBatch implements BatchDeveloper: each fault's lane masks come
+// DevelopRows implements BatchDeveloper: each fault's lane masks come
 // from fused randx.Stream.Hits calls against the fault's precomputed
 // threshold — the Bernoulli compare happens while each draw is still in
 // a register, and each 64-bit variate supplies two exactly-distributed
 // lanes, so the per-fault inner loop runs at half the generator's
 // element-wise speed with no intermediate draw buffer. Faults with
 // p = 0 are skipped without consuming variates.
-func (p *IndependentProcess) DevelopBatch(r *randx.Stream, cols []*Bitset, scratch []uint64) {
-	n := p.fs.N()
-	width := len(cols)
-	_, _, rows := batchLayout(scratch, width, n)
+func (p *IndependentProcess) DevelopRows(r *randx.Stream, width int, scratch []uint64) []uint64 {
+	_, _, rows := batchLayout(scratch, width, p.fs.N())
 	g := (width + 63) / 64
 	for i, t := range p.batchThresholds() {
 		row := rows[i*g : i*g+g]
@@ -191,15 +192,22 @@ func (p *IndependentProcess) DevelopBatch(r *randx.Stream, cols []*Bitset, scrat
 		}
 		rem := width
 		for k := range row {
-			c := rem
-			if c > 64 {
-				c = 64
-			}
+			c := min(rem, 64)
 			row[k] = r.Hits(t, c)
 			rem -= c
 		}
 	}
-	scatterRows(rows, cols, n)
+	return rows
+}
+
+// DevelopBatch is the column view of DevelopRows: it develops len(cols)
+// versions exactly as DevelopRows does and transposes the rows into the
+// columns, overwriting each (clearing any stale state) with one lane's
+// mask. The Monte-Carlo path scores rows directly; this form remains as
+// the per-column development probe of perfbench (its
+// devsim.develop_batch_ns_per_rep layer).
+func (p *IndependentProcess) DevelopBatch(r *randx.Stream, cols []*Bitset, scratch []uint64) {
+	scatterRows(p.DevelopRows(r, len(cols), scratch), cols, p.fs.N())
 }
 
 // batchThresholds builds the good-day and bad-day per-fault thresholds
@@ -245,14 +253,13 @@ func coinMasks(r *randx.Stream, aux []uint64, g int, thr uint64) []uint64 {
 	return aux[:g]
 }
 
-// DevelopBatch implements BatchDeveloper. One batch of "bad day" coins
+// DevelopRows implements BatchDeveloper. One batch of "bad day" coins
 // is drawn per tile (only when rho > 0, like Bernoulli skips degenerate
 // draws) and packed into lane masks; each fault then blends its bad-day
 // and good-day comparisons through that mask.
-func (p *CommonCauseProcess) DevelopBatch(r *randx.Stream, cols []*Bitset, scratch []uint64) {
-	n := len(p.hi)
-	d, aux, rows := batchLayout(scratch, len(cols), n)
-	g := (len(cols) + 63) / 64
+func (p *CommonCauseProcess) DevelopRows(r *randx.Stream, width int, scratch []uint64) []uint64 {
+	d, aux, rows := batchLayout(scratch, width, len(p.hi))
+	g := (width + 63) / 64
 	var thrRho uint64
 	if p.rho > 0 {
 		thrRho = BernoulliThreshold(p.rho)
@@ -280,7 +287,7 @@ func (p *CommonCauseProcess) DevelopBatch(r *randx.Stream, cols []*Bitset, scrat
 			row[k] = (mHi & day[k]) | (mLo &^ day[k])
 		}
 	}
-	scatterRows(rows, cols, n)
+	return rows
 }
 
 // batchThresholds builds the favoured/neglected per-fault thresholds
@@ -309,15 +316,15 @@ func (p *ResourceShiftProcess) batchThresholds() ([]uint64, []uint64) {
 // member of a resource pair is favoured.
 const halfThreshold = 1 << 52
 
-// DevelopBatch implements BatchDeveloper. Each pair draws one batch of
+// DevelopRows implements BatchDeveloper. Each pair draws one batch of
 // fair coins packed into lane masks choosing the favoured member per
-// column, then one batch per member blending the favoured and neglected
+// lane, then one batch per member blending the favoured and neglected
 // comparisons through that mask. The trailing unpaired fault of an odd
 // universe draws at its plain probability with no coin.
-func (p *ResourceShiftProcess) DevelopBatch(r *randx.Stream, cols []*Bitset, scratch []uint64) {
+func (p *ResourceShiftProcess) DevelopRows(r *randx.Stream, width int, scratch []uint64) []uint64 {
 	n := p.fs.N()
-	d, aux, rows := batchLayout(scratch, len(cols), n)
-	g := (len(cols) + 63) / 64
+	d, aux, rows := batchLayout(scratch, width, n)
+	g := (width + 63) / 64
 	thrFav, thrNeg := p.batchThresholds()
 	for pair := 0; pair+1 < n; pair += 2 {
 		coin := coinMasks(r, aux, g, halfThreshold)
@@ -359,7 +366,7 @@ func (p *ResourceShiftProcess) DevelopBatch(r *randx.Stream, cols []*Bitset, scr
 			zeroRow(row)
 		}
 	}
-	scatterRows(rows, cols, n)
+	return rows
 }
 
 // batchThresholds builds the per-fault thresholds once; only driver
@@ -374,14 +381,14 @@ func (p *TiedPairsProcess) batchThresholds() []uint64 {
 	return p.thresholds
 }
 
-// DevelopBatch implements BatchDeveloper. Each pair's driver (smaller
+// DevelopRows implements BatchDeveloper. Each pair's driver (smaller
 // index) draws one batch; the hit mask is written to both members' rows,
 // exactly like the dense path's single shared coin. The fault-major row
 // layout makes the tie a plain copy.
-func (p *TiedPairsProcess) DevelopBatch(r *randx.Stream, cols []*Bitset, scratch []uint64) {
+func (p *TiedPairsProcess) DevelopRows(r *randx.Stream, width int, scratch []uint64) []uint64 {
 	n := p.fs.N()
-	d, _, rows := batchLayout(scratch, len(cols), n)
-	g := (len(cols) + 63) / 64
+	d, _, rows := batchLayout(scratch, width, n)
+	g := (width + 63) / 64
 	thr := p.batchThresholds()
 	for i := 0; i < n; i++ {
 		partner := p.pairOf[i]
@@ -403,5 +410,5 @@ func (p *TiedPairsProcess) DevelopBatch(r *randx.Stream, cols []*Bitset, scratch
 			copy(rows[partner*g:partner*g+g], row)
 		}
 	}
-	scatterRows(rows, cols, n)
+	return rows
 }

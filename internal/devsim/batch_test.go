@@ -8,12 +8,13 @@ import (
 	"diversity/internal/randx"
 )
 
-// refDevelopBatch is the naive []bool reference for DevelopBatch: it
+// refDevelopBatch is the naive []bool reference for DevelopRows: it
 // consumes a same-seeded stream in the exact same fault-major order, so
-// the kernel's branchless masks and 64×64 transpose must yield
-// bit-identical columns. The correlated processes replay
-// Stream.Float64() < p comparisons (exactly equivalent to the kernel's
-// integer thresholds — see FuzzBernoulliThreshold); the independent
+// the kernel's branchless mask rows must hold bit-identical lanes, and
+// the column view's 64×64 transpose bit-identical columns. The
+// correlated processes replay Stream.Float64() < p comparisons (exactly
+// equivalent to the kernel's integer thresholds — see
+// FuzzBernoulliThreshold); the independent
 // process replays the paired 32-bit lane scheme of Stream.Hits with
 // branchy scalar code, since Hits deliberately consumes the stream
 // differently from element-wise draws.
@@ -135,8 +136,10 @@ func refDevelopBatch(t *testing.T, proc Process, r *randx.Stream, width int) [][
 	return cols
 }
 
-// assertBatchMatchesReference runs DevelopBatch and the float reference
-// on same-seeded streams and requires bit-identical columns.
+// assertBatchMatchesReference runs DevelopRows over stale scratch and the
+// float reference on same-seeded streams and requires bit-identical lanes
+// and clear bits past the width; for the independent process it also
+// requires DevelopBatch's columns to be the same lanes.
 func assertBatchMatchesReference(t *testing.T, name string, proc Process, seed uint64, width int) {
 	t.Helper()
 	bd, ok := proc.(BatchDeveloper)
@@ -144,14 +147,41 @@ func assertBatchMatchesReference(t *testing.T, name string, proc Process, seed u
 		t.Fatalf("%s: %T does not implement BatchDeveloper", name, proc)
 	}
 	n := proc.FaultSet().N()
+	g := (width + 63) / 64
+	scratch := make([]uint64, BatchScratchLen(width, n))
+	for i := range scratch {
+		scratch[i] = ^uint64(0) // stale state: DevelopRows must overwrite it
+	}
+	rows := bd.DevelopRows(randx.NewStream(seed), width, scratch)
+	want := refDevelopBatch(t, proc, randx.NewStream(seed), width)
+	if len(rows) != n*g {
+		t.Fatalf("%s width=%d: %d rows, want %d", name, width, len(rows), n*g)
+	}
+	for i := 0; i < n; i++ {
+		for j := 0; j < g*64; j++ {
+			got := rows[i*g+j/64]>>(j%64)&1 == 1
+			if j >= width {
+				if got {
+					t.Fatalf("%s seed=%d width=%d: fault %d has a bit in lane %d past the width", name, seed, width, i, j)
+				}
+				continue
+			}
+			if got != want[j][i] {
+				t.Fatalf("%s seed=%d width=%d: lane %d fault %d rows=%v reference=%v",
+					name, seed, width, j, i, got, want[j][i])
+			}
+		}
+	}
+	ip, ok := proc.(*IndependentProcess)
+	if !ok {
+		return
+	}
 	cols := make([]*Bitset, width)
 	for j := range cols {
 		cols[j] = NewBitset(n)
 		cols[j].Set(j % n) // stale state: DevelopBatch must clear it
 	}
-	scratch := make([]uint64, BatchScratchLen(width, n))
-	bd.DevelopBatch(randx.NewStream(seed), cols, scratch)
-	want := refDevelopBatch(t, proc, randx.NewStream(seed), width)
+	ip.DevelopBatch(randx.NewStream(seed), cols, scratch)
 	for j := 0; j < width; j++ {
 		for i := 0; i < n; i++ {
 			if cols[j].Test(i) != want[j][i] {
@@ -199,7 +229,7 @@ func TestDevelopBatchMatchesFloatReference(t *testing.T) {
 		"tied-pairs":     tied,
 	}
 	for name, proc := range procs {
-		for _, width := range []int{1, 3, 64} {
+		for _, width := range []int{1, 3, 64, 100} {
 			for seed := uint64(1); seed <= 25; seed++ {
 				assertBatchMatchesReference(t, name, proc, seed, width)
 			}

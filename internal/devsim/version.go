@@ -36,7 +36,7 @@ type Version struct {
 // describes. It walks only the touched words, so the cost is O(k) in the
 // present faults regardless of universe size; for masks filled in
 // ascending word order (DevelopInto, DevelopBatch) the q_i sum runs in
-// ascending fault order.
+// ascending fault order, the order system.RowScorer sums each lane in.
 func BitsetPFD(fs *faultmodel.FaultSet, mask *Bitset) (pfd float64, count int) {
 	for _, tw := range mask.Touched() {
 		w := int(tw)
@@ -174,7 +174,7 @@ type IndependentProcess struct {
 	groups     []faultGroup
 
 	// Dense and batched kernel state, built lazily on first DevelopInto
-	// or DevelopBatch: one integer Bernoulli threshold per fault (see
+	// or DevelopRows: one integer Bernoulli threshold per fault (see
 	// BernoulliThreshold).
 	batchOnce  sync.Once
 	thresholds []uint64

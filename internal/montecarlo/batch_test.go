@@ -107,7 +107,7 @@ func TestBatchedMatchesDenseNVersionPool(t *testing.T) {
 }
 
 // TestBatchedMatchesDenseCorrelatedProcesses: every process with a
-// DevelopBatch implementation passes the same equivalence gate.
+// DevelopRows implementation passes the same equivalence gate.
 func TestBatchedMatchesDenseCorrelatedProcesses(t *testing.T) {
 	t.Parallel()
 

@@ -3,6 +3,7 @@ package montecarlo
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"diversity/internal/stats"
 )
@@ -51,16 +52,89 @@ type PFDHistogram struct {
 	N int64
 }
 
-// histBinIndex maps a positive value on the scale to its bin.
+// histBinIndex maps a positive value on the scale to its bin: the bin
+// histLog10Bin gives, found without a logarithm. The value's exponent
+// and leading mantissa bits key a cell of histBinTable, and one compare
+// against the cell's exact edge settles the bin. Values off the scale
+// land in the cells at its ends, so the result is always a valid bin.
 func histBinIndex(v float64) int {
-	idx := int(math.Floor((math.Log10(v) - histLog10Min) * histBinsPerDecade))
-	if idx < 0 {
-		idx = 0
+	t := histBinTable()
+	c := &t.cells[min(max(histCellKey(v)-t.keyMin, 0), len(t.cells)-1)]
+	bin := c.bin
+	if v >= c.edge {
+		bin++
 	}
-	if idx >= HistBins {
-		idx = HistBins - 1
+	return bin
+}
+
+// histLog10Bin is the bin formula histBinIndex reproduces,
+// floor((log10(v) - histLog10Min) · histBinsPerDecade) clamped to the
+// scale, for a positive finite v.
+func histLog10Bin(v float64) int {
+	idx := math.Floor((math.Log10(v) - histLog10Min) * histBinsPerDecade)
+	return int(min(max(idx, 0), HistBins-1))
+}
+
+// histCellBits is the number of leading mantissa bits that, with the
+// exponent, key a value's cell. A cell spans a value ratio of at most
+// 1 + 2^-histCellBits = 1.0625, below the bin ratio 10^(1/32) ≈ 1.075,
+// so no cell holds more than one bin edge.
+const histCellBits = 4
+
+// histCellKey returns the cell key of v: its sign, exponent and leading
+// histCellBits mantissa bits, which order positive values.
+func histCellKey(v float64) int {
+	return int(math.Float64bits(v) >> (52 - histCellBits))
+}
+
+// histCell is one cell of the bin table.
+type histCell struct {
+	edge float64 // the least value of bin+1 in the cell, or +Inf
+	bin  int     // the bin of the cell's least value
+}
+
+// histTable maps the cells spanning the scale, from the cell of
+// histMinValue (key keyMin) to the cell of histMaxValue, to their bins.
+type histTable struct {
+	keyMin int
+	cells  []histCell
+}
+
+// histBinTable returns the bin table, built on first use rather than at
+// package init so programs that never stream do not pay for it.
+var histBinTable = sync.OnceValue(newHistTable)
+
+// newHistTable finds every bin edge — the least float64 whose
+// histLog10Bin is k — by walking ulp by ulp from math.Pow's estimate,
+// which lands within a few ulps, then files each edge under its cell.
+func newHistTable() *histTable {
+	var edges [HistBins + 1]float64
+	edges[HistBins] = math.Inf(1)
+	for k := 1; k < HistBins; k++ {
+		v := math.Pow(10, histLog10Min+float64(k)/histBinsPerDecade)
+		for histLog10Bin(v) < k {
+			v = math.Nextafter(v, math.Inf(1))
+		}
+		for below := math.Nextafter(v, 0); histLog10Bin(below) >= k; below = math.Nextafter(v, 0) {
+			v = below
+		}
+		edges[k] = v
 	}
-	return idx
+	t := &histTable{keyMin: histCellKey(histMinValue)}
+	t.cells = make([]histCell, histCellKey(histMaxValue)-t.keyMin+1)
+	for i := range t.cells {
+		key := uint64(t.keyMin+i) << (52 - histCellBits)
+		lo, next := math.Float64frombits(key), math.Float64frombits(key+1<<(52-histCellBits))
+		bin := histLog10Bin(lo)
+		edge := edges[bin+1]
+		if edge >= next {
+			edge = math.Inf(1)
+		} else if bin+2 <= HistBins && edges[bin+2] < next {
+			panic("montecarlo: histogram cell spans two bin edges")
+		}
+		t.cells[i] = histCell{edge: edge, bin: bin}
+	}
+	return t
 }
 
 // histBinLo returns the lower value edge of bin idx.
@@ -68,10 +142,13 @@ func histBinLo(idx int) float64 {
 	return math.Pow(10, histLog10Min+float64(idx)/histBinsPerDecade)
 }
 
-// Observe records one positive observation.
+// Observe records one positive observation. A NaN, which no valid
+// model produces, is counted in bin 0.
 func (h *PFDHistogram) Observe(v float64) {
 	h.N++
 	switch {
+	case math.IsNaN(v):
+		h.Counts[0]++
 	case v < histMinValue:
 		h.Under++
 	case v > histMaxValue:

@@ -1,6 +1,8 @@
 package montecarlo
 
 import (
+	"math/bits"
+
 	"diversity/internal/devsim"
 	"diversity/internal/faultmodel"
 	"diversity/internal/randx"
@@ -8,12 +10,12 @@ import (
 )
 
 // maxBatchArenaWords bounds the per-worker arena of the batched kernel:
-// versions × width bitset columns of (n+63)/64 words each, plus the
-// fault-major mask rows the development transpose reads (about one more
-// column arena's worth). 1<<22 words is 32 MiB per worker — wide enough
-// that every practical scenario gets its full requested width, small
-// enough that a wide request over a million-fault universe cannot
-// exhaust memory across many workers.
+// one set of fault-major mask rows per version, n·ceil(width/64) words
+// each — about width × (n+63)/64, the size of a width-column bitset
+// arena. 1<<22 words is 32 MiB per worker — wide enough that every
+// practical scenario gets its full requested width, small enough that a
+// wide request over a million-fault universe cannot exhaust memory across
+// many workers.
 const maxBatchArenaWords = 1 << 22
 
 // effectiveBatchWidth clamps a requested tile width to the arena
@@ -25,7 +27,8 @@ func effectiveBatchWidth(width, versions, n int) int {
 	if words < 1 {
 		words = 1
 	}
-	// versions column arenas plus one arena-equivalent of mask rows.
+	// versions row arenas plus one arena's headroom. The clamp fixes the
+	// width, and so every fixed-seed batched output: keep it as it is.
 	if budget := maxBatchArenaWords / ((versions + 1) * words); budget < width {
 		width = budget
 	}
@@ -39,7 +42,7 @@ func effectiveBatchWidth(width, versions, n int) int {
 // configuration and the process: fault-major tiles when batch is set,
 // geometric skips per column when sparse is set, and otherwise the
 // process's dense DevelopInto per column. Only the batched kernel tiles
-// wider than one column.
+// wider than one replication.
 type kernel struct {
 	proc   devsim.Process
 	batch  devsim.BatchDeveloper
@@ -47,21 +50,28 @@ type kernel struct {
 	width  int
 }
 
-// tileWorker is one worker's replication pipeline: it owns a tile of
-// bitset columns per version and a stream that is reseeded for every
-// block the worker claims, fills one tile per step with the run's
-// kernel, and scores every column with the shared bitset PFD walks into
-// its sink. Columns and draw scratch are allocated once at construction
-// and reused across blocks, so the steady state performs no allocations.
+// tileWorker is one worker's replication pipeline: it owns a stream that
+// is reseeded for every block the worker claims, develops and scores one
+// tile of replications per step, and records the tile's PFDs into its
+// sink in replication order. The batched kernel develops every version's
+// fault-major mask rows and scores them with a system.RowScorer; the
+// dense and sparse kernels develop one bitset column per version and
+// score it with the bitset PFD walks. Everything is allocated once at
+// construction and reused across blocks, so the steady state performs no
+// allocations.
 type tileWorker struct {
-	fs   *faultmodel.FaultSet
-	adj  system.Adjudicator
-	r    *randx.Stream      // the current block's stream
-	cols [][]*devsim.Bitset // [version][slot]: the column arena
-	slot []*devsim.Bitset   // one replication's masks across versions
-	// fill develops one version's columns for a tile.
-	fill  func(cols []*devsim.Bitset)
+	r     *randx.Stream // the current block's stream
+	width int           // replications per tile
+	// tile develops and scores the next b <= width replications into
+	// vpfd, spfd, vAny and sAny.
+	tile  func(b int)
 	skips int64 // geometric skip draws (sparse kernel)
+
+	// The current tile's first-version and system PFDs, one per lane
+	// (64 per lane group), and per lane group the lanes whose version or
+	// system has a fault.
+	vpfd, spfd []float64
+	vAny, sAny []uint64
 
 	// Exactly one sink is active: the streaming aggregates (moments of
 	// the current block only) or the buffered result slices, indexed by
@@ -74,67 +84,78 @@ type tileWorker struct {
 // newTileWorker builds the arena for one worker.
 func newTileWorker(fs *faultmodel.FaultSet, adj system.Adjudicator, versions int, k kernel) *tileWorker {
 	r := randx.NewStream(0)
+	g := (k.width + 63) / 64
 	tw := &tileWorker{
-		fs: fs, adj: adj, r: r,
-		cols: make([][]*devsim.Bitset, versions),
-		slot: make([]*devsim.Bitset, versions),
+		r: r, width: k.width,
+		vpfd: make([]float64, 64*g), spfd: make([]float64, 64*g),
+		vAny: make([]uint64, g), sAny: make([]uint64, g),
 	}
-	for v := range tw.cols {
-		tw.cols[v] = make([]*devsim.Bitset, k.width)
-		for j := range tw.cols[v] {
-			tw.cols[v][j] = devsim.NewBitset(fs.N())
+	if k.batch != nil {
+		scorer := system.NewRowScorer(fs, adj, versions)
+		rows := make([][]uint64, versions)
+		scratch := make([][]uint64, versions)
+		for v := range scratch {
+			scratch[v] = make([]uint64, devsim.BatchScratchLen(k.width, fs.N()))
 		}
+		tw.tile = func(b int) {
+			for v := range rows {
+				rows[v] = k.batch.DevelopRows(r, b, scratch[v])
+			}
+			scorer.Score(rows, b, tw.vpfd, tw.spfd, tw.vAny, tw.sAny)
+		}
+		return tw
 	}
-	switch {
-	case k.batch != nil:
-		draws := make([]uint64, devsim.BatchScratchLen(k.width, fs.N()))
-		tw.fill = func(cols []*devsim.Bitset) { k.batch.DevelopBatch(r, cols, draws) }
-	case k.sparse != nil:
-		tw.fill = func(cols []*devsim.Bitset) {
-			for _, col := range cols {
-				tw.skips += int64(k.sparse.DevelopSparse(r, col))
-			}
+	develop := func(col *devsim.Bitset) { k.proc.DevelopInto(r, col) }
+	if k.sparse != nil {
+		develop = func(col *devsim.Bitset) { tw.skips += int64(k.sparse.DevelopSparse(r, col)) }
+	}
+	cols := make([]*devsim.Bitset, versions)
+	for v := range cols {
+		cols[v] = devsim.NewBitset(fs.N())
+	}
+	tw.tile = func(int) {
+		for _, col := range cols {
+			develop(col)
 		}
-	default:
-		tw.fill = func(cols []*devsim.Bitset) {
-			for _, col := range cols {
-				k.proc.DevelopInto(r, col)
-			}
-		}
+		vpfd, vcount := devsim.BitsetPFD(fs, cols[0])
+		spfd, scount := system.BitsetSystemPFD(fs, adj, cols)
+		tw.vpfd[0], tw.spfd[0] = vpfd, spfd
+		tw.vAny[0], tw.sAny[0] = anyBit(vcount), anyBit(scount)
 	}
 	return tw
 }
 
-// run simulates replications [lo, hi) in tiles: develop every version's
-// columns for the tile — version-major, so a one-column tile draws
-// exactly one replication's versions in order — then score and record
-// the tile's replications in order.
+// anyBit is lane 0's fault bit for a replication with count faults.
+func anyBit(count int) uint64 {
+	if count == 0 {
+		return 0
+	}
+	return 1
+}
+
+// run simulates replications [lo, hi) in tiles — version-major, so a
+// one-replication tile draws exactly one replication's versions in order
+// — and records each tile's replications in order.
 func (tw *tileWorker) run(lo, hi int) {
-	width := len(tw.cols[0])
-	for base := lo; base < hi; base += width {
-		b := min(width, hi-base)
-		for _, cols := range tw.cols {
-			tw.fill(cols[:b])
+	for base := lo; base < hi; base += tw.width {
+		b := min(tw.width, hi-base)
+		tw.tile(b)
+		if tw.vAgg != nil {
+			for _, v := range tw.vpfd[:b] {
+				tw.vAgg.Observe(v)
+			}
+			for _, s := range tw.spfd[:b] {
+				tw.sAgg.Observe(s)
+			}
+		} else {
+			copy(tw.versionPFD[base:base+b], tw.vpfd[:b])
+			copy(tw.systemPFD[base:base+b], tw.spfd[:b])
 		}
-		for j := 0; j < b; j++ {
-			for v, cols := range tw.cols {
-				tw.slot[v] = cols[j]
-			}
-			vpfd, vcount := devsim.BitsetPFD(tw.fs, tw.slot[0])
-			spfd, scount := system.BitsetSystemPFD(tw.fs, tw.adj, tw.slot)
-			if tw.vAgg != nil {
-				tw.vAgg.Observe(vpfd)
-				tw.sAgg.Observe(spfd)
-			} else {
-				tw.versionPFD[base+j] = vpfd
-				tw.systemPFD[base+j] = spfd
-			}
-			if vcount == 0 {
-				tw.counts[0]++
-			}
-			if scount == 0 {
-				tw.counts[1]++
-			}
+		for k := range (b + 63) / 64 {
+			tw.counts[0] -= bits.OnesCount64(tw.vAny[k])
+			tw.counts[1] -= bits.OnesCount64(tw.sAny[k])
 		}
+		tw.counts[0] += b
+		tw.counts[1] += b
 	}
 }

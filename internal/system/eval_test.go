@@ -152,6 +152,78 @@ func FuzzKOutOfNStackedPopcount(f *testing.F) {
 	})
 }
 
+// TestRowScorerMatchesBitsetKernels: scoring a tile from its fault-major
+// rows must give every lane the PFDs BitsetPFD and BitsetSystemPFD give
+// that lane's columns, bit for bit, and the same fault-free flags — over
+// pool sizes, every rule family including the degenerate thresholds,
+// widths with full and partial lane groups, and universes spanning one or
+// more mask words.
+func TestRowScorerMatchesBitsetKernels(t *testing.T) {
+	t.Parallel()
+
+	r := randx.NewStream(23)
+	for _, m := range []int{1, 2, 3, 5} {
+		rules := []Adjudicator{OneOutOfN{}, thresholdRule{th: 0}, thresholdRule{th: m + 1},
+			ImperfectAdjudicator{Voter: OneOutOfN{}, StagePFD: 1e-4}}
+		for k := 1; k <= m; k++ {
+			rules = append(rules, KOutOfN{K: k, N: m})
+		}
+		if m >= 3 {
+			rules = append(rules, MajorityVote{}, ImperfectAdjudicator{Voter: KOutOfN{K: 2, N: m}, StagePFD: 1e-4})
+		}
+		for _, n := range []int{1, 40, 64, 65, 150} {
+			fs := randomUniverse(t, r, n)
+			for _, width := range []int{1, 63, 64, 65, 130} {
+				g := (width + 63) / 64
+				rows := make([][]uint64, m)
+				cols := make([][][]bool, width) // [lane][version][fault]
+				for j := range cols {
+					cols[j] = make([][]bool, m)
+					for v := range cols[j] {
+						cols[j][v] = make([]bool, n)
+					}
+				}
+				for v := range rows {
+					rows[v] = make([]uint64, n*g)
+					for i := 0; i < n; i++ {
+						p := fs.Fault(i).P
+						for j := 0; j < width; j++ {
+							if r.Float64() < p {
+								rows[v][i*g+j/64] |= 1 << uint(j%64)
+								cols[j][v][i] = true
+							}
+						}
+					}
+				}
+				for _, adj := range rules {
+					vpfd, spfd := make([]float64, 64*g), make([]float64, 64*g)
+					vAny, sAny := make([]uint64, g), make([]uint64, g)
+					NewRowScorer(fs, adj, m).Score(rows, width, vpfd, spfd, vAny, sAny)
+					for j := 0; j < width; j++ {
+						masks := toBitsets(cols[j])
+						wantV, vCount := devsim.BitsetPFD(fs, masks[0])
+						wantS, sCount := BitsetSystemPFD(fs, adj, masks)
+						vFault, sFault := vAny[j/64]>>uint(j%64)&1 == 1, sAny[j/64]>>uint(j%64)&1 == 1
+						if math.Float64bits(vpfd[j]) != math.Float64bits(wantV) || vFault != (vCount > 0) {
+							t.Fatalf("m=%d n=%d width=%d %s lane %d: version (%v, faulty %v), columns (%v, %d faults)",
+								m, n, width, adj.Name(), j, vpfd[j], vFault, wantV, vCount)
+						}
+						if math.Float64bits(spfd[j]) != math.Float64bits(wantS) || sFault != (sCount > 0) {
+							t.Fatalf("m=%d n=%d width=%d %s lane %d: system (%v, faulty %v), columns (%v, %d faults)",
+								m, n, width, adj.Name(), j, spfd[j], sFault, wantS, sCount)
+						}
+					}
+					for k := range vAny {
+						if live := width - 64*k; live < 64 && (vAny[k]|sAny[k])>>uint(live) != 0 {
+							t.Fatalf("m=%d n=%d width=%d %s: fault bits past the width in group %d", m, n, width, adj.Name(), k)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestBitsetKernelDegenerateThresholds covers the kernel branches no real
 // voting rule reaches: a rule no carrier count defeats, and a rule
 // defeated even by absent faults.
