@@ -123,9 +123,9 @@ func transpose64(a *[64]uint64) {
 }
 
 // scatterRows transposes fault-major mask rows into per-lane columns,
-// overwriting every word of every column and
-// rebuilding the touched lists — which both clears stale state and
-// restores the Bitset O(touched) contract for the evaluation kernels.
+// overwriting every word of every column and rebuilding the touched
+// lists — which both clears stale state and restores the Bitset
+// O(touched) contract for the evaluation kernels.
 func scatterRows(rows []uint64, cols []*Bitset, n int) {
 	width := len(cols)
 	g := (width + 63) / 64

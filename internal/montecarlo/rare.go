@@ -326,7 +326,7 @@ func (tw *tiltWorker) observe(event bool, logW float64) {
 	w := 0.0
 	if event {
 		tw.hits++
-		w = math.Exp(logW)
+		w = expPortable(logW)
 	}
 	tw.mom.Add(w)
 }

@@ -120,17 +120,9 @@ func newTileWorker(fs *faultmodel.FaultSet, adj system.Adjudicator, versions int
 		vpfd, vcount := devsim.BitsetPFD(fs, cols[0])
 		spfd, scount := system.BitsetSystemPFD(fs, adj, cols)
 		tw.vpfd[0], tw.spfd[0] = vpfd, spfd
-		tw.vAny[0], tw.sAny[0] = anyBit(vcount), anyBit(scount)
+		tw.vAny[0], tw.sAny[0] = uint64(min(vcount, 1)), uint64(min(scount, 1))
 	}
 	return tw
-}
-
-// anyBit is lane 0's fault bit for a replication with count faults.
-func anyBit(count int) uint64 {
-	if count == 0 {
-		return 0
-	}
-	return 1
 }
 
 // run simulates replications [lo, hi) in tiles — version-major, so a
