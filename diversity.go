@@ -93,9 +93,10 @@ type (
 	// the same distribution from a different variate sequence. Setting
 	// its BatchWidth field (>= 2) selects the batched replication
 	// kernel, which tiles that many replications per inner loop so each
-	// fault's Bernoulli draws come from one bulk RNG fill and the
-	// columns evaluate through the bitset popcount kernels — again the
-	// same distribution from a different variate sequence.
+	// fault's Bernoulli draws for the whole tile come as one fault-major
+	// row of lane bits, and the rows are scored word-wide against the
+	// voting rule — again the same distribution from a different variate
+	// sequence.
 	MonteCarloConfig = montecarlo.Config
 	// MonteCarloResult holds simulated PFD populations — raw samples for
 	// buffered runs, streaming aggregates for Streaming runs; its

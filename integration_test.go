@@ -216,7 +216,7 @@ func TestIntegrationKnightLevesonUsesModelMachinery(t *testing.T) {
 	}
 	// Average the replica's sample mean over many seeds: it must
 	// approach the model's µ1.
-	var acc stats.Accumulator
+	var acc stats.Moments
 	for seed := uint64(0); seed < 60; seed++ {
 		out, err := knightleveson.Run(knightleveson.Config{Seed: seed})
 		if err != nil {

@@ -1,9 +1,6 @@
 package devsim
 
-import (
-	"fmt"
-	"math/bits"
-)
+import "fmt"
 
 // Bitset is a fault-presence mask packed 64 faults per uint64 word — the
 // only mask representation the development processes and evaluation
@@ -93,13 +90,4 @@ func (b *Bitset) Reset() {
 		b.words[w] = 0
 	}
 	b.touched = b.touched[:0]
-}
-
-// Count returns the number of set bits in O(touched words) time.
-func (b *Bitset) Count() int {
-	count := 0
-	for _, w := range b.touched {
-		count += bits.OnesCount64(b.words[w])
-	}
-	return count
 }

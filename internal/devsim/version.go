@@ -120,28 +120,6 @@ func CommonPFD(fs *faultmodel.FaultSet, versions ...*Version) (float64, error) {
 	return sum, nil
 }
 
-// CommonFaultCount returns the number of faults shared by all the given
-// versions, by word-wise AND + popcount across the packed masks. It
-// returns an error under the same conditions as CommonPFD.
-func CommonFaultCount(fs *faultmodel.FaultSet, versions ...*Version) (int, error) {
-	if err := checkUniverses(fs, versions); err != nil {
-		return 0, err
-	}
-	count := 0
-	first := versions[0]
-	for w := 0; w < first.mask.NumWords(); w++ {
-		x := first.mask.Word(w)
-		for _, v := range versions[1:] {
-			x &= v.mask.Word(w)
-			if x == 0 {
-				break
-			}
-		}
-		count += bits.OnesCount64(x)
-	}
-	return count, nil
-}
-
 // Process develops program versions against a fixed fault universe.
 // Implementations must be safe for concurrent use by multiple goroutines,
 // each supplying its own random stream — the Monte-Carlo harness relies on

@@ -69,13 +69,6 @@ func (c Config) reps(full int) int {
 	return full
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // Check is one paper-vs-measured assertion.
 type Check struct {
 	// Name identifies the assertion.
@@ -179,24 +172,4 @@ func RunContext(ctx context.Context, id string, cfg Config) (*Result, error) {
 		return nil, fmt.Errorf("experiments: %s: %w", id, err)
 	}
 	return res, nil
-}
-
-// RunAll executes every registered experiment in ID order.
-func RunAll(cfg Config) ([]*Result, error) {
-	return RunAllContext(context.Background(), cfg)
-}
-
-// RunAllContext executes every registered experiment in ID order under a
-// context, checking for cancellation between experiments as well as inside
-// each experiment's workloads.
-func RunAllContext(ctx context.Context, cfg Config) ([]*Result, error) {
-	var results []*Result
-	for _, id := range IDs() {
-		res, err := RunContext(ctx, id, cfg)
-		if err != nil {
-			return nil, err
-		}
-		results = append(results, res)
-	}
-	return results, nil
 }

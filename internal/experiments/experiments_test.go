@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -119,20 +120,22 @@ func TestResultSummaryFormat(t *testing.T) {
 	}
 }
 
+// TestRunAll runs the whole suite in quick mode, in the order the
+// engine's experiments jobs walk it: IDs() ascending.
 func TestRunAll(t *testing.T) {
 	t.Parallel()
 
-	results, err := RunAll(Config{Seed: 2, Quick: true})
-	if err != nil {
-		t.Fatalf("RunAll: %v", err)
-	}
-	if len(results) != len(IDs()) {
-		t.Fatalf("RunAll returned %d results, want %d", len(results), len(IDs()))
-	}
-	// Results arrive in ID order.
-	for i := 1; i < len(results); i++ {
-		if results[i-1].ID >= results[i].ID {
-			t.Errorf("results out of order: %s before %s", results[i-1].ID, results[i].ID)
+	ids := IDs()
+	for i, id := range ids {
+		if i > 0 && ids[i-1] >= id {
+			t.Errorf("IDs out of order: %s before %s", ids[i-1], id)
+		}
+		res, err := RunContext(context.Background(), id, Config{Seed: 2, Quick: true})
+		if err != nil {
+			t.Fatalf("RunContext(%s): %v", id, err)
+		}
+		if res.ID != id {
+			t.Errorf("RunContext(%s) returned result %s", id, res.ID)
 		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -96,27 +97,58 @@ func TestRankDeterministicAndStable(t *testing.T) {
 	}
 }
 
-func TestPickFailover(t *testing.T) {
-	c := newTestCoordinator(t, 3)
-	key := "0123abcd"
-	order := c.rank(key)
+// TestSubmitFailover: a submission goes to the first node in rendezvous
+// order whose up flag is set, counts a reroute when that node is not the
+// key's home, and is refused with 503 when every node is down.
+func TestSubmitFailover(t *testing.T) {
+	const spec = `{"kind":"montecarlo","montecarlo":{"model":{"scenario":"safety-grade","scenarioSeed":7},"versions":2,"reps":1000,"seed":42}}`
+	_, engineID, err := server.DecodeJobSpec(strings.NewReader(spec))
+	if err != nil {
+		t.Fatalf("DecodeJobSpec: %v", err)
+	}
+	hits := make([]atomic.Int32, 3)
+	urls := make([]string, len(hits))
+	for i := range urls {
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			hits[i].Add(1)
+			w.WriteHeader(http.StatusAccepted)
+		}))
+		t.Cleanup(ts.Close)
+		urls[i] = ts.URL
+	}
+	reg := telemetry.NewRegistry()
+	c, err := New(Config{Nodes: urls, Registry: reg})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	submit := func() int {
+		rec := httptest.NewRecorder()
+		c.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/jobs", strings.NewReader(spec)))
+		return rec.Code
+	}
+	reroutes := func() int64 { return reg.Snapshot().Counters["fabric.node_reroutes_total"] }
+	order := c.rank(routeKey(engineID))
+
 	for _, n := range c.nodes {
 		n.up.Store(true)
 	}
-	idx, rerouted, ok := c.pick(key)
-	if !ok || rerouted || idx != order[0] {
-		t.Fatalf("pick with all up = (%d, %v, %v), want home %d", idx, rerouted, ok, order[0])
+	if code := submit(); code != http.StatusAccepted || hits[order[0]].Load() != 1 || reroutes() != 0 {
+		t.Fatalf("all up: status %d, home hits %d, reroutes %d; want 202 on home node%d, no reroute",
+			code, hits[order[0]].Load(), reroutes(), order[0])
 	}
 	c.nodes[order[0]].up.Store(false)
-	idx, rerouted, ok = c.pick(key)
-	if !ok || !rerouted || idx != order[1] {
-		t.Fatalf("pick with home down = (%d, %v, %v), want reroute to %d", idx, rerouted, ok, order[1])
+	if code := submit(); code != http.StatusAccepted || hits[order[1]].Load() != 1 || reroutes() != 1 {
+		t.Fatalf("home down: status %d, next hits %d, reroutes %d; want 202 on node%d, one reroute",
+			code, hits[order[1]].Load(), reroutes(), order[1])
 	}
 	for _, n := range c.nodes {
 		n.up.Store(false)
 	}
-	if _, _, ok := c.pick(key); ok {
-		t.Fatal("pick with all nodes down reported ok")
+	if code := submit(); code != http.StatusServiceUnavailable {
+		t.Fatalf("all down: status %d, want 503", code)
+	}
+	if total := hits[0].Load() + hits[1].Load() + hits[2].Load(); total != 2 {
+		t.Errorf("nodes saw %d submissions, want 2", total)
 	}
 }
 

@@ -76,20 +76,6 @@ func (c *Coordinator) rank(key string) []int {
 	return out
 }
 
-// pick selects the routing target for key: the first healthy node in
-// rendezvous order. rerouted reports that the key's home node was
-// skipped because it is down — the caller counts it in
-// fabric.node_reroutes_total. ok is false when every node is down.
-func (c *Coordinator) pick(key string) (idx int, rerouted, ok bool) {
-	order := c.rank(key)
-	for pos, i := range order {
-		if c.nodes[i].up.Load() {
-			return i, pos > 0, true
-		}
-	}
-	return 0, false, false
-}
-
 // candidates returns the node indices to try, in order, for a request
 // addressed to an existing submission ID: rendezvous order of the ID's
 // embedded routing key (of the empty key when the ID embeds none). Every

@@ -87,13 +87,13 @@ type Config struct {
 	// develop one column at a time.
 	Sparse bool
 	// BatchWidth, when at least 2, selects the batched replication kernel:
-	// each worker tiles a block's replications into columns of up to
-	// BatchWidth bitsets and develops a tile fault-major, drawing every
-	// fault's Bernoulli variates for the whole tile from one randx
-	// FillUint64 batch and comparing them against precomputed integer
-	// thresholds (devsim.BatchDeveloper). Draw and column buffers are
-	// arena-reused per worker, so the steady state performs no
-	// allocations. Like the sparse kernel, the batched path consumes a
+	// each worker tiles a block's replications up to BatchWidth lanes at a
+	// time and develops a tile as fault-major rows (devsim.BatchDeveloper's
+	// DevelopRows: one row of lane bits per fault, drawn by randx Hits
+	// calls or a threshold-compared FillUint64 batch), which
+	// system.RowScorer scores word-wide under the voting rule. Draw and
+	// row buffers are arena-reused per worker, so the steady state
+	// performs no allocations. Like the sparse kernel, the batched path consumes a
 	// different (but distributionally identical) variate sequence from the
 	// dense default, so it ships opt-in: 0 or 1 leaves the dense kernel
 	// untouched byte for byte. It composes with both aggregation modes and

@@ -136,46 +136,6 @@ func pad(s string, width int) string {
 	return strings.Repeat(" ", width-len(s)) + s
 }
 
-// PlotHistogram renders bin counts as horizontal bars.
-func PlotHistogram(w io.Writer, title string, binLabels []string, counts []int, width int) error {
-	if len(binLabels) != len(counts) {
-		return fmt.Errorf("report: %d labels for %d bins", len(binLabels), len(counts))
-	}
-	if len(counts) == 0 {
-		return errors.New("report: histogram requires at least one bin")
-	}
-	if width < 8 {
-		return fmt.Errorf("report: histogram width %d too small (need >= 8)", width)
-	}
-	maxCount := 0
-	labelWidth := 0
-	for i, c := range counts {
-		if c < 0 {
-			return fmt.Errorf("report: negative count %d in bin %d", c, i)
-		}
-		if c > maxCount {
-			maxCount = c
-		}
-		if len(binLabels[i]) > labelWidth {
-			labelWidth = len(binLabels[i])
-		}
-	}
-	var b strings.Builder
-	if title != "" {
-		b.WriteString(title)
-		b.WriteByte('\n')
-	}
-	for i, c := range counts {
-		bar := 0
-		if maxCount > 0 {
-			bar = int(math.Round(float64(c) / float64(maxCount) * float64(width)))
-		}
-		fmt.Fprintf(&b, "%s |%s %d\n", pad(binLabels[i], labelWidth), strings.Repeat("#", bar), c)
-	}
-	_, err := io.WriteString(w, b.String())
-	return err
-}
-
 // PlotGrid renders a 2-D field as characters: cell(x, y) is evaluated at
 // the centre of each character cell over the unit square, with y
 // increasing upwards. It renders the paper's Fig.-2 style failure-region

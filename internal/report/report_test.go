@@ -27,9 +27,6 @@ func TestTableRender(t *testing.T) {
 	if err := tbl.AddRow("b", "22.5"); err != nil {
 		t.Fatalf("AddRow: %v", err)
 	}
-	if tbl.NumRows() != 2 {
-		t.Errorf("NumRows = %d, want 2", tbl.NumRows())
-	}
 	var b strings.Builder
 	if err := tbl.Render(&b); err != nil {
 		t.Fatalf("Render: %v", err)
@@ -61,48 +58,6 @@ func TestTableAddRowMismatch(t *testing.T) {
 	}
 	if err := tbl.AddRow("only one"); err == nil {
 		t.Error("mismatched row succeeded, want error")
-	}
-}
-
-func TestTableRenderMarkdown(t *testing.T) {
-	t.Parallel()
-
-	tbl, err := NewTable("MD", "x", "y")
-	if err != nil {
-		t.Fatalf("NewTable: %v", err)
-	}
-	if err := tbl.AddRow("1", "2"); err != nil {
-		t.Fatalf("AddRow: %v", err)
-	}
-	var b strings.Builder
-	if err := tbl.RenderMarkdown(&b); err != nil {
-		t.Fatalf("RenderMarkdown: %v", err)
-	}
-	out := b.String()
-	for _, want := range []string{"### MD", "| x | y |", "| --- | --- |", "| 1 | 2 |"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("markdown missing %q:\n%s", want, out)
-		}
-	}
-}
-
-func TestTableRenderCSV(t *testing.T) {
-	t.Parallel()
-
-	tbl, err := NewTable("ignored", "x", "y")
-	if err != nil {
-		t.Fatalf("NewTable: %v", err)
-	}
-	if err := tbl.AddRow("1", "with,comma"); err != nil {
-		t.Fatalf("AddRow: %v", err)
-	}
-	var b strings.Builder
-	if err := tbl.RenderCSV(&b); err != nil {
-		t.Fatalf("RenderCSV: %v", err)
-	}
-	want := "x,y\n1,\"with,comma\"\n"
-	if b.String() != want {
-		t.Errorf("CSV = %q, want %q", b.String(), want)
 	}
 }
 
@@ -191,35 +146,6 @@ func TestPlotSeriesConstantValue(t *testing.T) {
 	}
 	if !strings.Contains(b.String(), "*") {
 		t.Error("flat series not plotted")
-	}
-}
-
-func TestPlotHistogram(t *testing.T) {
-	t.Parallel()
-
-	var b strings.Builder
-	err := PlotHistogram(&b, "h", []string{"a", "bb"}, []int{3, 6}, 20)
-	if err != nil {
-		t.Fatalf("PlotHistogram: %v", err)
-	}
-	out := b.String()
-	if !strings.Contains(out, "####################") {
-		t.Errorf("max bin should span full width:\n%s", out)
-	}
-	if !strings.Contains(out, "##########") {
-		t.Errorf("half bin should span half width:\n%s", out)
-	}
-	if err := PlotHistogram(&b, "", []string{"a"}, []int{1, 2}, 20); err == nil {
-		t.Error("mismatched labels succeeded, want error")
-	}
-	if err := PlotHistogram(&b, "", nil, nil, 20); err == nil {
-		t.Error("empty histogram succeeded, want error")
-	}
-	if err := PlotHistogram(&b, "", []string{"a"}, []int{-1}, 20); err == nil {
-		t.Error("negative count succeeded, want error")
-	}
-	if err := PlotHistogram(&b, "", []string{"a"}, []int{1}, 2); err == nil {
-		t.Error("tiny width succeeded, want error")
 	}
 }
 

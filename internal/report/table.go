@@ -1,10 +1,9 @@
-// Package report renders experiment results as aligned text tables,
-// Markdown, CSV, and character plots. The experiments driver uses it to
-// regenerate the paper's tables and figures in terminal-friendly form.
+// Package report renders experiment results as aligned text tables and
+// character plots. The experiments driver uses it to regenerate the
+// paper's tables and figures in terminal-friendly form.
 package report
 
 import (
-	"encoding/csv"
 	"errors"
 	"fmt"
 	"io"
@@ -37,9 +36,6 @@ func (t *Table) AddRow(cells ...string) error {
 	t.rows = append(t.rows, cells)
 	return nil
 }
-
-// NumRows returns the number of data rows.
-func (t *Table) NumRows() int { return len(t.rows) }
 
 // Render writes the table as aligned monospace text.
 func (t *Table) Render(w io.Writer) error {
@@ -81,43 +77,6 @@ func (t *Table) Render(w io.Writer) error {
 	}
 	_, err := io.WriteString(w, b.String())
 	return err
-}
-
-// RenderMarkdown writes the table as GitHub-flavoured Markdown.
-func (t *Table) RenderMarkdown(w io.Writer) error {
-	var b strings.Builder
-	if t.title != "" {
-		fmt.Fprintf(&b, "### %s\n\n", t.title)
-	}
-	b.WriteString("| " + strings.Join(t.headers, " | ") + " |\n")
-	seps := make([]string, len(t.headers))
-	for i := range seps {
-		seps[i] = "---"
-	}
-	b.WriteString("| " + strings.Join(seps, " | ") + " |\n")
-	for _, row := range t.rows {
-		b.WriteString("| " + strings.Join(row, " | ") + " |\n")
-	}
-	_, err := io.WriteString(w, b.String())
-	return err
-}
-
-// RenderCSV writes the table (headers then rows) as CSV, without the title.
-func (t *Table) RenderCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write(t.headers); err != nil {
-		return fmt.Errorf("report: writing CSV header: %w", err)
-	}
-	for _, row := range t.rows {
-		if err := cw.Write(row); err != nil {
-			return fmt.Errorf("report: writing CSV row: %w", err)
-		}
-	}
-	cw.Flush()
-	if err := cw.Error(); err != nil {
-		return fmt.Errorf("report: flushing CSV: %w", err)
-	}
-	return nil
 }
 
 // Fmt formats a float compactly for table cells: fixed notation in a

@@ -185,18 +185,23 @@ func WriteError(w http.ResponseWriter, status int, format string, args ...any) {
 }
 
 // DecodeJobSpec decodes one submission body into an engine job: unknown
-// fields are rejected, the spec is validated, and the stable spec-hash
-// engine ID is computed. It is the submission-side parse both the node's
-// submit handler and the fabric coordinator run, so a spec the
-// coordinator routes is byte-for-byte a spec the node accepts — and the
-// returned engine ID is the routing key that gives identical specs
-// node-local cache affinity.
+// fields and data after the spec are rejected, the spec is validated, and
+// the stable spec-hash engine ID is computed. It is the submission-side
+// parse both the node's submit handler and the fabric coordinator run, so
+// a spec the coordinator routes is byte-for-byte a spec the node accepts —
+// and the returned engine ID is the routing key that gives identical
+// specs node-local cache affinity.
 func DecodeJobSpec(r io.Reader) (engine.Job, string, error) {
 	var job engine.Job
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&job); err != nil {
 		return engine.Job{}, "", fmt.Errorf("decoding job spec: %w", err)
+	}
+	// A body is one JSON value: whatever followed it would be dropped
+	// unread, so only trailing whitespace is accepted.
+	if err := dec.Decode(&json.RawMessage{}); err != io.EOF {
+		return engine.Job{}, "", errors.New("decoding job spec: unexpected data after the JSON value")
 	}
 	if err := job.Validate(); err != nil {
 		return engine.Job{}, "", err

@@ -484,27 +484,35 @@ func TestHealthAndReady(t *testing.T) {
 	}
 }
 
+// goodSpec is a small spec every test node accepts.
+const goodSpec = `{"kind":"montecarlo","montecarlo":{"model":{"scenario":"safety-grade"},"versions":2,"reps":100,"seed":1}}`
+
+// badSpecs are submission bodies a node answers with 400 before queueing
+// (TestBadRequests); FuzzDecodeJobSpec seeds its corpus with them.
+var badSpecs = []struct {
+	name, body string
+}{
+	{"invalid JSON", `{"kind":`},
+	{"unknown field", `{"kind":"montecarlo","montecarlo":{"model":{"scenario":"safety-grade"},"versions":2,"reps":100,"seed":1,"bogus":true}}`},
+	{"invalid spec", `{"kind":"montecarlo","montecarlo":{"model":{"scenario":"safety-grade"},"versions":0,"reps":100,"seed":1}}`},
+	{"over rep cap", `{"kind":"montecarlo","montecarlo":{"model":{"scenario":"safety-grade"},"versions":2,"reps":100000000,"seed":1}}`},
+	{"unknown scenario", `{"kind":"montecarlo","montecarlo":{"model":{"scenario":"nope"},"versions":2,"reps":100,"seed":1}}`},
+	{"unknown adjudicator", `{"kind":"montecarlo","montecarlo":{"model":{"scenario":"safety-grade"},"versions":3,"adjudicator":"sideways","reps":100,"seed":1}}`},
+	{"adjudicator pool too small", `{"kind":"montecarlo","montecarlo":{"model":{"scenario":"safety-grade"},"versions":2,"adjudicator":"2oo3","reps":100,"seed":1}}`},
+	{"arch and adjudicator both set", `{"kind":"montecarlo","montecarlo":{"model":{"scenario":"safety-grade"},"versions":3,"arch":"majority","adjudicator":"2oo3","reps":100,"seed":1}}`},
+	{"arch spelled as adjudicator kooN", `{"kind":"montecarlo","montecarlo":{"model":{"scenario":"safety-grade"},"versions":3,"arch":"2oo3","reps":100,"seed":1}}`},
+	{"arch spelled as adjudicator 1oon", `{"kind":"montecarlo","montecarlo":{"model":{"scenario":"safety-grade"},"versions":2,"arch":"1oon","reps":100,"seed":1}}`},
+	{"negative batch width", `{"kind":"montecarlo","montecarlo":{"model":{"scenario":"safety-grade"},"versions":2,"reps":100,"seed":1,"batchWidth":-1}}`},
+	{"batch width over cap", `{"kind":"montecarlo","montecarlo":{"model":{"scenario":"safety-grade"},"versions":2,"reps":100,"seed":1,"batchWidth":100000}}`},
+	{"trailing JSON value", goodSpec + ` {"kind":"bogus"}`},
+	{"trailing garbage", goodSpec + ` garbage`},
+}
+
 func TestBadRequests(t *testing.T) {
 	t.Parallel()
 	_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 4, MaxReps: 100000}, nil)
 
-	cases := []struct {
-		name, body string
-	}{
-		{"invalid JSON", `{"kind":`},
-		{"unknown field", `{"kind":"montecarlo","montecarlo":{"model":{"scenario":"safety-grade"},"versions":2,"reps":100,"seed":1,"bogus":true}}`},
-		{"invalid spec", `{"kind":"montecarlo","montecarlo":{"model":{"scenario":"safety-grade"},"versions":0,"reps":100,"seed":1}}`},
-		{"over rep cap", `{"kind":"montecarlo","montecarlo":{"model":{"scenario":"safety-grade"},"versions":2,"reps":100000000,"seed":1}}`},
-		{"unknown scenario", `{"kind":"montecarlo","montecarlo":{"model":{"scenario":"nope"},"versions":2,"reps":100,"seed":1}}`},
-		{"unknown adjudicator", `{"kind":"montecarlo","montecarlo":{"model":{"scenario":"safety-grade"},"versions":3,"adjudicator":"sideways","reps":100,"seed":1}}`},
-		{"adjudicator pool too small", `{"kind":"montecarlo","montecarlo":{"model":{"scenario":"safety-grade"},"versions":2,"adjudicator":"2oo3","reps":100,"seed":1}}`},
-		{"arch and adjudicator both set", `{"kind":"montecarlo","montecarlo":{"model":{"scenario":"safety-grade"},"versions":3,"arch":"majority","adjudicator":"2oo3","reps":100,"seed":1}}`},
-		{"arch spelled as adjudicator kooN", `{"kind":"montecarlo","montecarlo":{"model":{"scenario":"safety-grade"},"versions":3,"arch":"2oo3","reps":100,"seed":1}}`},
-		{"arch spelled as adjudicator 1oon", `{"kind":"montecarlo","montecarlo":{"model":{"scenario":"safety-grade"},"versions":2,"arch":"1oon","reps":100,"seed":1}}`},
-		{"negative batch width", `{"kind":"montecarlo","montecarlo":{"model":{"scenario":"safety-grade"},"versions":2,"reps":100,"seed":1,"batchWidth":-1}}`},
-		{"batch width over cap", `{"kind":"montecarlo","montecarlo":{"model":{"scenario":"safety-grade"},"versions":2,"reps":100,"seed":1,"batchWidth":100000}}`},
-	}
-	for _, tc := range cases {
+	for _, tc := range badSpecs {
 		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader([]byte(tc.body)))
 		if err != nil {
 			t.Fatalf("%s: POST: %v", tc.name, err)

@@ -29,11 +29,8 @@ func Variance(xs []float64) (float64, error) {
 	if len(xs) < 2 {
 		return 0, fmt.Errorf("stats: variance requires at least 2 observations, got %d", len(xs))
 	}
-	var acc Accumulator
-	for _, x := range xs {
-		acc.Add(x)
-	}
-	return acc.Variance()
+	_, m2 := welford(xs)
+	return m2 / float64(len(xs)-1), nil
 }
 
 // StdDev returns the unbiased sample standard deviation of xs.
@@ -103,18 +100,10 @@ func Summarize(xs []float64) (Summary, error) {
 	copy(sorted, xs)
 	sort.Float64s(sorted)
 
-	var acc Accumulator
-	for _, x := range xs {
-		acc.Add(x)
-	}
-	mean := acc.Mean()
+	mean, m2 := welford(xs)
 	sd := 0.0
 	if len(xs) >= 2 {
-		v, err := acc.Variance()
-		if err != nil {
-			return Summary{}, err
-		}
-		sd = math.Sqrt(v)
+		sd = math.Sqrt(m2 / float64(len(xs)-1))
 	}
 	s := Summary{
 		N:      len(xs),
@@ -142,105 +131,15 @@ func Summarize(xs []float64) (Summary, error) {
 	return s, nil
 }
 
-// Accumulator computes running mean and variance with Welford's online
-// algorithm, which is numerically stable for the tiny PFD values (1e-9 and
-// below) that the safety-grade scenarios produce.
-//
-// The zero value is ready to use.
-type Accumulator struct {
-	n    int
-	mean float64
-	m2   float64
-}
-
-// Add incorporates x into the running statistics.
-func (a *Accumulator) Add(x float64) {
-	a.n++
-	delta := x - a.mean
-	a.mean += delta / float64(a.n)
-	a.m2 += delta * (x - a.mean)
-}
-
-// N returns the number of observations added.
-func (a *Accumulator) N() int { return a.n }
-
-// Mean returns the running mean (0 for an empty accumulator).
-func (a *Accumulator) Mean() float64 { return a.mean }
-
-// Variance returns the unbiased sample variance. It requires at least two
-// observations.
-func (a *Accumulator) Variance() (float64, error) {
-	if a.n < 2 {
-		return 0, fmt.Errorf("stats: variance requires at least 2 observations, got %d", a.n)
+// welford returns the mean of xs and the sum of squared deviations from
+// it by Welford's online algorithm, which is numerically stable for the
+// tiny PFD values (1e-9 and below) that the safety-grade scenarios
+// produce.
+func welford(xs []float64) (mean, m2 float64) {
+	for i, x := range xs {
+		delta := x - mean
+		mean += delta / float64(i+1)
+		m2 += delta * (x - mean)
 	}
-	return a.m2 / float64(a.n-1), nil
-}
-
-// StdDev returns the unbiased sample standard deviation.
-func (a *Accumulator) StdDev() (float64, error) {
-	v, err := a.Variance()
-	if err != nil {
-		return 0, err
-	}
-	return math.Sqrt(v), nil
-}
-
-// PopulationVariance returns the biased (n denominator) variance, the
-// central moment used for moment ratios.
-func (a *Accumulator) PopulationVariance() float64 {
-	if a.n == 0 {
-		return 0
-	}
-	return a.m2 / float64(a.n)
-}
-
-// Merge combines another accumulator into a (Chan et al. parallel
-// variance), so per-worker accumulators from the Monte-Carlo harness can
-// be reduced without collecting raw samples.
-func (a *Accumulator) Merge(b Accumulator) {
-	if b.n == 0 {
-		return
-	}
-	if a.n == 0 {
-		*a = b
-		return
-	}
-	nA, nB := float64(a.n), float64(b.n)
-	delta := b.mean - a.mean
-	total := nA + nB
-	a.mean += delta * nB / total
-	a.m2 += b.m2 + delta*delta*nA*nB/total
-	a.n += b.n
-}
-
-// Correlation returns the Pearson correlation coefficient of the paired
-// samples xs and ys. It returns an error if the lengths differ, fewer than
-// two pairs are given, or either sample has zero variance.
-func Correlation(xs, ys []float64) (float64, error) {
-	if len(xs) != len(ys) {
-		return 0, fmt.Errorf("stats: correlation requires equal lengths, got %d and %d", len(xs), len(ys))
-	}
-	if len(xs) < 2 {
-		return 0, fmt.Errorf("stats: correlation requires at least 2 pairs, got %d", len(xs))
-	}
-	meanX, err := Mean(xs)
-	if err != nil {
-		return 0, err
-	}
-	meanY, err := Mean(ys)
-	if err != nil {
-		return 0, err
-	}
-	var sxx, syy, sxy float64
-	for i := range xs {
-		dx := xs[i] - meanX
-		dy := ys[i] - meanY
-		sxx += dx * dx
-		syy += dy * dy
-		sxy += dx * dy
-	}
-	if sxx == 0 || syy == 0 {
-		return 0, errors.New("stats: correlation undefined for zero-variance sample")
-	}
-	return sxy / math.Sqrt(sxx*syy), nil
+	return mean, m2
 }

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestMean(t *testing.T) {
@@ -115,134 +114,21 @@ func TestSummarize(t *testing.T) {
 	}
 }
 
-func TestAccumulatorMatchesBatch(t *testing.T) {
-	t.Parallel()
-
-	err := quick.Check(func(raw []int8) bool {
-		if len(raw) < 2 {
-			return true
-		}
-		xs := make([]float64, len(raw))
-		var acc Accumulator
-		for i, v := range raw {
-			xs[i] = float64(v) / 7
-			acc.Add(xs[i])
-		}
-		wantMean, err := Mean(xs)
-		if err != nil {
-			return false
-		}
-		wantVar, err := Variance(xs)
-		if err != nil {
-			return false
-		}
-		gotVar, err := acc.Variance()
-		if err != nil {
-			return false
-		}
-		return almostEqual(acc.Mean(), wantMean, 1e-10) && almostEqual(gotVar, wantVar, 1e-8)
-	}, nil)
-	if err != nil {
-		t.Error(err)
-	}
-}
-
-func TestAccumulatorMerge(t *testing.T) {
-	t.Parallel()
-
-	xs := []float64{0.5, 1.5, 2.5, 3.5, 9, -4, 0.25, 7}
-	var whole Accumulator
-	for _, x := range xs {
-		whole.Add(x)
-	}
-	var left, right Accumulator
-	for _, x := range xs[:3] {
-		left.Add(x)
-	}
-	for _, x := range xs[3:] {
-		right.Add(x)
-	}
-	left.Merge(right)
-	if left.N() != whole.N() {
-		t.Fatalf("merged N = %d, want %d", left.N(), whole.N())
-	}
-	if !almostEqual(left.Mean(), whole.Mean(), 1e-12) {
-		t.Errorf("merged mean = %v, want %v", left.Mean(), whole.Mean())
-	}
-	lv, err := left.Variance()
-	if err != nil {
-		t.Fatalf("Variance: %v", err)
-	}
-	wv, err := whole.Variance()
-	if err != nil {
-		t.Fatalf("Variance: %v", err)
-	}
-	if !almostEqual(lv, wv, 1e-12) {
-		t.Errorf("merged variance = %v, want %v", lv, wv)
-	}
-}
-
-func TestAccumulatorMergeEmpty(t *testing.T) {
-	t.Parallel()
-
-	var a, b Accumulator
-	a.Add(1)
-	a.Add(2)
-	saved := a
-	a.Merge(b) // merging empty is a no-op
-	if a != saved {
-		t.Errorf("merging empty changed accumulator: %+v", a)
-	}
-	b.Merge(a) // merging into empty copies
-	if b.N() != 2 || !almostEqual(b.Mean(), 1.5, 1e-14) {
-		t.Errorf("merge into empty wrong: %+v", b)
-	}
-}
-
-func TestAccumulatorStability(t *testing.T) {
+func TestVarianceStability(t *testing.T) {
 	t.Parallel()
 
 	// Welford must keep precision for tiny values with a huge offset —
 	// the regime of safety-grade PFDs.
-	var acc Accumulator
-	base := 1e-9
-	for i := 0; i < 1000; i++ {
-		acc.Add(base + float64(i%2)*1e-12)
+	xs := make([]float64, 1000)
+	for i := range xs {
+		xs[i] = 1e-9 + float64(i%2)*1e-12
 	}
-	v, err := acc.Variance()
+	v, err := Variance(xs)
 	if err != nil {
 		t.Fatalf("Variance: %v", err)
 	}
 	want := 2.5025025025e-25 // variance of alternating 0,1e-12 around mean
 	if !almostEqual(v, want, 1e-3) {
 		t.Errorf("variance = %g, want ~%g", v, want)
-	}
-}
-
-func TestCorrelation(t *testing.T) {
-	t.Parallel()
-
-	xs := []float64{1, 2, 3, 4, 5}
-	ys := []float64{2, 4, 6, 8, 10}
-	r, err := Correlation(xs, ys)
-	if err != nil {
-		t.Fatalf("Correlation: %v", err)
-	}
-	if !almostEqual(r, 1, 1e-12) {
-		t.Errorf("perfect positive correlation = %v, want 1", r)
-	}
-	neg := []float64{10, 8, 6, 4, 2}
-	r, err = Correlation(xs, neg)
-	if err != nil {
-		t.Fatalf("Correlation: %v", err)
-	}
-	if !almostEqual(r, -1, 1e-12) {
-		t.Errorf("perfect negative correlation = %v, want -1", r)
-	}
-	if _, err := Correlation(xs, ys[:3]); err == nil {
-		t.Error("Correlation with mismatched lengths succeeded, want error")
-	}
-	if _, err := Correlation([]float64{1, 1}, []float64{2, 3}); err == nil {
-		t.Error("Correlation with zero variance succeeded, want error")
 	}
 }

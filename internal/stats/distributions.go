@@ -207,50 +207,3 @@ func (p Poisson) CDF(k int) (float64, error) {
 	}
 	return GammaQ(float64(k)+1, p.Lambda)
 }
-
-// Lognormal is the distribution of exp(N(Mu, Sigma)).
-//
-// Failure-region hit probabilities q_i spanning several orders of magnitude
-// are generated from lognormals in the scenario library, reflecting the
-// common observation that fault sizes are heavy-tailed.
-type Lognormal struct {
-	Mu    float64 // mean of the underlying normal (of log X)
-	Sigma float64 // standard deviation of the underlying normal
-}
-
-// NewLognormal returns a Lognormal distribution, or an error if sigma is
-// negative or parameters are not finite.
-func NewLognormal(mu, sigma float64) (Lognormal, error) {
-	base, err := NewNormal(mu, sigma)
-	if err != nil {
-		return Lognormal{}, fmt.Errorf("stats: NewLognormal: %w", err)
-	}
-	return Lognormal{Mu: base.Mu, Sigma: base.Sigma}, nil
-}
-
-// Mean returns exp(mu + sigma^2/2).
-func (l Lognormal) Mean() float64 { return math.Exp(l.Mu + l.Sigma*l.Sigma/2) }
-
-// Variance returns (exp(sigma^2)-1) * exp(2mu + sigma^2).
-func (l Lognormal) Variance() float64 {
-	s2 := l.Sigma * l.Sigma
-	return (math.Exp(s2) - 1) * math.Exp(2*l.Mu+s2)
-}
-
-// CDF returns P(X <= x).
-func (l Lognormal) CDF(x float64) float64 {
-	if x <= 0 {
-		return 0
-	}
-	return Normal{Mu: l.Mu, Sigma: l.Sigma}.CDF(math.Log(x))
-}
-
-// Quantile returns the p-th quantile. It returns an error if p is outside
-// (0, 1).
-func (l Lognormal) Quantile(p float64) (float64, error) {
-	q, err := (Normal{Mu: l.Mu, Sigma: l.Sigma}).Quantile(p)
-	if err != nil {
-		return 0, err
-	}
-	return math.Exp(q), nil
-}

@@ -189,40 +189,3 @@ func TestPoissonDegenerate(t *testing.T) {
 		t.Error("NewPoisson(-1) succeeded, want error")
 	}
 }
-
-func TestLognormal(t *testing.T) {
-	t.Parallel()
-
-	l, err := NewLognormal(-2, 0.8)
-	if err != nil {
-		t.Fatalf("NewLognormal: %v", err)
-	}
-	wantMean := math.Exp(-2 + 0.32)
-	if !almostEqual(l.Mean(), wantMean, 1e-12) {
-		t.Errorf("lognormal mean = %v, want %v", l.Mean(), wantMean)
-	}
-	if l.CDF(0) != 0 || l.CDF(-1) != 0 {
-		t.Error("lognormal CDF must be 0 at non-positive x")
-	}
-	// Median is exp(mu).
-	med, err := l.Quantile(0.5)
-	if err != nil {
-		t.Fatalf("Quantile: %v", err)
-	}
-	if !almostEqual(med, math.Exp(-2), 1e-9) {
-		t.Errorf("lognormal median = %v, want %v", med, math.Exp(-2))
-	}
-	// Round trip.
-	for _, p := range []float64{0.05, 0.5, 0.95} {
-		x, err := l.Quantile(p)
-		if err != nil {
-			t.Fatalf("Quantile(%v): %v", p, err)
-		}
-		if !almostEqual(l.CDF(x), p, 1e-9) {
-			t.Errorf("CDF(Quantile(%v)) = %v", p, l.CDF(x))
-		}
-	}
-	if _, err := NewLognormal(0, -1); err == nil {
-		t.Error("NewLognormal(0, -1) succeeded, want error")
-	}
-}

@@ -1,15 +1,10 @@
 package stats
 
-import (
-	"fmt"
-	"math"
-	"sort"
-)
+import "sort"
 
 // ECDF is an empirical cumulative distribution function built from a
-// sample. It answers P(X <= x) under the empirical measure and provides
-// empirical quantiles, which the Monte-Carlo harness reports as percentile
-// reliability bounds (the paper's "99% confidence bound on the PFD").
+// sample. It answers P(X <= x) under the empirical measure, which E09
+// compares with the confidence level of the paper's percentile bounds.
 type ECDF struct {
 	sorted []float64
 }
@@ -26,9 +21,6 @@ func NewECDF(xs []float64) (*ECDF, error) {
 	return &ECDF{sorted: sorted}, nil
 }
 
-// N returns the sample size.
-func (e *ECDF) N() int { return len(e.sorted) }
-
 // At returns the empirical CDF value at x: the fraction of observations
 // less than or equal to x.
 func (e *ECDF) At(x float64) float64 {
@@ -39,80 +31,4 @@ func (e *ECDF) At(x float64) float64 {
 		i++
 	}
 	return float64(i) / float64(len(e.sorted))
-}
-
-// Quantile returns the empirical p-th quantile (type 7 interpolation).
-// It returns an error if p is outside [0, 1].
-func (e *ECDF) Quantile(p float64) (float64, error) {
-	if math.IsNaN(p) || p < 0 || p > 1 {
-		return 0, fmt.Errorf("stats: ECDF quantile requires p in [0, 1], got %v", p)
-	}
-	return quantileSorted(e.sorted, p), nil
-}
-
-// Exceedance returns the empirical probability P(X > x).
-func (e *ECDF) Exceedance(x float64) float64 { return 1 - e.At(x) }
-
-// Histogram is a fixed-width binned view of a sample, used by the report
-// package to render the distribution "figures" of the experiments.
-type Histogram struct {
-	// Lo and Hi are the histogram range; observations outside are counted
-	// in Under/Over.
-	Lo, Hi float64
-	// Counts holds the per-cell observation counts, in cell order.
-	Counts []int
-	// Under counts observations below Lo.
-	Under int
-	// Over counts observations at or above Hi.
-	Over  int
-	total int
-}
-
-// NewHistogram bins xs into bins equal-width cells spanning [lo, hi].
-// It returns an error if bins < 1 or the range is empty or not finite.
-func NewHistogram(xs []float64, lo, hi float64, bins int) (*Histogram, error) {
-	if bins < 1 {
-		return nil, fmt.Errorf("stats: histogram requires at least 1 bin, got %d", bins)
-	}
-	if !(lo < hi) || math.IsInf(lo, 0) || math.IsInf(hi, 0) {
-		return nil, fmt.Errorf("stats: invalid histogram range [%v, %v]", lo, hi)
-	}
-	h := &Histogram{Lo: lo, Hi: hi, Counts: make([]int, bins)}
-	width := (hi - lo) / float64(bins)
-	for _, x := range xs {
-		switch {
-		case x < lo:
-			h.Under++
-		case x > hi:
-			h.Over++
-		default:
-			i := int((x - lo) / width)
-			if i == bins { // x == hi lands in the last bin
-				i = bins - 1
-			}
-			h.Counts[i]++
-		}
-	}
-	h.total = len(xs)
-	return h, nil
-}
-
-// Total returns the number of observations offered to the histogram,
-// including out-of-range ones.
-func (h *Histogram) Total() int { return h.total }
-
-// BinCenter returns the midpoint of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	width := (h.Hi - h.Lo) / float64(len(h.Counts))
-	return h.Lo + (float64(i)+0.5)*width
-}
-
-// Density returns the estimated probability density in bin i (count
-// normalised by total and bin width).
-func (h *Histogram) Density(i int) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	width := (h.Hi - h.Lo) / float64(len(h.Counts))
-	return float64(h.Counts[i]) / (float64(h.total) * width)
 }

@@ -8,11 +8,10 @@ import (
 
 // Moments is a streaming accumulator of the first four central moments:
 // count, mean, and the second to fourth central-moment sums (M2..M4). It
-// extends Accumulator with skewness and kurtosis while keeping the same
-// two properties the Monte-Carlo harness relies on: numerically stable
-// one-pass updates (Welford/Pébay) and an exact parallel merge (Chan et
-// al.), so per-worker accumulators reduce deterministically without ever
-// materialising the sample.
+// has the two properties the Monte-Carlo harness relies on: numerically
+// stable one-pass updates (Welford/Pébay) and an exact parallel merge
+// (Chan et al.), so per-worker accumulators reduce deterministically
+// without ever materialising the sample.
 //
 // The zero value is ready to use.
 type Moments struct {

@@ -146,30 +146,34 @@ func TestMomentsDegenerate(t *testing.T) {
 	}
 }
 
-// TestMomentsMatchesAccumulator ties the two streaming types together:
+// TestMomentsMatchesVariance ties Moments to the batch Welford pass:
 // mean and variance must agree to near machine precision on the same
 // data, since Summarize mixes them in one report.
-func TestMomentsMatchesAccumulator(t *testing.T) {
+func TestMomentsMatchesVariance(t *testing.T) {
 	t.Parallel()
 
 	var m Moments
-	var a Accumulator
+	xs := make([]float64, 5000)
 	x := 0.2
-	for i := 0; i < 5000; i++ {
+	for i := range xs {
 		x = 3.7 * x * (1 - x)
+		xs[i] = x
 		m.Add(x)
-		a.Add(x)
 	}
-	momentsClose(t, "mean vs Accumulator", a.Mean(), m.Mean())
-	av, err := a.Variance()
+	s, err := Summarize(xs)
 	if err != nil {
-		t.Fatalf("Accumulator.Variance: %v", err)
+		t.Fatalf("Summarize: %v", err)
+	}
+	momentsClose(t, "mean vs Summarize", s.Mean, m.Mean())
+	av, err := Variance(xs)
+	if err != nil {
+		t.Fatalf("Variance: %v", err)
 	}
 	mv, err := m.Variance()
 	if err != nil {
 		t.Fatalf("Moments.Variance: %v", err)
 	}
-	momentsClose(t, "variance vs Accumulator", av, mv)
+	momentsClose(t, "variance vs Variance", av, mv)
 }
 
 func TestMomentsJSONRoundTrip(t *testing.T) {

@@ -1,7 +1,7 @@
 // Package stats provides the probability and statistics substrate for the
 // fault-creation model: continuous and discrete distributions with CDFs and
 // quantile functions, descriptive statistics, empirical distributions,
-// goodness-of-fit tests and bootstrap confidence intervals.
+// goodness-of-fit tests and Wilson confidence intervals.
 //
 // The Go standard library deliberately ships no statistics package; the
 // paper's Section 5 (confidence bounds under the normal approximation) and

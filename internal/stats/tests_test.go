@@ -204,53 +204,6 @@ func TestChiSquareErrors(t *testing.T) {
 	}
 }
 
-func TestBootstrapMeanCoversTruth(t *testing.T) {
-	t.Parallel()
-
-	r := randx.NewStream(33)
-	xs := make([]float64, 2000)
-	for i := range xs {
-		xs[i] = r.NormalMuSigma(10, 2)
-	}
-	mean := func(s []float64) float64 {
-		m, err := Mean(s)
-		if err != nil {
-			return math.NaN()
-		}
-		return m
-	}
-	ci, err := Bootstrap(r, xs, mean, 500, 0.95)
-	if err != nil {
-		t.Fatalf("Bootstrap: %v", err)
-	}
-	if ci.Lo > 10 || ci.Hi < 10 {
-		t.Errorf("bootstrap CI [%v, %v] misses true mean 10", ci.Lo, ci.Hi)
-	}
-	if ci.Lo > ci.Point || ci.Hi < ci.Point {
-		t.Errorf("bootstrap CI [%v, %v] excludes point estimate %v", ci.Lo, ci.Hi, ci.Point)
-	}
-	width := ci.Hi - ci.Lo
-	if width <= 0 || width > 1 {
-		t.Errorf("bootstrap CI width %v implausible for n=2000, sigma=2", width)
-	}
-}
-
-func TestBootstrapValidation(t *testing.T) {
-	t.Parallel()
-
-	r := randx.NewStream(1)
-	stat := func(s []float64) float64 { return 0 }
-	if _, err := Bootstrap(r, nil, stat, 100, 0.95); err == nil {
-		t.Error("Bootstrap(empty) succeeded, want error")
-	}
-	if _, err := Bootstrap(r, []float64{1}, stat, 1, 0.95); err == nil {
-		t.Error("Bootstrap with 1 rep succeeded, want error")
-	}
-	if _, err := Bootstrap(r, []float64{1}, stat, 100, 1.5); err == nil {
-		t.Error("Bootstrap with bad level succeeded, want error")
-	}
-}
-
 func TestWilsonInterval(t *testing.T) {
 	t.Parallel()
 
