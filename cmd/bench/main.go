@@ -7,15 +7,13 @@
 //   - the aggregation matrix — replication counts × worker counts ×
 //     buffered/streaming aggregation over the commercial-grade scenario —
 //     which tracks the streaming harness;
+//   - the N-version matrix — pool size × voting rule (configurable with
+//     -pools) over the commercial-grade scenario — which tracks the
+//     adjudicated row scoring against the 1oo2 baseline;
 //   - the kernel matrix — dense vs sparse development over large-universe
 //     fault sets of n ∈ {10^3, 10^5, 10^6} (configurable with -sparse-n),
 //     streaming aggregation, all cores — which tracks the geometric
-//     skip-sampling kernel's O(k)-per-replication claim;
-//   - the batch matrix — tile widths (configurable with -batch-widths,
-//     width 1 = kernel off baseline) over the commercial-grade scenario
-//     and over the large-universe sizes with the dense kernel — which
-//     tracks the batched replication kernel's throughput and zero-alloc
-//     claims.
+//     skip-sampling kernel's O(k)-per-replication claim.
 //
 // Each cell runs in-process with a fresh telemetry registry. Throughput
 // is read back from that registry (the same montecarlo.replications_*
@@ -26,7 +24,7 @@
 //
 // Usage:
 //
-//	bench [-out bench.json] [-reps 250000,1000000] [-workers 1,0] [-sparse-n 1000,100000,1000000] [-batch-widths 1,8,64,256]
+//	bench [-out bench.json] [-reps 250000,1000000] [-workers 1,0] [-sparse-n 1000,100000,1000000] [-pools 2:1oon,3:2oo3]
 //	bench -quick -out -        # small matrix, JSON to stdout (CI smoke)
 package main
 
@@ -56,8 +54,9 @@ import (
 // meaning so downstream tooling can dispatch on the document shape.
 // Version 3 added the N-version adjudication matrix and the per-row
 // versions/adjudicator columns. Version 4 added the batch matrix and the
-// per-row batch_width column.
-const schemaVersion = 4
+// per-row batch_width column; version 5 removed both, since every dense
+// cell runs the one 64-lane row kernel.
+const schemaVersion = 5
 
 // Row is one benchmark cell: a (scenario, n, reps, workers, streaming,
 // sparse) combination and its measurements.
@@ -72,10 +71,6 @@ type Row struct {
 	// Sparse marks cells run with the geometric skip-sampling development
 	// kernel (montecarlo Config.Sparse).
 	Sparse bool `json:"sparse"`
-	// BatchWidth is the requested batched-kernel tile width for batch
-	// matrix cells (montecarlo Config.BatchWidth); 0 elsewhere, and 1 on
-	// the matrix's kernel-off baseline rows.
-	BatchWidth int `json:"batch_width,omitempty"`
 	// Versions and Adjudicator identify N-version matrix cells: the pool
 	// size and voting rule the cell adjudicated with. Zero/empty on the
 	// aggregation and kernel matrices, which run the default 1oo2 pair.
@@ -135,7 +130,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	repsList := flags.String("reps", "250000,1000000", "comma-separated replication counts for the aggregation matrix")
 	workersList := flags.String("workers", "1,0", "comma-separated worker counts (0 = all cores)")
 	sparseNList := flags.String("sparse-n", "1000,100000,1000000", "comma-separated fault-universe sizes for the dense-vs-sparse kernel matrix (empty = skip)")
-	batchWidthsList := flags.String("batch-widths", "1,8,64,256", "comma-separated tile widths for the batch matrix (1 = kernel off baseline; empty = skip)")
 	poolList := flags.String("pools", "2:1oon,3:1oon,3:majority,3:2oo3,5:majority", "comma-separated versions:adjudicator cells for the N-version matrix (empty = skip)")
 	seed := flags.Uint64("seed", 1, "random seed (same for every cell)")
 	quick := flags.Bool("quick", false, "small matrix for smoke testing (overrides -reps and -sparse-n)")
@@ -146,7 +140,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		*repsList = "20000"
 		*sparseNList = "1000,100000"
 		*poolList = "3:majority,3:2oo3"
-		*batchWidthsList = "1,64"
 	}
 	repCounts, err := parseInts(*repsList, 1)
 	if err != nil {
@@ -166,13 +159,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	pools, err := parsePools(*poolList)
 	if err != nil {
 		return fmt.Errorf("-pools: %w", err)
-	}
-	var batchWidths []int
-	if strings.TrimSpace(*batchWidthsList) != "" {
-		batchWidths, err = parseInts(*batchWidthsList, 1)
-		if err != nil {
-			return fmt.Errorf("-batch-widths: %w", err)
-		}
 	}
 
 	sc, err := scenario.CommercialGrade(*seed)
@@ -236,41 +222,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 			}
 		}
 	}
-	// The batch matrix sweeps tile widths over the commercial-grade
-	// scenario (the throughput headline) and over the large-universe
-	// sizes with the dense kernel. Width 1 rows run with the kernel off
-	// and are the direct baseline for the wider rows of the same shape.
-	// Sparse runs ignore the batch width, so sparse × width cells would
-	// only repeat the kernel matrix's sparse rows.
-	for _, width := range batchWidths {
-		cell := cellConfig{
-			scenario: sc.Name, n: sc.FaultSet.N(), proc: proc,
-			reps: repCounts[0], workers: 0, streaming: true, batch: width,
-		}
-		if err := appendCell(ctx, &rep, cell, *seed); err != nil {
-			return err
-		}
-	}
-	for _, n := range sparseNs {
-		lu, err := scenario.LargeUniverse(n)
-		if err != nil {
-			return err
-		}
-		luProc := devsim.NewIndependentProcess(lu.FaultSet)
-		for _, width := range batchWidths {
-			if width == 1 {
-				continue // the kernel matrix above already measures this shape
-			}
-			cell := cellConfig{
-				scenario: lu.Name, n: n, proc: luProc,
-				reps: sparseReps(n, *quick), workers: 0, streaming: true, batch: width,
-			}
-			if err := appendCell(ctx, &rep, cell, *seed); err != nil {
-				return err
-			}
-		}
-	}
-
 	doc, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
 		return err
@@ -311,7 +262,6 @@ type cellConfig struct {
 	workers   int
 	streaming bool
 	sparse    bool
-	batch     int
 	versions  int
 	adj       system.Adjudicator
 }
@@ -356,16 +306,13 @@ func parsePools(s string) ([]poolSpec, error) {
 func appendCell(ctx context.Context, rep *Report, cell cellConfig, seed uint64) error {
 	row, err := runCell(ctx, cell, seed)
 	if err != nil {
-		return fmt.Errorf("cell scenario=%s n=%d reps=%d workers=%d streaming=%v sparse=%v batch=%d: %w",
-			cell.scenario, cell.n, cell.reps, cell.workers, cell.streaming, cell.sparse, cell.batch, err)
+		return fmt.Errorf("cell scenario=%s n=%d reps=%d workers=%d streaming=%v sparse=%v: %w",
+			cell.scenario, cell.n, cell.reps, cell.workers, cell.streaming, cell.sparse, err)
 	}
 	rep.Rows = append(rep.Rows, row)
 	pool := ""
 	if cell.adj != nil {
 		pool = fmt.Sprintf(" pool=%d:%s", cell.versions, adjName(cell.adj))
-	}
-	if cell.batch > 0 {
-		pool += fmt.Sprintf(" batch=%d", cell.batch)
 	}
 	fmt.Fprintf(os.Stderr, "bench: %-14s n=%-8d reps=%-7d workers=%d streaming=%-5v sparse=%-5v%s %10.0f ns/rep %10.4f allocs/rep\n",
 		cell.scenario, cell.n, cell.reps, cell.workers, cell.streaming, cell.sparse, pool, row.NSPerRep, row.AllocsPerRep)
@@ -403,7 +350,6 @@ func runCell(ctx context.Context, cell cellConfig, seed uint64) (Row, error) {
 		Seed:        seed,
 		Streaming:   cell.streaming,
 		Sparse:      cell.sparse,
-		BatchWidth:  cell.batch,
 		Adjudicator: cell.adj,
 		Metrics:     reg,
 	}
@@ -440,7 +386,6 @@ func runCell(ctx context.Context, cell cellConfig, seed uint64) (Row, error) {
 		Workers:       cell.workers,
 		Streaming:     cell.streaming,
 		Sparse:        cell.sparse,
-		BatchWidth:    cell.batch,
 		Versions:      cell.versions,
 		Adjudicator:   adjName(cell.adj),
 		WallNS:        wall.Nanoseconds(),
@@ -457,9 +402,6 @@ func runCell(ctx context.Context, cell cellConfig, seed uint64) (Row, error) {
 	}
 	if cell.sparse && !res.Sparse {
 		return Row{}, fmt.Errorf("sparse cell fell back to the dense kernel")
-	}
-	if cell.batch > 1 && !res.Batched {
-		return Row{}, fmt.Errorf("batch cell fell back to the unbatched harness")
 	}
 	return row, nil
 }

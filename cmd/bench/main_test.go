@@ -36,7 +36,7 @@ func TestBenchMatrix(t *testing.T) {
 	var stdout strings.Builder
 	err := run(context.Background(), []string{
 		"-reps", "5000", "-workers", "1,0", "-sparse-n", "", "-pools", "",
-		"-batch-widths", "", "-out", out, "-seed", "5",
+		"-out", out, "-seed", "5",
 	}, &stdout)
 	if err != nil {
 		t.Fatalf("run: %v", err)
@@ -119,12 +119,12 @@ func TestBenchSparseMatrix(t *testing.T) {
 	}
 	var kernel []Row
 	for _, row := range rep.Rows {
-		if row.Scenario == "large-universe" && row.BatchWidth == 0 {
+		if row.Scenario == "large-universe" {
 			kernel = append(kernel, row)
 		}
 	}
 	if len(kernel) != 4 {
-		t.Fatalf("got %d plain kernel-matrix rows, want 4 (2 sizes × dense/sparse): %+v", len(kernel), rep.Rows)
+		t.Fatalf("got %d kernel-matrix rows, want 4 (2 sizes × dense/sparse): %+v", len(kernel), rep.Rows)
 	}
 	for i := 0; i < len(kernel); i += 2 {
 		dense, sparse := kernel[i], kernel[i+1]
@@ -146,33 +146,6 @@ func TestBenchSparseMatrix(t *testing.T) {
 				sparse.N, sparse.NSPerRep, dense.NSPerRep)
 		}
 	}
-	// Quick mode also runs the batch matrix at widths {1, 64}: the width-1
-	// baseline row must record no batching, the active rows must have
-	// engaged the batched kernel (runCell errors otherwise) and measured.
-	var batch []Row
-	for _, row := range rep.Rows {
-		if row.BatchWidth != 0 {
-			batch = append(batch, row)
-		}
-	}
-	if len(batch) == 0 {
-		t.Fatal("quick matrix recorded no batch rows")
-	}
-	sawBaseline, sawActive := false, false
-	for _, row := range batch {
-		switch {
-		case row.BatchWidth == 1:
-			sawBaseline = true
-		case row.BatchWidth >= 2:
-			sawActive = true
-		}
-		if row.NSPerRep <= 0 || row.RepsPerSecond <= 0 {
-			t.Errorf("batch row missing timing measurements: %+v", row)
-		}
-	}
-	if !sawBaseline || !sawActive {
-		t.Errorf("batch rows missing baseline or active widths: %+v", batch)
-	}
 }
 
 // TestBenchPoolMatrix pins the N-version matrix: one row per requested
@@ -186,7 +159,7 @@ func TestBenchPoolMatrix(t *testing.T) {
 
 	var stdout strings.Builder
 	err := run(context.Background(), []string{
-		"-reps", "2000", "-workers", "1", "-sparse-n", "", "-batch-widths", "",
+		"-reps", "2000", "-workers", "1", "-sparse-n", "",
 		"-pools", "3:majority,3:2oo3", "-out", "-", "-seed", "5",
 	}, &stdout)
 	if err != nil {
@@ -229,7 +202,7 @@ func TestBenchStdout(t *testing.T) {
 	var stdout strings.Builder
 	if err := run(context.Background(), []string{
 		"-reps", "1000", "-workers", "1", "-sparse-n", "", "-pools", "",
-		"-batch-widths", "", "-out", "-",
+		"-out", "-",
 	}, &stdout); err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -286,6 +259,7 @@ func TestBenchBadFlags(t *testing.T) {
 		{"-workers", "-2"},
 		{"-reps", "abc"},
 		{"-sparse-n", "2"},
+		{"-batch-widths", "64"},
 	} {
 		if err := run(context.Background(), args, &stdout); err == nil {
 			t.Errorf("run(%v) succeeded, want error", args)

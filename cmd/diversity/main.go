@@ -56,7 +56,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	mcReps := flags.Int("mc", 0, "cross-check the analytic moments by Monte-Carlo simulation with this many replications (0 = off)")
 	stream := flags.Bool("stream", false, "run the -mc cross-check with constant-memory streaming aggregation")
 	sparse := flags.Bool("sparse", false, "run the -mc cross-check with the geometric skip-sampling development kernel")
-	batch := flags.Int("batch", 0, "run the -mc cross-check with the batched replication kernel at this tile width (0 or 1 = off; ignored with -sparse)")
 	progress := flags.Bool("progress", false, "report job IDs and -mc cross-check progress on stderr")
 	noCache := flags.Bool("no-cache", false, "disable the engine's in-memory result and model caches")
 	tf := cliutil.RegisterTelemetryFlags(flags)
@@ -193,7 +192,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	}
 
 	if *mcReps > 0 {
-		if err := renderCrossCheck(ctx, out, eng, model, rep.Mu1, rep.Sigma1, rep.Mu2, rep.Sigma2, *mcReps, *seed, *stream, *sparse, *batch, *progress); err != nil {
+		if err := renderCrossCheck(ctx, out, eng, model, rep.Mu1, rep.Sigma1, rep.Mu2, rep.Sigma2, *mcReps, *seed, *stream, *sparse, *progress); err != nil {
 			return err
 		}
 	}
@@ -247,15 +246,14 @@ func renderPool(out io.Writer, fs *faultmodel.FaultSet, adj system.Adjudicator, 
 // report above is built on — an end-to-end consistency check an assessor
 // can run on their own model. With streaming aggregation the simulation
 // runs at constant memory regardless of the replication count.
-func renderCrossCheck(ctx context.Context, out io.Writer, eng *engine.Engine, model engine.ModelSpec, mu1, sigma1, mu2, sigma2 float64, reps int, seed uint64, stream, sparse bool, batch int, progress bool) error {
+func renderCrossCheck(ctx context.Context, out io.Writer, eng *engine.Engine, model engine.ModelSpec, mu1, sigma1, mu2, sigma2 float64, reps int, seed uint64, stream, sparse, progress bool) error {
 	res, err := eng.Run(ctx, engine.NewMonteCarloJob(engine.MonteCarloSpec{
-		Model:      model,
-		Versions:   2,
-		Reps:       reps,
-		Seed:       seed,
-		Streaming:  stream,
-		Sparse:     sparse,
-		BatchWidth: batch,
+		Model:     model,
+		Versions:  2,
+		Reps:      reps,
+		Seed:      seed,
+		Streaming: stream,
+		Sparse:    sparse,
 	}))
 	if err != nil {
 		return err
@@ -277,9 +275,6 @@ func renderCrossCheck(ctx context.Context, out io.Writer, eng *engine.Engine, mo
 	}
 	if sparse {
 		mode += ", sparse kernel"
-	}
-	if res.MonteCarlo.Batched {
-		mode += fmt.Sprintf(", batched kernel (width %d)", res.MonteCarlo.BatchWidth)
 	}
 	fmt.Fprintln(out)
 	tbl, err := report.NewTable(

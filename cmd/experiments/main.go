@@ -52,7 +52,6 @@ func run(ctx context.Context, args []string, out io.Writer) (int, error) {
 	quick := flags.Bool("quick", false, "reduced replication counts")
 	stream := flags.Bool("stream", false, "constant-memory streaming aggregation for moment/counter experiments")
 	sparse := flags.Bool("sparse", false, "geometric skip-sampling development kernel for the Monte-Carlo passes")
-	batch := flags.Int("batch", 0, "batched replication kernel tile width for the Monte-Carlo passes (0 or 1 = off; ignored with -sparse)")
 	seed := flags.Uint64("seed", 1, "random seed")
 	versions := flags.Int("versions", 0, "extra adjudicated pool size for the arrangement experiments (set together with -adjudicator)")
 	adjName := flags.String("adjudicator", "", "extra adjudicated arrangement to evaluate (1oon | majority | KooN); set together with -versions")
@@ -92,14 +91,13 @@ func run(ctx context.Context, args []string, out io.Writer) (int, error) {
 		}
 	}
 
-	cfg := experiments.Config{Seed: *seed, Quick: *quick, Streaming: *stream, Sparse: *sparse, BatchWidth: *batch}
+	cfg := experiments.Config{Seed: *seed, Quick: *quick, Streaming: *stream, Sparse: *sparse}
 	res, err := eng.Run(ctx, engine.NewExperimentsJob(engine.ExperimentsSpec{
 		IDs:         selected,
 		Seed:        *seed,
 		Quick:       *quick,
 		Streaming:   *stream,
 		Sparse:      *sparse,
-		BatchWidth:  *batch,
 		Versions:    *versions,
 		Adjudicator: *adjName,
 	}))

@@ -10,13 +10,16 @@ import (
 
 // The golden files under testdata/ were captured at fixed seeds: the
 // dense, streaming, sparse and rare-event files from the pair-shaped
-// (pre-adjudicator) CLI, the batched, correlated and 2oo3 files from the
-// CLI before the replication loops were unified into one bitset pipeline.
+// (pre-adjudicator) CLI, the correlated and 2oo3 files from the CLI
+// before the replication loops were unified into one bitset pipeline.
 // The Monte-Carlo files were re-captured once when replication blocks got
 // their own streams, the rare-event file once when the rare-event
 // estimators moved onto those blocks, and their first lines once when the
 // report began to name every voting rule by its adjudicator name
-// ("1oon"). These tests assert the refactors' core compatibility
+// ("1oon"). Every file but the sparse one was re-captured once more when
+// the 64-lane row kernel became the only dense kernel: each is what the
+// CLI printed with -batch 64 before, minus the header's kernel suffix.
+// These tests assert the refactors' core compatibility
 // promise: every invocation renders byte-identical output — same variate
 // sequence, same summation order, same report text — and, because each
 // block's randomness is keyed by its index, at every worker count.
@@ -49,16 +52,6 @@ func TestGoldenLegacyOutputs(t *testing.T) {
 			name:   "sparse",
 			args:   []string{"-model", model, "-reps", "20000", "-seed", "3", "-sparse"},
 			golden: "golden_sparse.txt",
-		},
-		{
-			name:   "batched",
-			args:   []string{"-model", model, "-reps", "20000", "-seed", "3", "-batch", "64"},
-			golden: "golden_batch.txt",
-		},
-		{
-			name:   "streaming batched",
-			args:   []string{"-model", model, "-reps", "20000", "-seed", "3", "-stream", "-batch", "64"},
-			golden: "golden_stream_batch.txt",
 		},
 		{
 			name:   "correlated",

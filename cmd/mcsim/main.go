@@ -62,7 +62,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	rare := flags.Bool("rare", false, "estimate P(system carries any fault) by importance sampling (for safety-grade regimes)")
 	stream := flags.Bool("stream", false, "constant-memory streaming aggregation (quantiles at histogram resolution)")
 	sparse := flags.Bool("sparse", false, "geometric skip-sampling development kernel (O(faults present) per replication; different variate sequence, identical distribution)")
-	batch := flags.Int("batch", 0, "batched replication kernel tile width (0 or 1 = off; >= 2 tiles Bernoulli draws and bitset evaluation across that many replications; different variate sequence, identical distribution; ignored with -sparse)")
 	progress := flags.Bool("progress", false, "report progress on stderr as replications complete")
 	noCache := flags.Bool("no-cache", false, "disable the engine's in-memory result and model caches")
 	tf := cliutil.RegisterTelemetryFlags(flags)
@@ -108,7 +107,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 			Seed:        *seed,
 			TiltTarget:  0.3,
 			Sparse:      *sparse,
-			BatchWidth:  *batch,
 			Adjudicator: *adjName,
 		}))
 		if err != nil {
@@ -134,7 +132,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		Boost:       *boost,
 		Streaming:   *stream,
 		Sparse:      *sparse,
-		BatchWidth:  *batch,
 	}))
 	if err != nil {
 		return err
@@ -163,9 +160,6 @@ func renderSimulation(out io.Writer, eres *engine.Result, versions, reps int, ad
 	}
 	if res.Sparse {
 		mode += ", sparse kernel"
-	}
-	if res.Batched {
-		mode += fmt.Sprintf(", batched kernel (width %d)", res.BatchWidth)
 	}
 	fmt.Fprintf(out, "Model: %s — %d replications of %d versions (%s adjudication%s)\n\n",
 		name, reps, versions, res.Adjudicator, mode)

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -146,10 +145,10 @@ func TestRunRareEstimation(t *testing.T) {
 	}
 }
 
-// TestRunRareBatchForwarded: -rare -batch must run both estimators with
-// the batched tile loop, so the report shows exactly the batched
-// estimates, not the unbatched ones.
-func TestRunRareBatchForwarded(t *testing.T) {
+// TestRunRareMatchesEstimator: -rare prints exactly the estimate the
+// library's importance-sampling estimator returns for the same model,
+// replication count and seed.
+func TestRunRareMatchesEstimator(t *testing.T) {
 	t.Parallel()
 
 	path := writeModel(t, `{"name": "rare", "faults": [{"p": 0.003, "q": 0.001}, {"p": 0.002, "q": 0.002}, {"p": 0.001, "q": 0.001}]}`)
@@ -158,21 +157,19 @@ func TestRunRareBatchForwarded(t *testing.T) {
 		t.Fatalf("faultmodel.New: %v", err)
 	}
 	ctx := context.Background()
-	for _, width := range []int{0, 64} {
-		var out strings.Builder
-		args := []string{"-model", path, "-reps", "20000", "-seed", "7", "-rare", "-batch", strconv.Itoa(width)}
-		if err := run(ctx, args, &out); err != nil {
-			t.Fatalf("run(%v): %v", args, err)
-		}
-		is, err := montecarlo.EstimateRareSystemFaultOpts(ctx, fs, 2, 20000, 7, 0.3, montecarlo.RareOptions{BatchWidth: width})
-		if err != nil {
-			t.Fatalf("EstimateRareSystemFaultOpts: %v", err)
-		}
-		want := fmt.Sprintf("importance sampling %s %s %s",
-			report.Fmt(is.Probability), report.Fmt(is.StdErr), report.Fmt(is.HitFraction))
-		if !strings.Contains(strings.Join(strings.Fields(out.String()), " "), want) {
-			t.Errorf("-batch %d: output lacks the width-%d estimate %q:\n%s", width, width, want, out.String())
-		}
+	var out strings.Builder
+	args := []string{"-model", path, "-reps", "20000", "-seed", "7", "-rare"}
+	if err := run(ctx, args, &out); err != nil {
+		t.Fatalf("run(%v): %v", args, err)
+	}
+	is, err := montecarlo.EstimateRareSystemFaultOpts(ctx, fs, 2, 20000, 7, 0.3, montecarlo.RareOptions{})
+	if err != nil {
+		t.Fatalf("EstimateRareSystemFaultOpts: %v", err)
+	}
+	want := fmt.Sprintf("importance sampling %s %s %s",
+		report.Fmt(is.Probability), report.Fmt(is.StdErr), report.Fmt(is.HitFraction))
+	if !strings.Contains(strings.Join(strings.Fields(out.String()), " "), want) {
+		t.Errorf("output lacks the estimate %q:\n%s", want, out.String())
 	}
 }
 

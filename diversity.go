@@ -90,13 +90,11 @@ type (
 	// Setting its Sparse field selects the sparse development kernel
 	// (geometric skip-sampling over bitset fault masks), which makes
 	// replication cost O(faults present) rather than O(universe size) —
-	// the same distribution from a different variate sequence. Setting
-	// its BatchWidth field (>= 2) selects the batched replication
-	// kernel, which tiles that many replications per inner loop so each
-	// fault's Bernoulli draws for the whole tile come as one fault-major
-	// row of lane bits, and the rows are scored word-wide against the
-	// voting rule — again the same distribution from a different variate
-	// sequence.
+	// the same distribution from a different variate sequence. Without
+	// it, a run tiles 64 replications per inner loop: each fault's
+	// Bernoulli draws for the whole tile come as one fault-major word of
+	// lane bits, and the words are scored word-wide against the voting
+	// rule. Its BatchWidth field is deprecated and ignored.
 	MonteCarloConfig = montecarlo.Config
 	// MonteCarloResult holds simulated PFD populations — raw samples for
 	// buffered runs, streaming aggregates for Streaming runs; its

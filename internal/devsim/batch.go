@@ -6,13 +6,12 @@ import (
 	"diversity/internal/randx"
 )
 
-// BatchDeveloper is an optional Process extension for the batched
-// replication kernel. DevelopRows develops width independent versions —
-// the tile's lanes — and returns their fault-major mask rows: for
-// g = ceil(width/64) lane groups, bit j of rows[i*g+k] is fault i's
-// presence in lane 64k+j, and the bits past width in the last group are
-// clear. Every fault draws its Bernoulli variates for all lanes as a
-// batch — fused draw-and-compare randx.Stream.Hits calls for the
+// BatchDeveloper is an optional Process extension for the Monte-Carlo
+// harness's dense kernel. DevelopRows develops width <= 64 independent
+// versions — the tile's lanes — and returns their fault-major mask rows,
+// one word per fault: bit j of rows[i] is fault i's presence in lane j,
+// and the bits past width are clear. Every fault draws its Bernoulli
+// variates for all lanes as a batch — fused draw-and-compare randx.Stream.Hits calls for the
 // independent process, a randx.Stream.FillUint64 batch threshold-compared
 // branchlessly (see BernoulliThreshold) for the correlated processes —
 // straight into its lane masks. That amortizes the RNG call and the
@@ -37,7 +36,7 @@ type BatchDeveloper interface {
 	DevelopRows(r *randx.Stream, width int, scratch []uint64) []uint64
 }
 
-// Every shipped process supports the batched kernel.
+// Every shipped process supports the fault-major row kernel.
 var (
 	_ BatchDeveloper = (*IndependentProcess)(nil)
 	_ BatchDeveloper = (*CommonCauseProcess)(nil)
@@ -46,11 +45,10 @@ var (
 )
 
 // BatchScratchLen returns the scratch length DevelopRows requires for a
-// tile of the given width over a universe of n faults: width draw lanes,
-// width latent-coin lanes, and n rows of ceil(width/64) fault-major mask
-// words.
+// tile of width <= 64 lanes over a universe of n faults: width draw
+// lanes, width latent-coin lanes, and one mask word per fault.
 func BatchScratchLen(width, n int) int {
-	return 2*width + n*((width+63)/64)
+	return 2*width + n
 }
 
 // BernoulliThreshold maps a presence probability to the integer
@@ -77,32 +75,17 @@ func hitBit(u, t uint64) uint64 {
 
 // batchLayout slices one scratch arena into the kernel's three regions.
 func batchLayout(scratch []uint64, width, n int) (d, aux, rows []uint64) {
-	g := (width + 63) / 64
-	return scratch[:width], scratch[width : 2*width], scratch[2*width : 2*width+n*g]
+	return scratch[:width], scratch[width : 2*width], scratch[2*width : 2*width+n]
 }
 
-// maskRow threshold-compares one fault's draw lanes into its mask row:
-// bit j of rows[k] is the hit for column 64*k + j.
-func maskRow(d []uint64, t uint64, rows []uint64) {
-	for k := range rows {
-		lanes := d[k*64:]
-		if len(lanes) > 64 {
-			lanes = lanes[:64]
-		}
-		var m uint64
-		for j, u := range lanes {
-			m |= hitBit(u, t) << uint(j)
-		}
-		rows[k] = m
+// laneMask threshold-compares draw lanes into a mask: bit j is the hit
+// for lane j.
+func laneMask(d []uint64, t uint64) uint64 {
+	var m uint64
+	for j, u := range d {
+		m |= hitBit(u, t) << uint(j)
 	}
-}
-
-// zeroRow clears one fault's mask row (used for skipped p = 0 faults,
-// whose rows would otherwise carry a previous tile's hits).
-func zeroRow(rows []uint64) {
-	for k := range rows {
-		rows[k] = 0
-	}
+	return m
 }
 
 // transpose64 transposes a 64×64 bit matrix in place: bit j of word k
@@ -122,35 +105,19 @@ func transpose64(a *[64]uint64) {
 	}
 }
 
-// scatterRows transposes fault-major mask rows into per-lane columns,
-// overwriting every word of every column and rebuilding the touched
-// lists — which both clears stale state and restores the Bitset
+// scatterRows transposes fault-major mask rows into at most 64 per-lane
+// columns, overwriting every word of every column and rebuilding the
+// touched lists — which both clears stale state and restores the Bitset
 // O(touched) contract for the evaluation kernels.
 func scatterRows(rows []uint64, cols []*Bitset, n int) {
-	width := len(cols)
-	g := (width + 63) / 64
 	var blk [64]uint64
 	for wb := 0; wb*64 < n; wb++ { // fault word block
-		lo := wb * 64
-		hi := lo + 64
-		if hi > n {
-			hi = n
-		}
-		for k := 0; k < g; k++ { // column lane group
-			for i := lo; i < hi; i++ {
-				blk[i-lo] = rows[i*g+k]
-			}
-			for i := hi - lo; i < 64; i++ {
-				blk[i] = 0
-			}
-			transpose64(&blk)
-			jmax := width - k*64
-			if jmax > 64 {
-				jmax = 64
-			}
-			for j := 0; j < jmax; j++ {
-				cols[k*64+j].words[wb] = blk[j]
-			}
+		lo, hi := wb*64, min(wb*64+64, n)
+		copy(blk[:], rows[lo:hi])
+		clear(blk[hi-lo:])
+		transpose64(&blk)
+		for j, col := range cols {
+			col.words[wb] = blk[j]
 		}
 	}
 	for _, col := range cols {
@@ -183,27 +150,19 @@ func (p *IndependentProcess) batchThresholds() []uint64 {
 // p = 0 are skipped without consuming variates.
 func (p *IndependentProcess) DevelopRows(r *randx.Stream, width int, scratch []uint64) []uint64 {
 	_, _, rows := batchLayout(scratch, width, p.fs.N())
-	g := (width + 63) / 64
 	for i, t := range p.batchThresholds() {
-		row := rows[i*g : i*g+g]
-		if t == 0 {
-			zeroRow(row)
-			continue
-		}
-		rem := width
-		for k := range row {
-			c := min(rem, 64)
-			row[k] = r.Hits(t, c)
-			rem -= c
+		rows[i] = 0
+		if t != 0 {
+			rows[i] = r.Hits(t, width)
 		}
 	}
 	return rows
 }
 
 // DevelopBatch is the column view of DevelopRows: it develops len(cols)
-// versions exactly as DevelopRows does and transposes the rows into the
-// columns, overwriting each (clearing any stale state) with one lane's
-// mask. The Monte-Carlo path scores rows directly; this form remains as
+// <= 64 versions exactly as DevelopRows does and transposes the rows into
+// the columns, overwriting each (clearing any stale state) with one
+// lane's mask. The Monte-Carlo path scores rows directly; this form remains as
 // the per-column development probe of perfbench (its
 // devsim.develop_batch_ns_per_rep layer).
 func (p *IndependentProcess) DevelopBatch(r *randx.Stream, cols []*Bitset, scratch []uint64) {
@@ -224,33 +183,16 @@ func (p *CommonCauseProcess) batchThresholds() ([]uint64, []uint64) {
 	return p.thrHi, p.thrLo
 }
 
-// coinMasks draws one batch of latent coins and packs the comparisons
-// against thr into per-group lane masks, stored in aux's leading words.
-// The packing overwrites raw coins in place; it only writes aux[k] after
-// group k's raw values (aux[64k:64k+64)) have been consumed, and k <
-// 64(k+1) keeps the writes clear of every later group's raw values. No
-// draw happens when thr == 0 (the masks are all zero), mirroring how
-// Bernoulli skips degenerate probabilities.
-func coinMasks(r *randx.Stream, aux []uint64, g int, thr uint64) []uint64 {
+// coinMask draws one batch of latent coins into aux and packs the
+// comparisons against thr into a lane mask. No draw happens when thr == 0
+// (the mask is zero), mirroring how Bernoulli skips degenerate
+// probabilities.
+func coinMask(r *randx.Stream, aux []uint64, thr uint64) uint64 {
 	if thr == 0 {
-		for k := 0; k < g; k++ {
-			aux[k] = 0
-		}
-		return aux[:g]
+		return 0
 	}
 	r.FillUint64(aux)
-	for k := 0; k < g; k++ {
-		lanes := aux[k*64:]
-		if len(lanes) > 64 {
-			lanes = lanes[:64]
-		}
-		var m uint64
-		for j, u := range lanes {
-			m |= hitBit(u, thr) << uint(j)
-		}
-		aux[k] = m
-	}
-	return aux[:g]
+	return laneMask(aux, thr)
 }
 
 // DevelopRows implements BatchDeveloper. One batch of "bad day" coins
@@ -259,33 +201,25 @@ func coinMasks(r *randx.Stream, aux []uint64, g int, thr uint64) []uint64 {
 // and good-day comparisons through that mask.
 func (p *CommonCauseProcess) DevelopRows(r *randx.Stream, width int, scratch []uint64) []uint64 {
 	d, aux, rows := batchLayout(scratch, width, len(p.hi))
-	g := (width + 63) / 64
 	var thrRho uint64
 	if p.rho > 0 {
 		thrRho = BernoulliThreshold(p.rho)
 	}
-	day := coinMasks(r, aux, g, thrRho)
+	day := coinMask(r, aux, thrRho)
 	thrHi, thrLo := p.batchThresholds()
 	for i := range thrHi {
 		tHi, tLo := thrHi[i], thrLo[i]
-		row := rows[i*g : i*g+g]
+		rows[i] = 0
 		if tHi == 0 { // p_i == 0: lo <= hi, neither day can set the bit
-			zeroRow(row)
 			continue
 		}
 		r.FillUint64(d)
-		for k := range row {
-			lanes := d[k*64:]
-			if len(lanes) > 64 {
-				lanes = lanes[:64]
-			}
-			var mLo, mHi uint64
-			for j, u := range lanes {
-				mLo |= hitBit(u, tLo) << uint(j)
-				mHi |= hitBit(u, tHi) << uint(j)
-			}
-			row[k] = (mHi & day[k]) | (mLo &^ day[k])
+		var mLo, mHi uint64
+		for j, u := range d {
+			mLo |= hitBit(u, tLo) << uint(j)
+			mHi |= hitBit(u, tHi) << uint(j)
 		}
+		rows[i] = (mHi & day) | (mLo &^ day)
 	}
 	return rows
 }
@@ -324,46 +258,34 @@ const halfThreshold = 1 << 52
 func (p *ResourceShiftProcess) DevelopRows(r *randx.Stream, width int, scratch []uint64) []uint64 {
 	n := p.fs.N()
 	d, aux, rows := batchLayout(scratch, width, n)
-	g := (width + 63) / 64
 	thrFav, thrNeg := p.batchThresholds()
 	for pair := 0; pair+1 < n; pair += 2 {
-		coin := coinMasks(r, aux, g, halfThreshold)
+		// A heads coin favours the first member (offset 0).
+		sel := coinMask(r, aux, halfThreshold)
 		for offset := 0; offset < 2; offset++ {
 			i := pair + offset
 			tFav, tNeg := thrFav[i], thrNeg[i]
-			row := rows[i*g : i*g+g]
+			rows[i] = 0
+			if offset == 1 {
+				sel = ^sel
+			}
 			if tNeg == 0 { // p_i == 0 either way
-				zeroRow(row)
 				continue
 			}
 			r.FillUint64(d)
-			for k := range row {
-				lanes := d[k*64:]
-				if len(lanes) > 64 {
-					lanes = lanes[:64]
-				}
-				var mFav, mNeg uint64
-				for j, u := range lanes {
-					mFav |= hitBit(u, tFav) << uint(j)
-					mNeg |= hitBit(u, tNeg) << uint(j)
-				}
-				// A heads coin favours the first member (offset 0).
-				sel := coin[k]
-				if offset == 1 {
-					sel = ^sel
-				}
-				row[k] = (mFav & sel) | (mNeg &^ sel)
+			var mFav, mNeg uint64
+			for j, u := range d {
+				mFav |= hitBit(u, tFav) << uint(j)
+				mNeg |= hitBit(u, tNeg) << uint(j)
 			}
+			rows[i] = (mFav & sel) | (mNeg &^ sel)
 		}
 	}
-	if n%2 == 1 {
-		i := n - 1
-		row := rows[i*g : i*g+g]
+	if i := n - 1; n%2 == 1 {
+		rows[i] = 0
 		if t := thrFav[i]; t != 0 {
 			r.FillUint64(d)
-			maskRow(d, t, row)
-		} else {
-			zeroRow(row)
+			rows[i] = laneMask(d, t)
 		}
 	}
 	return rows
@@ -388,26 +310,19 @@ func (p *TiedPairsProcess) batchThresholds() []uint64 {
 func (p *TiedPairsProcess) DevelopRows(r *randx.Stream, width int, scratch []uint64) []uint64 {
 	n := p.fs.N()
 	d, _, rows := batchLayout(scratch, width, n)
-	g := (width + 63) / 64
 	thr := p.batchThresholds()
 	for i := 0; i < n; i++ {
 		partner := p.pairOf[i]
 		if partner >= 0 && partner < i {
 			continue // the partner's draw already wrote this row
 		}
-		row := rows[i*g : i*g+g]
-		t := thr[i]
-		if t == 0 {
-			zeroRow(row)
-			if partner > i {
-				zeroRow(rows[partner*g : partner*g+g])
-			}
-			continue
+		rows[i] = 0
+		if t := thr[i]; t != 0 {
+			r.FillUint64(d)
+			rows[i] = laneMask(d, t)
 		}
-		r.FillUint64(d)
-		maskRow(d, t, row)
 		if partner > i {
-			copy(rows[partner*g:partner*g+g], row)
+			rows[partner] = rows[i]
 		}
 	}
 	return rows

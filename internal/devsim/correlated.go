@@ -25,7 +25,7 @@ type CommonCauseProcess struct {
 	hi []float64
 	lo []float64
 
-	// Batched-kernel state, built lazily on first DevelopRows: integer
+	// Row-kernel state, built lazily on first DevelopRows: integer
 	// Bernoulli thresholds for hi and lo (see bernoulliThreshold).
 	batchOnce sync.Once
 	thrHi     []uint64
@@ -108,7 +108,7 @@ type ResourceShiftProcess struct {
 	fs    *faultmodel.FaultSet
 	shift float64
 
-	// Batched-kernel state, built lazily on first DevelopRows: integer
+	// Row-kernel state, built lazily on first DevelopRows: integer
 	// Bernoulli thresholds at p·(1−shift) and p·(1+shift).
 	batchOnce sync.Once
 	thrFav    []uint64

@@ -22,7 +22,7 @@ type TiedPairsProcess struct {
 	// Only the smaller index of each pair drives the coin.
 	pairOf []int
 
-	// Batched-kernel state, built lazily on first DevelopRows: one
+	// Row-kernel state, built lazily on first DevelopRows: one
 	// integer Bernoulli threshold per driver fault.
 	batchOnce  sync.Once
 	thresholds []uint64

@@ -151,7 +151,7 @@ type IndependentProcess struct {
 	sparseOnce sync.Once
 	groups     []faultGroup
 
-	// Dense and batched kernel state, built lazily on first DevelopInto
+	// Per-column and row kernel state, built lazily on first DevelopInto
 	// or DevelopRows: one integer Bernoulli threshold per fault (see
 	// BernoulliThreshold).
 	batchOnce  sync.Once

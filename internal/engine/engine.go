@@ -487,7 +487,6 @@ func (e *Engine) runMonteCarlo(ctx context.Context, spec *MonteCarloSpec, span *
 		Seed:        spec.Seed,
 		Streaming:   spec.Streaming,
 		Sparse:      spec.Sparse,
-		BatchWidth:  spec.BatchWidth,
 		Progress: func(done, total int) {
 			emit(Progress{Stage: "replications", Done: done, Total: total})
 		},
@@ -503,14 +502,13 @@ func (e *Engine) runMonteCarlo(ctx context.Context, spec *MonteCarloSpec, span *
 // rareStageOpts builds estimator options that forward intermediate Done
 // counts for the named stage: rare-event stages report at context-check
 // granularity, not just a leading Done: 0.
-func (e *Engine) rareStageOpts(name string, sparse bool, batchWidth int, adj system.Adjudicator, emit func(Progress)) montecarlo.RareOptions {
+func (e *Engine) rareStageOpts(name string, sparse bool, adj system.Adjudicator, emit func(Progress)) montecarlo.RareOptions {
 	return montecarlo.RareOptions{
 		Progress: func(done, total int) {
 			emit(Progress{Stage: name, Done: done, Total: total})
 		},
 		Metrics:     e.tele,
 		Sparse:      sparse,
-		BatchWidth:  batchWidth,
 		Adjudicator: adj,
 	}
 }
@@ -529,13 +527,13 @@ func (e *Engine) runRareEvent(ctx context.Context, spec *RareEventSpec, span *te
 		return nil, err
 	}
 	endIS := stage(span, "importance sampling")
-	is, err := montecarlo.EstimateRareSystemFaultOpts(ctx, fs, spec.Versions, spec.Reps, spec.Seed, spec.TiltTarget, e.rareStageOpts("importance sampling", spec.Sparse, spec.BatchWidth, adj, emit))
+	is, err := montecarlo.EstimateRareSystemFaultOpts(ctx, fs, spec.Versions, spec.Reps, spec.Seed, spec.TiltTarget, e.rareStageOpts("importance sampling", spec.Sparse, adj, emit))
 	endIS()
 	if err != nil {
 		return nil, err
 	}
 	endNaive := stage(span, "naive Monte Carlo")
-	naive, err := montecarlo.EstimateNaiveSystemFaultOpts(ctx, fs, spec.Versions, spec.Reps, spec.Seed, e.rareStageOpts("naive Monte Carlo", spec.Sparse, spec.BatchWidth, adj, emit))
+	naive, err := montecarlo.EstimateNaiveSystemFaultOpts(ctx, fs, spec.Versions, spec.Reps, spec.Seed, e.rareStageOpts("naive Monte Carlo", spec.Sparse, adj, emit))
 	endNaive()
 	if err != nil {
 		return nil, err
@@ -548,7 +546,7 @@ func (e *Engine) runRareEvent(ctx context.Context, spec *RareEventSpec, span *te
 }
 
 func (e *Engine) runExperiments(ctx context.Context, spec *ExperimentsSpec, span *telemetry.Span, emit func(Progress)) (*Result, error) {
-	cfg := experiments.Config{Seed: spec.Seed, Quick: spec.Quick, Streaming: spec.Streaming, Sparse: spec.Sparse, BatchWidth: spec.BatchWidth, Metrics: e.tele}
+	cfg := experiments.Config{Seed: spec.Seed, Quick: spec.Quick, Streaming: spec.Streaming, Sparse: spec.Sparse, Metrics: e.tele}
 	if spec.Adjudicator != "" {
 		adj, err := ResolveAdjudicator("", spec.Adjudicator, spec.Versions)
 		if err != nil {

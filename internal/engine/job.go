@@ -55,8 +55,11 @@ const (
 // keyed by block index, which changed every fixed-seed Monte-Carlo and
 // experiments result, and the worker count left the encoding. v3: the
 // rare-event estimators run on the same blocks, which changed every
-// fixed-seed rare-event result; no other kind's result moved.
-const hashDomain = "diversity/engine/v3"
+// fixed-seed rare-event result; no other kind's result moved. v4: every
+// dense Monte-Carlo and rare-event run develops 64-lane fault-major
+// tiles, which changed every dense fixed-seed result, and batchWidth
+// left the encoding.
+const hashDomain = "diversity/engine/v4"
 
 // ModelSpec names the fault-set model a job runs against. Exactly one of
 // Scenario or Faults must be set. Model files are resolved to inline
@@ -153,13 +156,9 @@ type MonteCarloSpec struct {
 	// results differ numerically from dense runs — and the omitempty
 	// encoding keeps every pre-existing dense-job hash unchanged.
 	Sparse bool `json:"sparse,omitempty"`
-	// BatchWidth >= 2 selects the batched replication kernel with the
-	// given tile width (montecarlo Config.BatchWidth). Like Sparse it
-	// participates in the job hash — batched dense runs consume the
-	// variate stream in a different order for the same seed — and the
-	// omitempty encoding keeps every pre-existing unbatched hash and
-	// cache key unchanged. A width of 1 describes the same computation
-	// as 0 and is normalised to 0 before hashing.
+	// BatchWidth is accepted for older clients and ignored: every dense
+	// run tiles 64 replications. It is validated (0 to 65536) and left
+	// out of the job hash.
 	BatchWidth int `json:"batchWidth,omitempty"`
 }
 
@@ -181,10 +180,7 @@ type RareEventSpec struct {
 	// 1-out-of-m, bit for bit the historical estimator; omitempty keeps
 	// pre-existing job hashes unchanged.
 	Adjudicator string `json:"adjudicator,omitempty"`
-	// BatchWidth >= 2 tiles both estimators' dense loops (montecarlo
-	// RareOptions.BatchWidth); ignored when Sparse is set. Participates
-	// in the job hash with the same omitempty / 1→0 normalisation rules
-	// as MonteCarloSpec.BatchWidth.
+	// BatchWidth is accepted and ignored, as MonteCarloSpec.BatchWidth is.
 	BatchWidth int `json:"batchWidth,omitempty"`
 }
 
@@ -202,10 +198,7 @@ type ExperimentsSpec struct {
 	// Sparse runs the suite's Monte-Carlo passes with the geometric
 	// skip-sampling kernel; omitempty keeps dense-job hashes unchanged.
 	Sparse bool `json:"sparse,omitempty"`
-	// BatchWidth >= 2 runs the suite's Monte-Carlo passes with the
-	// batched replication kernel at the given tile width. Participates
-	// in the job hash with the same omitempty / 1→0 normalisation rules
-	// as MonteCarloSpec.BatchWidth.
+	// BatchWidth is accepted and ignored, as MonteCarloSpec.BatchWidth is.
 	BatchWidth int `json:"batchWidth,omitempty"`
 	// Versions and Adjudicator, when set together, ask the N-version
 	// experiments (E19) to evaluate one extra arrangement: an N-version
@@ -256,13 +249,11 @@ func NewAnalyticJob(spec AnalyticSpec) Job {
 	return Job{Kind: JobAnalytic, Analytic: &spec}
 }
 
-// maxBatchWidth caps the batch width a job spec may request. The runtime
-// would clamp absurd widths to its arena budget anyway, but jobs are
-// hashed and cached on their spec, so an unexecutable request is better
-// rejected up front (the serve layer surfaces it as HTTP 400).
+// maxBatchWidth caps the ignored batchWidth field at the bound older
+// servers enforced, so a request they answered with 400 still gets one.
 const maxBatchWidth = 65536
 
-// validateBatchWidth checks a spec's requested tile width.
+// validateBatchWidth checks a spec's ignored batchWidth field.
 func validateBatchWidth(width int) error {
 	if width < 0 {
 		return fmt.Errorf("engine: batch width %d must not be negative", width)
@@ -403,19 +394,14 @@ func (j Job) Validate() error {
 // normalized returns the job with derived defaults filled in, so that two
 // specs describing the same computation hash identically: the
 // Monte-Carlo worker count, which does not change the result, is
-// dropped; a zero rare-event tilt becomes the 0.3 default; an empty
-// experiment selection becomes the full suite; an empty architecture
-// becomes the explicit 1oom default; a batch width of 1 (which computes
-// exactly what width 0 does — the batched kernel only activates from 2
-// up) becomes 0, so both encodings share one hash and cache entry.
+// dropped, and so is the ignored batch width; a zero rare-event tilt
+// becomes the 0.3 default; an empty experiment selection becomes the
+// full suite; an empty architecture becomes the explicit 1oom default.
 func (j Job) normalized() Job {
 	switch j.Kind {
 	case JobMonteCarlo:
 		spec := *j.MonteCarlo
-		spec.Workers = 0
-		if spec.BatchWidth == 1 {
-			spec.BatchWidth = 0
-		}
+		spec.Workers, spec.BatchWidth = 0, 0
 		// A spec naming no rule hashes as the arch alias "1oom", as it
 		// always has. An adjudicator spec must NOT have an arch filled in
 		// (the pair would fail validation), and the Adjudicator field
@@ -433,18 +419,14 @@ func (j Job) normalized() Job {
 		if spec.TiltTarget == 0 {
 			spec.TiltTarget = 0.3
 		}
-		if spec.BatchWidth == 1 {
-			spec.BatchWidth = 0
-		}
+		spec.BatchWidth = 0
 		j.RareEvent = &spec
 	case JobExperiments:
 		spec := *j.Experiments
 		if len(spec.IDs) == 0 {
 			spec.IDs = experiments.IDs()
 		}
-		if spec.BatchWidth == 1 {
-			spec.BatchWidth = 0
-		}
+		spec.BatchWidth = 0
 		j.Experiments = &spec
 	}
 	return j

@@ -31,21 +31,19 @@ func mcBits(r *montecarlo.Result) string {
 	if r.Streaming {
 		aggs = fmt.Sprintf("%v|%v", *r.VersionAgg, *r.SystemAgg)
 	}
-	return fmt.Sprintf("%v|%v|%s|%d|%d|%d|%v|%d", r.VersionPFD, r.SystemPFD, aggs,
-		r.VersionFaultFree, r.SystemFaultFree, r.SparseSkips, r.Batched, r.BatchWidth)
+	return fmt.Sprintf("%v|%v|%s|%d|%d|%d", r.VersionPFD, r.SystemPFD, aggs,
+		r.VersionFaultFree, r.SystemFaultFree, r.SparseSkips)
 }
 
-// kernelSpecs returns one Monte-Carlo spec per kernel (dense, batched,
-// sparse) and aggregation mode over model.
+// kernelSpecs returns one Monte-Carlo spec per kernel (dense, sparse)
+// and aggregation mode over model.
 func kernelSpecs(model ModelSpec, seed uint64) map[string]MonteCarloSpec {
 	specs := make(map[string]MonteCarloSpec)
 	for _, streaming := range []bool{false, true} {
 		base := MonteCarloSpec{Model: model, Versions: 2, Reps: 3000, Seed: seed, Streaming: streaming}
-		dense, batched, sparse := base, base, base
-		batched.BatchWidth = 64
+		dense, sparse := base, base
 		sparse.Sparse = true
 		specs[fmt.Sprintf("dense/streaming=%v", streaming)] = dense
-		specs[fmt.Sprintf("batched/streaming=%v", streaming)] = batched
 		specs[fmt.Sprintf("sparse/streaming=%v", streaming)] = sparse
 	}
 	return specs

@@ -37,12 +37,6 @@ type Config struct {
 	// measured columns shift within Monte-Carlo error while every
 	// model-derived column is unchanged.
 	Sparse bool
-	// BatchWidth >= 2 runs the same Monte-Carlo passes with the batched
-	// replication kernel at the given tile width (montecarlo
-	// Config.BatchWidth). Like Sparse, dense batched runs draw a
-	// different — distributionally identical — variate sequence for the
-	// same seed; 0 or 1 leaves every pass byte-identical to today.
-	BatchWidth int
 	// Versions and Adjudicator, when set together, ask the adjudicated
 	// experiments (E19) to evaluate one extra arrangement — the requested
 	// pool size under the requested voting rule — next to their standard

@@ -39,13 +39,12 @@ func runE01Moments(ctx context.Context, cfg Config) (*Result, error) {
 	for _, sc := range scenarios {
 		fs := sc.FaultSet
 		mc, err := montecarlo.RunContext(ctx, montecarlo.Config{
-			Process:    devsim.NewIndependentProcess(fs),
-			Versions:   2,
-			Reps:       reps,
-			Seed:       cfg.Seed + 1,
-			Streaming:  cfg.Streaming,
-			Sparse:     cfg.Sparse,
-			BatchWidth: cfg.BatchWidth,
+			Process:   devsim.NewIndependentProcess(fs),
+			Versions:  2,
+			Reps:      reps,
+			Seed:      cfg.Seed + 1,
+			Streaming: cfg.Streaming,
+			Sparse:    cfg.Sparse,
 		})
 		if err != nil {
 			return nil, err

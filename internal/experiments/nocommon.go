@@ -52,13 +52,12 @@ func runE04NoCommonFault(ctx context.Context, cfg Config) (*Result, error) {
 			return nil, err
 		}
 		mc, err := montecarlo.RunContext(ctx, montecarlo.Config{
-			Process:    devsim.NewIndependentProcess(fs),
-			Versions:   2,
-			Reps:       reps,
-			Seed:       cfg.Seed + 17,
-			Streaming:  cfg.Streaming,
-			Sparse:     cfg.Sparse,
-			BatchWidth: cfg.BatchWidth,
+			Process:   devsim.NewIndependentProcess(fs),
+			Versions:  2,
+			Reps:      reps,
+			Seed:      cfg.Seed + 17,
+			Streaming: cfg.Streaming,
+			Sparse:    cfg.Sparse,
 		})
 		if err != nil {
 			return nil, err

@@ -46,11 +46,9 @@ func BenchmarkRunSingleWorker(b *testing.B) { benchRun(b, 1) }
 
 func BenchmarkRunAllCores(b *testing.B) { benchRun(b, 0) }
 
-// Ablation bench for the batched replication kernel: one streaming
-// worker on the throughput-headline scenario, per tile width (0 = the
-// unbatched dense baseline). b.N counts replications directly.
-func benchBatched(b *testing.B, width int) {
-	b.Helper()
+// BenchmarkDenseKernel times the dense row kernel: one streaming worker
+// on the throughput-headline scenario. b.N counts replications directly.
+func BenchmarkDenseKernel(b *testing.B) {
 	sc, err := scenario.CommercialGrade(1)
 	if err != nil {
 		b.Fatal(err)
@@ -58,18 +56,13 @@ func benchBatched(b *testing.B, width int) {
 	proc := devsim.NewIndependentProcess(sc.FaultSet)
 	b.ResetTimer()
 	if _, err := Run(Config{
-		Process:    proc,
-		Versions:   2,
-		Reps:       b.N,
-		Workers:    1,
-		Seed:       1,
-		Streaming:  true,
-		BatchWidth: width,
+		Process:   proc,
+		Versions:  2,
+		Reps:      b.N,
+		Workers:   1,
+		Seed:      1,
+		Streaming: true,
 	}); err != nil {
 		b.Fatal(err)
 	}
 }
-
-func BenchmarkBatchedWidth0(b *testing.B)   { benchBatched(b, 0) }
-func BenchmarkBatchedWidth64(b *testing.B)  { benchBatched(b, 64) }
-func BenchmarkBatchedWidth256(b *testing.B) { benchBatched(b, 256) }

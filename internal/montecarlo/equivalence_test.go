@@ -11,13 +11,18 @@ import (
 	"diversity/internal/system"
 )
 
-// TestPipelineMatchesVersionAPI holds the tile loop to the *Version
-// reference implementation: on block 0's stream, Develop →
-// system.NewVoted → PFD()/SystemFaultCount() must reproduce every
-// replication's version and system PFD and both fault-free counts bit for
-// bit, for every process and voting rule, buffered and streaming. The
-// tied process ties pairs across bitset words, so partners are set from
-// an earlier word's stored bits.
+// TestPipelineMatchesVersionAPI holds the tile loop to reference
+// implementations on block 0's stream, bit for bit: every replication's
+// version and system PFD and both fault-free counts, for every process
+// and voting rule, buffered and streaming. The per-column path — the
+// correlated processes under Sparse, whose sparse kernel is DevelopInto,
+// and the independent process behind opaqueProcess — must reproduce
+// Develop → system.NewVoted → PFD()/SystemFaultCount(). The dense row
+// kernel must reproduce a loop that develops 64-lane tiles with
+// DevelopRows, sets each lane's bits into devsim.Bitset columns and
+// scores them with BitsetPFD/BitsetSystemPFD, which the system package's
+// tests hold to NewVoted. The tied process ties pairs across bitset
+// words, so partners are set from an earlier word's stored bits.
 func TestPipelineMatchesVersionAPI(t *testing.T) {
 	t.Parallel()
 
@@ -54,57 +59,121 @@ func TestPipelineMatchesVersionAPI(t *testing.T) {
 				m = 2
 			}
 			label := fmt.Sprintf("process %d %s", pi, spec)
+			columns := Config{Process: proc, Sparse: true}
+			if _, ok := proc.(devsim.SparseDeveloper); ok {
+				columns = Config{Process: opaqueProcess{inner: proc}}
+			}
+			assertPipelineMatches(t, label+" per-column", columns, adj, m, reps, seed, versionReference(t, proc, adj, m, reps, seed))
+			assertPipelineMatches(t, label+" rows", Config{Process: proc}, adj, m, reps, seed, rowReference(t, proc, adj, m, reps, seed))
+		}
+	}
+}
 
-			r := randx.NewStream(0)
-			r.SeedAt(seed, 0) // reps fits in block 0
-			wantV := make([]float64, reps)
-			wantS := make([]float64, reps)
-			var wantAggV, wantAggS Agg
-			wantFree := [2]int{}
-			versions := make([]*devsim.Version, m)
-			for rep := 0; rep < reps; rep++ {
-				for i := range versions {
-					versions[i] = proc.Develop(r)
-				}
-				sys, err := system.NewVoted(fs, adj, versions...)
-				if err != nil {
-					t.Fatalf("%s: NewVoted: %v", label, err)
-				}
-				wantV[rep], wantS[rep] = versions[0].PFD(), sys.PFD()
-				wantAggV.Observe(wantV[rep])
-				wantAggS.Observe(wantS[rep])
-				if versions[0].FaultCount() == 0 {
-					wantFree[0]++
-				}
-				if sys.SystemFaultCount() == 0 {
-					wantFree[1]++
+// pipelineReference is one reference population: each replication's
+// version and system PFD, and the (version, system) fault-free counts.
+type pipelineReference struct {
+	v, s []float64
+	free [2]int
+}
+
+// add records one replication.
+func (ref *pipelineReference) add(v, s float64, vFaults, sFaults int) {
+	ref.v, ref.s = append(ref.v, v), append(ref.s, s)
+	if vFaults == 0 {
+		ref.free[0]++
+	}
+	if sFaults == 0 {
+		ref.free[1]++
+	}
+}
+
+// versionReference develops reps replications of m versions on block 0's
+// stream with Develop and scores them with system.NewVoted.
+func versionReference(t *testing.T, proc devsim.Process, adj system.Adjudicator, m, reps int, seed uint64) pipelineReference {
+	t.Helper()
+	r := randx.NewStream(0)
+	r.SeedAt(seed, 0) // reps fits in block 0
+	var ref pipelineReference
+	versions := make([]*devsim.Version, m)
+	for rep := 0; rep < reps; rep++ {
+		for i := range versions {
+			versions[i] = proc.Develop(r)
+		}
+		sys, err := system.NewVoted(proc.FaultSet(), adj, versions...)
+		if err != nil {
+			t.Fatalf("NewVoted: %v", err)
+		}
+		ref.add(versions[0].PFD(), sys.PFD(), versions[0].FaultCount(), sys.SystemFaultCount())
+	}
+	return ref
+}
+
+// rowReference develops reps replications of m versions on block 0's
+// stream in 64-lane DevelopRows tiles, moves each lane into bitset
+// columns and scores them with the bitset PFD walks.
+func rowReference(t *testing.T, proc devsim.Process, adj system.Adjudicator, m, reps int, seed uint64) pipelineReference {
+	t.Helper()
+	fs := proc.FaultSet()
+	r := randx.NewStream(0)
+	r.SeedAt(seed, 0) // reps fits in block 0
+	var ref pipelineReference
+	scratch := make([][]uint64, m)
+	rows := make([][]uint64, m)
+	for v := range scratch {
+		scratch[v] = make([]uint64, devsim.BatchScratchLen(64, fs.N()))
+	}
+	cols := make([]*devsim.Bitset, m)
+	for base := 0; base < reps; base += 64 {
+		b := min(64, reps-base)
+		for v := range rows {
+			rows[v] = proc.(devsim.BatchDeveloper).DevelopRows(r, b, scratch[v])
+		}
+		for j := 0; j < b; j++ {
+			for v := range cols {
+				cols[v] = devsim.NewBitset(fs.N())
+				for i, word := range rows[v] {
+					if word>>uint(j)&1 == 1 {
+						cols[v].Set(i)
+					}
 				}
 			}
+			vpfd, vcount := devsim.BitsetPFD(fs, cols[0])
+			spfd, scount := system.BitsetSystemPFD(fs, adj, cols)
+			ref.add(vpfd, spfd, vcount, scount)
+		}
+	}
+	return ref
+}
 
-			for _, streaming := range []bool{false, true} {
-				res, err := Run(Config{
-					Process: proc, Versions: m, Adjudicator: adj,
-					Reps: reps, Workers: 1, Seed: seed, Streaming: streaming,
-				})
-				if err != nil {
-					t.Fatalf("%s streaming=%v: %v", label, streaming, err)
-				}
-				if got := [2]int{res.VersionFaultFree, res.SystemFaultFree}; got != wantFree {
-					t.Errorf("%s streaming=%v: fault-free counts %v, reference %v", label, streaming, got, wantFree)
-				}
-				if streaming {
-					if *res.VersionAgg != wantAggV || *res.SystemAgg != wantAggS {
-						t.Errorf("%s: streaming aggregates differ from the reference population", label)
-					}
-					continue
-				}
-				for rep := range wantV {
-					if math.Float64bits(res.VersionPFD[rep]) != math.Float64bits(wantV[rep]) ||
-						math.Float64bits(res.SystemPFD[rep]) != math.Float64bits(wantS[rep]) {
-						t.Fatalf("%s rep %d: pipeline (%v, %v), reference (%v, %v)", label, rep,
-							res.VersionPFD[rep], res.SystemPFD[rep], wantV[rep], wantS[rep])
-					}
-				}
+// assertPipelineMatches runs cfg buffered and streaming over one block
+// and requires both to reproduce the reference bit for bit.
+func assertPipelineMatches(t *testing.T, label string, cfg Config, adj system.Adjudicator, m, reps int, seed uint64, ref pipelineReference) {
+	t.Helper()
+	var wantAggV, wantAggS Agg
+	for rep := range ref.v {
+		wantAggV.Observe(ref.v[rep])
+		wantAggS.Observe(ref.s[rep])
+	}
+	for _, streaming := range []bool{false, true} {
+		cfg.Versions, cfg.Adjudicator, cfg.Reps, cfg.Workers, cfg.Seed, cfg.Streaming = m, adj, reps, 1, seed, streaming
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatalf("%s streaming=%v: %v", label, streaming, err)
+		}
+		if got := [2]int{res.VersionFaultFree, res.SystemFaultFree}; got != ref.free {
+			t.Errorf("%s streaming=%v: fault-free counts %v, reference %v", label, streaming, got, ref.free)
+		}
+		if streaming {
+			if *res.VersionAgg != wantAggV || *res.SystemAgg != wantAggS {
+				t.Errorf("%s: streaming aggregates differ from the reference population", label)
+			}
+			continue
+		}
+		for rep := range ref.v {
+			if math.Float64bits(res.VersionPFD[rep]) != math.Float64bits(ref.v[rep]) ||
+				math.Float64bits(res.SystemPFD[rep]) != math.Float64bits(ref.s[rep]) {
+				t.Fatalf("%s rep %d: pipeline (%v, %v), reference (%v, %v)", label, rep,
+					res.VersionPFD[rep], res.SystemPFD[rep], ref.v[rep], ref.s[rep])
 			}
 		}
 	}

@@ -111,7 +111,7 @@ func TestSampledLawMatchesExactLaw(t *testing.T) {
 		name string
 		cfg  Config
 	}{
-		{"rows", Config{Process: proc, BatchWidth: 64}},
+		{"rows", Config{Process: proc}},
 		{"sparse", Config{Process: proc, Sparse: true}},
 		{"per-column", Config{Process: opaqueProcess{inner: proc}}},
 	}

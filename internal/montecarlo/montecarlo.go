@@ -76,32 +76,25 @@ type Config struct {
 	// devsim.SparseDeveloper extension (the independent process) sample
 	// each replication's masks by geometric gap-skipping, so
 	// per-replication cost scales with the expected fault count rather
-	// than the universe size. That draws a different (but
-	// distributionally identical) variate sequence from the dense
-	// default, so fixed-seed results are reproducible within a mode yet
-	// not bitwise comparable across modes; it therefore ships opt-in.
-	// Every other process has no cheaper sampler than its dense
-	// DevelopInto, which is then its sparse kernel. Sparse composes with
-	// both aggregation modes. It takes precedence over BatchWidth:
-	// geometric gaps are sequential per replication, so sparse runs
-	// develop one column at a time.
+	// than the universe size. Geometric gaps are sequential per
+	// replication, so sparse runs develop one column at a time. Every
+	// other process has no cheaper sampler than its DevelopInto, which is
+	// then its sparse kernel.
+	//
+	// Without Sparse, a run develops tiles of 64 replications as
+	// fault-major rows (devsim.BatchDeveloper's DevelopRows: one word of
+	// lane bits per fault), which system.RowScorer scores word-wide under
+	// the voting rule; the last tile of a block uses fewer lanes. A
+	// process without DevelopRows develops one column at a time with
+	// DevelopInto. The row kernel holds versions·n words per worker, so a
+	// dense run over more than 1<<24 of them is an error: such universes
+	// belong to the sparse kernel. The kernels draw different (but
+	// distributionally identical) variate sequences, so fixed-seed
+	// results are reproducible within a kernel yet not bitwise comparable
+	// across kernels. Both compose with both aggregation modes.
 	Sparse bool
-	// BatchWidth, when at least 2, selects the batched replication kernel:
-	// each worker tiles a block's replications up to BatchWidth lanes at a
-	// time and develops a tile as fault-major rows (devsim.BatchDeveloper's
-	// DevelopRows: one row of lane bits per fault, drawn by randx Hits
-	// calls or a threshold-compared FillUint64 batch), which
-	// system.RowScorer scores word-wide under the voting rule. Draw and
-	// row buffers are arena-reused per worker, so the steady state
-	// performs no allocations. Like the sparse kernel, the batched path consumes a
-	// different (but distributionally identical) variate sequence from the
-	// dense default, so it ships opt-in: 0 or 1 leaves the dense kernel
-	// untouched byte for byte. It composes with both aggregation modes and
-	// is ignored when Sparse is set. Processes without the BatchDeveloper
-	// extension fall back to the dense kernel. Tiles are never wider than
-	// a block, and wide tiles over large fault universes are clamped to a
-	// fixed per-worker arena budget; Result.BatchWidth reports the width
-	// actually used.
+	// Deprecated: BatchWidth is ignored. Every dense run uses the 64-lane
+	// row kernel described under Sparse.
 	BatchWidth int
 	// Progress, when non-nil, is called as replications complete with the
 	// total completed so far and the configured total. It is invoked from
@@ -141,14 +134,6 @@ type Result struct {
 	// kernel consumed (0 for dense runs and for processes whose sparse
 	// kernel is DevelopInto).
 	SparseSkips int64
-	// Batched reports whether the batched replication kernel actually ran
-	// — false when Config.BatchWidth was unset, Config.Sparse was set, or
-	// the process lacks the BatchDeveloper extension.
-	Batched bool
-	// BatchWidth is the tile width the batched kernel used
-	// (Config.BatchWidth clamped to the replication count, the block size
-	// and the per-worker arena budget). It is 0 for unbatched runs.
-	BatchWidth int
 	// VersionPFD holds the PFD of the first version of each replication.
 	// It is nil for streaming runs.
 	VersionPFD []float64
@@ -256,9 +241,6 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	if cfg.Reps < 1 {
 		return nil, fmt.Errorf("montecarlo: replication count %d must be at least 1", cfg.Reps)
 	}
-	if cfg.BatchWidth < 0 {
-		return nil, fmt.Errorf("montecarlo: batch width %d must not be negative", cfg.BatchWidth)
-	}
 	adj := cfg.Adjudicator
 	if adj == nil {
 		adj = system.OneOutOfN{}
@@ -271,23 +253,20 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	}
 
 	fs := cfg.Process.FaultSet()
-	k := kernel{proc: cfg.Process, width: 1}
-	switch {
-	case cfg.Sparse:
+	k := kernel{proc: cfg.Process}
+	if cfg.Sparse {
 		k.sparse, _ = cfg.Process.(devsim.SparseDeveloper)
-	case cfg.BatchWidth > 1:
-		if bd, ok := cfg.Process.(devsim.BatchDeveloper); ok {
-			k.batch = bd
-			k.width = effectiveBatchWidth(min(cfg.BatchWidth, blockSize, cfg.Reps), cfg.Versions, fs.N())
-		}
+	} else {
+		k.rows, _ = cfg.Process.(devsim.BatchDeveloper)
+	}
+	if words := cfg.Versions * fs.N(); k.rows != nil && words > maxRowWords {
+		return nil, fmt.Errorf("montecarlo: %d versions of %d faults need %d row words per worker, over the dense kernel's %d; set Sparse",
+			cfg.Versions, fs.N(), words, maxRowWords)
 	}
 
 	res := &Result{
 		Reps: cfg.Reps, Versions: cfg.Versions, Adjudicator: adj.Name(),
-		Streaming: cfg.Streaming, Sparse: cfg.Sparse, Batched: k.batch != nil,
-	}
-	if res.Batched {
-		res.BatchWidth = k.width
+		Streaming: cfg.Streaming, Sparse: cfg.Sparse,
 	}
 	if !cfg.Streaming {
 		res.VersionPFD = make([]float64, cfg.Reps)
@@ -507,8 +486,6 @@ func PreRegisterMetrics(reg *telemetry.Registry) {
 	reg.Counter("montecarlo.sparse_skips_total")
 	reg.Gauge("montecarlo.replications_per_second.dense")
 	reg.Gauge("montecarlo.replications_per_second.sparse")
-	reg.Gauge("montecarlo.replications_per_second.batched")
-	reg.Gauge("montecarlo.batch_width")
 	// Per-adjudicator replication counters for the built-in voting rules;
 	// k-of-N rules appear under their own names after their first run.
 	reg.Counter("montecarlo.replications_total." + system.OneOutOfN{}.Name())
@@ -520,8 +497,7 @@ func PreRegisterMetrics(reg *telemetry.Registry) {
 // (montecarlo.replications_total.<adjudicator>), so mixed workloads
 // expose how much simulation each voting rule consumed — replications per
 // second over the whole run (both unlabelled and under the kernel-mode
-// suffix .dense/.sparse/.batched), the run's tile width (0 unless
-// batched), worker imbalance ((max-min)/max worker wall time — 0 means
+// suffix .dense/.sparse), worker imbalance ((max-min)/max worker wall time — 0 means
 // perfectly balanced), sparse-kernel skip draws, whether the run
 // streamed, and, for cancelled runs, the latency between cancellation and
 // the last worker draining.
@@ -530,14 +506,10 @@ func recordRunMetrics(reg *telemetry.Registry, res *Result, runStart time.Time, 
 	reg.Counter("montecarlo.replications_total").Add(completed)
 	reg.Counter("montecarlo.replications_total." + res.Adjudicator).Add(completed)
 	mode := "dense"
-	switch {
-	case res.Sparse:
+	if res.Sparse {
 		mode = "sparse"
 		reg.Counter("montecarlo.sparse_skips_total").Add(res.SparseSkips)
-	case res.Batched:
-		mode = "batched"
 	}
-	reg.Gauge("montecarlo.batch_width").Set(float64(res.BatchWidth))
 	if res.Streaming {
 		reg.Counter("montecarlo.streaming_runs_total").Add(1)
 	}

@@ -27,8 +27,8 @@ func runDigest(res *Result) string {
 }
 
 // TestRunBitPins pins every replication mode of RunContext bit for bit:
-// the four development processes × two voting rules × {dense, sparse,
-// batched} × {buffered, streaming}, over a 150-fault universe whose tied
+// the four development processes × two voting rules × {dense, sparse} ×
+// {buffered, streaming}, over a 150-fault universe whose tied
 // pairs cross bitset words. Each key has one pin for every worker count:
 // the run spans five blocks, so 2 and 3 workers claim them out of order
 // and 8 workers leave some idle.
@@ -46,11 +46,9 @@ func TestRunBitPins(t *testing.T) {
 	modes := []struct {
 		name   string
 		sparse bool
-		width  int
 	}{
-		{"dense", false, 0},
-		{"sparse", true, 0},
-		{"batched", false, 64},
+		{"dense", false},
+		{"sparse", true},
 	}
 	for _, p := range procs {
 		for _, pool := range pools {
@@ -61,7 +59,7 @@ func TestRunBitPins(t *testing.T) {
 						res, err := Run(Config{
 							Process: p.proc, Versions: pool.versions, Adjudicator: pool.adj,
 							Reps: 4*blockSize + 300, Workers: workers, Seed: 8, Streaming: streaming,
-							Sparse: mode.sparse, BatchWidth: mode.width,
+							Sparse: mode.sparse,
 						})
 						if err != nil {
 							t.Fatalf("%s: %v", key, err)
@@ -114,13 +112,12 @@ func pinProcesses(t *testing.T) []pinProcess {
 	}
 }
 
-// TestBatchedBitPins pins the batched kernel bit for bit beyond
-// TestRunBitPins' width-64 1oon and 2oo3 pools: an imperfect adjudication
-// stage, a 1-version pool and a 3oo5 pool, at widths 64 and 100 (two lane
-// groups, one partial, and a partial last tile in every block), and at
-// tiles of a single lane. A batched tile is only one lane wide when the
-// run is one replication long, so each width-1 pin digests 16
-// one-replication runs at seeds 1..16.
+// TestBatchedBitPins pins the dense row kernel bit for bit beyond
+// TestRunBitPins' 1oon and 2oo3 pools: an imperfect adjudication stage, a
+// 1-version pool and a 3oo5 pool, in 64-lane tiles with a partial last
+// tile in every block (the w64 keys), and in tiles of a single lane. A
+// tile is only one lane wide when the run is one replication long, so
+// each w1 pin digests 16 one-replication runs at seeds 1..16.
 func TestBatchedBitPins(t *testing.T) {
 	t.Parallel()
 
@@ -137,24 +134,18 @@ func TestBatchedBitPins(t *testing.T) {
 	for _, p := range pinProcesses(t) {
 		for _, pool := range pools {
 			prefix := fmt.Sprintf("%s/%s/v%d", p.name, pool.adj.Name(), pool.versions)
-			for _, width := range []int{64, 100} {
-				for _, streaming := range []bool{false, true} {
-					key := fmt.Sprintf("%s/w%d/streaming=%v", prefix, width, streaming)
-					for _, workers := range []int{1, 3} {
-						res, err := Run(Config{
-							Process: p.proc, Versions: pool.versions, Adjudicator: pool.adj,
-							Reps: 4*blockSize + 300, Workers: workers, Seed: 8, Streaming: streaming,
-							BatchWidth: width,
-						})
-						if err != nil {
-							t.Fatalf("%s: %v", key, err)
-						}
-						if !res.Batched || res.BatchWidth != width {
-							t.Fatalf("%s: batched=%v width=%d, want a width-%d batched run", key, res.Batched, res.BatchWidth, width)
-						}
-						if got, want := runDigest(res), batchedPins[key]; got != want {
-							t.Errorf("%q: %q, // pinned %q (workers %d)", key, got, want, workers)
-						}
+			for _, streaming := range []bool{false, true} {
+				key := fmt.Sprintf("%s/w64/streaming=%v", prefix, streaming)
+				for _, workers := range []int{1, 3} {
+					res, err := Run(Config{
+						Process: p.proc, Versions: pool.versions, Adjudicator: pool.adj,
+						Reps: 4*blockSize + 300, Workers: workers, Seed: 8, Streaming: streaming,
+					})
+					if err != nil {
+						t.Fatalf("%s: %v", key, err)
+					}
+					if got, want := runDigest(res), batchedPins[key]; got != want {
+						t.Errorf("%q: %q, // pinned %q (workers %d)", key, got, want, workers)
 					}
 				}
 			}
@@ -163,13 +154,10 @@ func TestBatchedBitPins(t *testing.T) {
 			for seed := uint64(1); seed <= 16; seed++ {
 				res, err := Run(Config{
 					Process: p.proc, Versions: pool.versions, Adjudicator: pool.adj,
-					Reps: 1, Seed: seed, BatchWidth: 64,
+					Reps: 1, Seed: seed,
 				})
 				if err != nil {
 					t.Fatalf("%s: %v", key, err)
-				}
-				if !res.Batched || res.BatchWidth != 1 {
-					t.Fatalf("%s: batched=%v width=%d, want a width-1 batched run", key, res.Batched, res.BatchWidth)
 				}
 				digests += runDigest(res)
 			}
@@ -182,155 +170,99 @@ func TestBatchedBitPins(t *testing.T) {
 }
 
 var batchedPins = map[string]string{
-	"common-cause/1oon/v1/w1":                            "dd9b8b71704c2d2a",
-	"common-cause/1oon/v1/w100/streaming=false":          "b9eb1127d56a9dee",
-	"common-cause/1oon/v1/w100/streaming=true":           "05871d769beaf500",
-	"common-cause/1oon/v1/w64/streaming=false":           "a01503ec7e5af7a5",
-	"common-cause/1oon/v1/w64/streaming=true":            "95ee56d84996c6f5",
-	"common-cause/1oon/v2/w1":                            "4406e857440ee793",
-	"common-cause/1oon/v2/w100/streaming=false":          "4157e8f09df3a541",
-	"common-cause/1oon/v2/w100/streaming=true":           "9c110cdc38d39fd2",
-	"common-cause/1oon/v2/w64/streaming=false":           "672969bb3b84c06b",
-	"common-cause/1oon/v2/w64/streaming=true":            "991f52d5fc94437a",
-	"common-cause/2oo3/v3/w1":                            "4ceb12b854c24e4c",
-	"common-cause/2oo3/v3/w100/streaming=false":          "14cfaa7d1e71ac73",
-	"common-cause/2oo3/v3/w100/streaming=true":           "ad54f0a6da90a4fd",
-	"common-cause/2oo3/v3/w64/streaming=false":           "68cfc9d4d929660a",
-	"common-cause/2oo3/v3/w64/streaming=true":            "f3e14ac9236d22f9",
-	"common-cause/2oo3@0.0001/v3/w1":                     "0893db9e9a360e88",
-	"common-cause/2oo3@0.0001/v3/w100/streaming=false":   "3d3e522ea138720a",
-	"common-cause/2oo3@0.0001/v3/w100/streaming=true":    "60ce75f07dd99d01",
-	"common-cause/2oo3@0.0001/v3/w64/streaming=false":    "91488d934186a8bb",
-	"common-cause/2oo3@0.0001/v3/w64/streaming=true":     "91066ead368686cb",
-	"common-cause/3oo5/v5/w1":                            "c7cc7525499662d3",
-	"common-cause/3oo5/v5/w100/streaming=false":          "147031d6d1fcea52",
-	"common-cause/3oo5/v5/w100/streaming=true":           "4c4ee1085636a4e6",
-	"common-cause/3oo5/v5/w64/streaming=false":           "135cdc6fd86e0135",
-	"common-cause/3oo5/v5/w64/streaming=true":            "1e5962148e5cf2b3",
-	"independent/1oon/v1/w1":                             "21fc53c9a26f8c78",
-	"independent/1oon/v1/w100/streaming=false":           "38333195409828d2",
-	"independent/1oon/v1/w100/streaming=true":            "5abc434d9f1703f3",
-	"independent/1oon/v1/w64/streaming=false":            "4145a60a23c72237",
-	"independent/1oon/v1/w64/streaming=true":             "a000ef4c50ead0aa",
-	"independent/1oon/v2/w1":                             "a0009bc16e3f9a11",
-	"independent/1oon/v2/w100/streaming=false":           "755ac8287823fc38",
-	"independent/1oon/v2/w100/streaming=true":            "b0968d965c289b57",
-	"independent/1oon/v2/w64/streaming=false":            "fd625dc627fb6d75",
-	"independent/1oon/v2/w64/streaming=true":             "b122c5683c376120",
-	"independent/2oo3/v3/w1":                             "b64fd27cd2a1f6f6",
-	"independent/2oo3/v3/w100/streaming=false":           "984507371e6d447e",
-	"independent/2oo3/v3/w100/streaming=true":            "7c981e38b30fa80c",
-	"independent/2oo3/v3/w64/streaming=false":            "f4ff2cc63a5c7131",
-	"independent/2oo3/v3/w64/streaming=true":             "3d5359e2d879fa6e",
-	"independent/2oo3@0.0001/v3/w1":                      "64ffdafded0b7ba6",
-	"independent/2oo3@0.0001/v3/w100/streaming=false":    "288909a43cd24a87",
-	"independent/2oo3@0.0001/v3/w100/streaming=true":     "a5f0fdc8e00cef7a",
-	"independent/2oo3@0.0001/v3/w64/streaming=false":     "fc5c7282e6a34771",
-	"independent/2oo3@0.0001/v3/w64/streaming=true":      "f76fb847265b747f",
-	"independent/3oo5/v5/w1":                             "c2fac1198eb48d9b",
-	"independent/3oo5/v5/w100/streaming=false":           "33a0a86c4ae0ac54",
-	"independent/3oo5/v5/w100/streaming=true":            "05ccc56ede8f12f2",
-	"independent/3oo5/v5/w64/streaming=false":            "473937172f05beae",
-	"independent/3oo5/v5/w64/streaming=true":             "69d08d6b3c90b8b1",
-	"resource-shift/1oon/v1/w1":                          "5deb65726edbb81f",
-	"resource-shift/1oon/v1/w100/streaming=false":        "02827124e84b4c3f",
-	"resource-shift/1oon/v1/w100/streaming=true":         "8d6428e6a7a9287a",
-	"resource-shift/1oon/v1/w64/streaming=false":         "8516ce8d64e5d828",
-	"resource-shift/1oon/v1/w64/streaming=true":          "7fde8745f5ba6bfd",
-	"resource-shift/1oon/v2/w1":                          "f21138eb2dc4a9f4",
-	"resource-shift/1oon/v2/w100/streaming=false":        "1bd3fdb54c3c0e6d",
-	"resource-shift/1oon/v2/w100/streaming=true":         "ea78246a35bef7e0",
-	"resource-shift/1oon/v2/w64/streaming=false":         "52a7f3a9ec5106ef",
-	"resource-shift/1oon/v2/w64/streaming=true":          "b8470e9a2fc25678",
-	"resource-shift/2oo3/v3/w1":                          "c8fd4f1fa8846d4d",
-	"resource-shift/2oo3/v3/w100/streaming=false":        "c05425a85262faeb",
-	"resource-shift/2oo3/v3/w100/streaming=true":         "315ab2dceb545f60",
-	"resource-shift/2oo3/v3/w64/streaming=false":         "507af539a432b591",
-	"resource-shift/2oo3/v3/w64/streaming=true":          "54ba0601fcdb3d86",
-	"resource-shift/2oo3@0.0001/v3/w1":                   "d5e55758223568c2",
-	"resource-shift/2oo3@0.0001/v3/w100/streaming=false": "3b75d2ccdf4cf886",
-	"resource-shift/2oo3@0.0001/v3/w100/streaming=true":  "db241c6125574deb",
-	"resource-shift/2oo3@0.0001/v3/w64/streaming=false":  "ff4729fb47be4165",
-	"resource-shift/2oo3@0.0001/v3/w64/streaming=true":   "9892e4ef511e2a0d",
-	"resource-shift/3oo5/v5/w1":                          "f3039456b06e68e5",
-	"resource-shift/3oo5/v5/w100/streaming=false":        "ba4e269021cf3e09",
-	"resource-shift/3oo5/v5/w100/streaming=true":         "3e03ed39f007b4ec",
-	"resource-shift/3oo5/v5/w64/streaming=false":         "fb97ab634ed57149",
-	"resource-shift/3oo5/v5/w64/streaming=true":          "765333d958a0c613",
-	"tied/1oon/v1/w1":                                    "703772a495b8b34e",
-	"tied/1oon/v1/w100/streaming=false":                  "3b87b868c2ff5947",
-	"tied/1oon/v1/w100/streaming=true":                   "5fe0a4f021133222",
-	"tied/1oon/v1/w64/streaming=false":                   "aff3baf4089156d0",
-	"tied/1oon/v1/w64/streaming=true":                    "573a62107a81a628",
-	"tied/1oon/v2/w1":                                    "07dabcf846aa2bf9",
-	"tied/1oon/v2/w100/streaming=false":                  "22aa56faaa45423b",
-	"tied/1oon/v2/w100/streaming=true":                   "83388a43fc971b2a",
-	"tied/1oon/v2/w64/streaming=false":                   "2cead957bd3e1a23",
-	"tied/1oon/v2/w64/streaming=true":                    "244eca16d8ae69b8",
-	"tied/2oo3/v3/w1":                                    "4ec35bd30f6718d4",
-	"tied/2oo3/v3/w100/streaming=false":                  "1dc13a1f4c7871b2",
-	"tied/2oo3/v3/w100/streaming=true":                   "61db0180190f82c9",
-	"tied/2oo3/v3/w64/streaming=false":                   "15c062c817d8944c",
-	"tied/2oo3/v3/w64/streaming=true":                    "1fab2dbf6794eaf3",
-	"tied/2oo3@0.0001/v3/w1":                             "caba23b5b2aef329",
-	"tied/2oo3@0.0001/v3/w100/streaming=false":           "3debb7d2f07e6e46",
-	"tied/2oo3@0.0001/v3/w100/streaming=true":            "75505d760aeb2b1d",
-	"tied/2oo3@0.0001/v3/w64/streaming=false":            "3a4fc7b27a151e8c",
-	"tied/2oo3@0.0001/v3/w64/streaming=true":             "51e2378589c3abb7",
-	"tied/3oo5/v5/w1":                                    "fe7d5a1c5409f0d0",
-	"tied/3oo5/v5/w100/streaming=false":                  "521e3adfc273cfe0",
-	"tied/3oo5/v5/w100/streaming=true":                   "398d9031c4ee42ec",
-	"tied/3oo5/v5/w64/streaming=false":                   "9df9504ecfdcae14",
-	"tied/3oo5/v5/w64/streaming=true":                    "a53fe5d3e839be2e",
+	"common-cause/1oon/v1/w1":                           "dd9b8b71704c2d2a",
+	"common-cause/1oon/v1/w64/streaming=false":          "a01503ec7e5af7a5",
+	"common-cause/1oon/v1/w64/streaming=true":           "95ee56d84996c6f5",
+	"common-cause/1oon/v2/w1":                           "4406e857440ee793",
+	"common-cause/1oon/v2/w64/streaming=false":          "672969bb3b84c06b",
+	"common-cause/1oon/v2/w64/streaming=true":           "991f52d5fc94437a",
+	"common-cause/2oo3/v3/w1":                           "4ceb12b854c24e4c",
+	"common-cause/2oo3/v3/w64/streaming=false":          "68cfc9d4d929660a",
+	"common-cause/2oo3/v3/w64/streaming=true":           "f3e14ac9236d22f9",
+	"common-cause/2oo3@0.0001/v3/w1":                    "0893db9e9a360e88",
+	"common-cause/2oo3@0.0001/v3/w64/streaming=false":   "91488d934186a8bb",
+	"common-cause/2oo3@0.0001/v3/w64/streaming=true":    "91066ead368686cb",
+	"common-cause/3oo5/v5/w1":                           "c7cc7525499662d3",
+	"common-cause/3oo5/v5/w64/streaming=false":          "135cdc6fd86e0135",
+	"common-cause/3oo5/v5/w64/streaming=true":           "1e5962148e5cf2b3",
+	"independent/1oon/v1/w1":                            "21fc53c9a26f8c78",
+	"independent/1oon/v1/w64/streaming=false":           "4145a60a23c72237",
+	"independent/1oon/v1/w64/streaming=true":            "a000ef4c50ead0aa",
+	"independent/1oon/v2/w1":                            "a0009bc16e3f9a11",
+	"independent/1oon/v2/w64/streaming=false":           "fd625dc627fb6d75",
+	"independent/1oon/v2/w64/streaming=true":            "b122c5683c376120",
+	"independent/2oo3/v3/w1":                            "b64fd27cd2a1f6f6",
+	"independent/2oo3/v3/w64/streaming=false":           "f4ff2cc63a5c7131",
+	"independent/2oo3/v3/w64/streaming=true":            "3d5359e2d879fa6e",
+	"independent/2oo3@0.0001/v3/w1":                     "64ffdafded0b7ba6",
+	"independent/2oo3@0.0001/v3/w64/streaming=false":    "fc5c7282e6a34771",
+	"independent/2oo3@0.0001/v3/w64/streaming=true":     "f76fb847265b747f",
+	"independent/3oo5/v5/w1":                            "c2fac1198eb48d9b",
+	"independent/3oo5/v5/w64/streaming=false":           "473937172f05beae",
+	"independent/3oo5/v5/w64/streaming=true":            "69d08d6b3c90b8b1",
+	"resource-shift/1oon/v1/w1":                         "5deb65726edbb81f",
+	"resource-shift/1oon/v1/w64/streaming=false":        "8516ce8d64e5d828",
+	"resource-shift/1oon/v1/w64/streaming=true":         "7fde8745f5ba6bfd",
+	"resource-shift/1oon/v2/w1":                         "f21138eb2dc4a9f4",
+	"resource-shift/1oon/v2/w64/streaming=false":        "52a7f3a9ec5106ef",
+	"resource-shift/1oon/v2/w64/streaming=true":         "b8470e9a2fc25678",
+	"resource-shift/2oo3/v3/w1":                         "c8fd4f1fa8846d4d",
+	"resource-shift/2oo3/v3/w64/streaming=false":        "507af539a432b591",
+	"resource-shift/2oo3/v3/w64/streaming=true":         "54ba0601fcdb3d86",
+	"resource-shift/2oo3@0.0001/v3/w1":                  "d5e55758223568c2",
+	"resource-shift/2oo3@0.0001/v3/w64/streaming=false": "ff4729fb47be4165",
+	"resource-shift/2oo3@0.0001/v3/w64/streaming=true":  "9892e4ef511e2a0d",
+	"resource-shift/3oo5/v5/w1":                         "f3039456b06e68e5",
+	"resource-shift/3oo5/v5/w64/streaming=false":        "fb97ab634ed57149",
+	"resource-shift/3oo5/v5/w64/streaming=true":         "765333d958a0c613",
+	"tied/1oon/v1/w1":                                   "703772a495b8b34e",
+	"tied/1oon/v1/w64/streaming=false":                  "aff3baf4089156d0",
+	"tied/1oon/v1/w64/streaming=true":                   "573a62107a81a628",
+	"tied/1oon/v2/w1":                                   "07dabcf846aa2bf9",
+	"tied/1oon/v2/w64/streaming=false":                  "2cead957bd3e1a23",
+	"tied/1oon/v2/w64/streaming=true":                   "244eca16d8ae69b8",
+	"tied/2oo3/v3/w1":                                   "4ec35bd30f6718d4",
+	"tied/2oo3/v3/w64/streaming=false":                  "15c062c817d8944c",
+	"tied/2oo3/v3/w64/streaming=true":                   "1fab2dbf6794eaf3",
+	"tied/2oo3@0.0001/v3/w1":                            "caba23b5b2aef329",
+	"tied/2oo3@0.0001/v3/w64/streaming=false":           "3a4fc7b27a151e8c",
+	"tied/2oo3@0.0001/v3/w64/streaming=true":            "51e2378589c3abb7",
+	"tied/3oo5/v5/w1":                                   "fe7d5a1c5409f0d0",
+	"tied/3oo5/v5/w64/streaming=false":                  "9df9504ecfdcae14",
+	"tied/3oo5/v5/w64/streaming=true":                   "a53fe5d3e839be2e",
 }
 
 var runPins = map[string]string{
-	"independent/1oon/dense/streaming=false":      "0f6e97e093d50cae",
-	"independent/1oon/dense/streaming=true":       "45534e9cddd987e8",
-	"independent/1oon/sparse/streaming=false":     "e59024f60aee6e6c",
-	"independent/1oon/sparse/streaming=true":      "d6d8642ddaa0eae5",
-	"independent/1oon/batched/streaming=false":    "fd625dc627fb6d75",
-	"independent/1oon/batched/streaming=true":     "b122c5683c376120",
-	"independent/2oo3/dense/streaming=false":      "a08c86b376751b17",
-	"independent/2oo3/dense/streaming=true":       "25ad0809bf3934cf",
-	"independent/2oo3/sparse/streaming=false":     "82ae5e420ecf1cb2",
-	"independent/2oo3/sparse/streaming=true":      "55352048977f5409",
-	"independent/2oo3/batched/streaming=false":    "f4ff2cc63a5c7131",
-	"independent/2oo3/batched/streaming=true":     "3d5359e2d879fa6e",
-	"common-cause/1oon/dense/streaming=false":     "e8ad255d31c2843b",
-	"common-cause/1oon/dense/streaming=true":      "c7560f50aa3c9fdc",
-	"common-cause/1oon/sparse/streaming=false":    "e8ad255d31c2843b",
-	"common-cause/1oon/sparse/streaming=true":     "c7560f50aa3c9fdc",
-	"common-cause/1oon/batched/streaming=false":   "672969bb3b84c06b",
-	"common-cause/1oon/batched/streaming=true":    "991f52d5fc94437a",
-	"common-cause/2oo3/dense/streaming=false":     "a34f81119c844c75",
-	"common-cause/2oo3/dense/streaming=true":      "80def77cb86351a1",
-	"common-cause/2oo3/sparse/streaming=false":    "a34f81119c844c75",
-	"common-cause/2oo3/sparse/streaming=true":     "80def77cb86351a1",
-	"common-cause/2oo3/batched/streaming=false":   "68cfc9d4d929660a",
-	"common-cause/2oo3/batched/streaming=true":    "f3e14ac9236d22f9",
-	"resource-shift/1oon/dense/streaming=false":   "3c39b35f0b0b66ff",
-	"resource-shift/1oon/dense/streaming=true":    "1a132de59d4d77d1",
-	"resource-shift/1oon/sparse/streaming=false":  "3c39b35f0b0b66ff",
-	"resource-shift/1oon/sparse/streaming=true":   "1a132de59d4d77d1",
-	"resource-shift/1oon/batched/streaming=false": "52a7f3a9ec5106ef",
-	"resource-shift/1oon/batched/streaming=true":  "b8470e9a2fc25678",
-	"resource-shift/2oo3/dense/streaming=false":   "3d39dee1f5299517",
-	"resource-shift/2oo3/dense/streaming=true":    "c5db6985f498c329",
-	"resource-shift/2oo3/sparse/streaming=false":  "3d39dee1f5299517",
-	"resource-shift/2oo3/sparse/streaming=true":   "c5db6985f498c329",
-	"resource-shift/2oo3/batched/streaming=false": "507af539a432b591",
-	"resource-shift/2oo3/batched/streaming=true":  "54ba0601fcdb3d86",
-	"tied/1oon/dense/streaming=false":             "15c2ada0cec3c1c6",
-	"tied/1oon/dense/streaming=true":              "d57a61a15bb0f597",
-	"tied/1oon/sparse/streaming=false":            "15c2ada0cec3c1c6",
-	"tied/1oon/sparse/streaming=true":             "d57a61a15bb0f597",
-	"tied/1oon/batched/streaming=false":           "2cead957bd3e1a23",
-	"tied/1oon/batched/streaming=true":            "244eca16d8ae69b8",
-	"tied/2oo3/dense/streaming=false":             "903c1a733dcb8593",
-	"tied/2oo3/dense/streaming=true":              "99a8ac419c300107",
-	"tied/2oo3/sparse/streaming=false":            "903c1a733dcb8593",
-	"tied/2oo3/sparse/streaming=true":             "99a8ac419c300107",
-	"tied/2oo3/batched/streaming=false":           "15c062c817d8944c",
-	"tied/2oo3/batched/streaming=true":            "1fab2dbf6794eaf3",
+	"independent/1oon/dense/streaming=false":     "fd625dc627fb6d75",
+	"independent/1oon/dense/streaming=true":      "b122c5683c376120",
+	"independent/1oon/sparse/streaming=false":    "e59024f60aee6e6c",
+	"independent/1oon/sparse/streaming=true":     "d6d8642ddaa0eae5",
+	"independent/2oo3/dense/streaming=false":     "f4ff2cc63a5c7131",
+	"independent/2oo3/dense/streaming=true":      "3d5359e2d879fa6e",
+	"independent/2oo3/sparse/streaming=false":    "82ae5e420ecf1cb2",
+	"independent/2oo3/sparse/streaming=true":     "55352048977f5409",
+	"common-cause/1oon/dense/streaming=false":    "672969bb3b84c06b",
+	"common-cause/1oon/dense/streaming=true":     "991f52d5fc94437a",
+	"common-cause/1oon/sparse/streaming=false":   "e8ad255d31c2843b",
+	"common-cause/1oon/sparse/streaming=true":    "c7560f50aa3c9fdc",
+	"common-cause/2oo3/dense/streaming=false":    "68cfc9d4d929660a",
+	"common-cause/2oo3/dense/streaming=true":     "f3e14ac9236d22f9",
+	"common-cause/2oo3/sparse/streaming=false":   "a34f81119c844c75",
+	"common-cause/2oo3/sparse/streaming=true":    "80def77cb86351a1",
+	"resource-shift/1oon/dense/streaming=false":  "52a7f3a9ec5106ef",
+	"resource-shift/1oon/dense/streaming=true":   "b8470e9a2fc25678",
+	"resource-shift/1oon/sparse/streaming=false": "3c39b35f0b0b66ff",
+	"resource-shift/1oon/sparse/streaming=true":  "1a132de59d4d77d1",
+	"resource-shift/2oo3/dense/streaming=false":  "507af539a432b591",
+	"resource-shift/2oo3/dense/streaming=true":   "54ba0601fcdb3d86",
+	"resource-shift/2oo3/sparse/streaming=false": "3d39dee1f5299517",
+	"resource-shift/2oo3/sparse/streaming=true":  "c5db6985f498c329",
+	"tied/1oon/dense/streaming=false":            "2cead957bd3e1a23",
+	"tied/1oon/dense/streaming=true":             "244eca16d8ae69b8",
+	"tied/1oon/sparse/streaming=false":           "15c2ada0cec3c1c6",
+	"tied/1oon/sparse/streaming=true":            "d57a61a15bb0f597",
+	"tied/2oo3/dense/streaming=false":            "15c062c817d8944c",
+	"tied/2oo3/dense/streaming=true":             "1fab2dbf6794eaf3",
+	"tied/2oo3/sparse/streaming=false":           "903c1a733dcb8593",
+	"tied/2oo3/sparse/streaming=true":            "99a8ac419c300107",
 }

@@ -16,9 +16,9 @@ import (
 
 // RareOptions carries optional instrumentation and kernel selection for
 // the rare-event estimators. The zero value disables all of it. No field
-// changes the distribution of the estimate; Sparse and BatchWidth do
-// change the variate sequence drawn for a given seed, so fixed-seed
-// values differ between kernels while remaining equal in distribution.
+// changes the distribution of the estimate; Sparse does change the
+// variate sequence drawn for a given seed, so fixed-seed values differ
+// between kernels while remaining equal in distribution.
 //
 // Like a Monte-Carlo run, an estimation is cut into blocks of blockSize
 // replications, block b draws from the stream keyed by (seed, b), and the
@@ -49,15 +49,6 @@ type RareOptions struct {
 	// special case p^m. Nil means 1-out-of-m (the defeat probability
 	// reduces to math.Pow(p, m) exactly).
 	Adjudicator system.Adjudicator
-	// BatchWidth, when at least 2, tiles the dense replication loop: each
-	// active fault's Bernoulli draws for a tile of replications come from
-	// one randx FillUint64 batch compared against a precomputed integer
-	// threshold (devsim.BernoulliThreshold), amortizing RNG overhead
-	// exactly like the batched Monte-Carlo kernel. Tiles are never wider
-	// than a block. It is ignored when Sparse is set — the sparse
-	// kernel's geometric gaps are inherently sequential per replication
-	// and already o(n).
-	BatchWidth int
 }
 
 // RareEventEstimate is the result of an importance-sampled estimation of a
@@ -126,14 +117,7 @@ func estimateTilted(ctx context.Context, fs *faultmodel.FaultSet, m, reps int, s
 	if reps < 2 {
 		return RareEventEstimate{}, fmt.Errorf("montecarlo: replication count %d must be at least 2", reps)
 	}
-	if opts.BatchWidth < 0 {
-		return RareEventEstimate{}, fmt.Errorf("montecarlo: batch width %d must not be negative", opts.BatchWidth)
-	}
 	k := newTiltKernel(fs, m, tiltTarget, opts)
-	width := 1
-	if !opts.Sparse && opts.BatchWidth > 1 {
-		width = min(opts.BatchWidth, blockSize, reps)
-	}
 
 	// The weights stream through stats.Moments — the numerically stable
 	// one-pass type the streaming Monte-Carlo harness uses — rather than
@@ -146,10 +130,7 @@ func estimateTilted(ctx context.Context, fs *faultmodel.FaultSet, m, reps int, s
 		opts.Progress(0, reps)
 	}
 	done := runBlocks(ctx, reps, workers, opts.Progress, func(w int) (func(b, lo, hi int), func()) {
-		tw := &tiltWorker{
-			k: k, r: randx.NewStream(0),
-			draws: make([]uint64, width), logW: make([]float64, width), event: make([]bool, width),
-		}
+		tw := &tiltWorker{k: k, r: randx.NewStream(0)}
 		tws[w] = tw
 		return func(b, lo, hi int) {
 			tw.r.SeedAt(seed, uint64(b))
@@ -265,20 +246,20 @@ type tiltWorker struct {
 	mom   stats.Moments // the current block's weights
 	hits  int
 	skips int64
-	draws []uint64
-	logW  []float64
-	event []bool
+	draws [64]uint64
+	logW  [64]float64
+	event [64]bool
 }
 
-// dense runs n replications in tiles of len(draws) (one replication when
-// unbatched). Each active fault's draws for a tile come from one
-// FillUint64 batch compared against its integer threshold, which decides
-// exactly like the float compare in Stream.Bernoulli; per replication the
+// dense runs n replications in tiles of 64 (the last tile of a block
+// fewer). Each active fault's draws for a tile come from one FillUint64
+// batch compared against its integer threshold, which decides exactly
+// like the float compare in Stream.Bernoulli; per replication the
 // log-weight sums logHit or logStay in fault order.
 func (tw *tiltWorker) dense(n int) {
-	k, r, width := tw.k, tw.r, len(tw.draws)
-	for base := 0; base < n; base += width {
-		b := min(width, n-base)
+	k, r := tw.k, tw.r
+	for base := 0; base < n; base += 64 {
+		b := min(64, n-base)
 		d, logW, event := tw.draws[:b], tw.logW[:b], tw.event[:b]
 		for j := range logW {
 			logW[j] = 0

@@ -206,7 +206,6 @@ func TestRareEstimatorBitPins(t *testing.T) {
 		opts RareOptions
 	}{
 		{"dense", RareOptions{}},
-		{"batched", RareOptions{BatchWidth: 64}},
 		{"sparse", RareOptions{Sparse: true}},
 	}
 	ctx := context.Background()
@@ -248,18 +247,14 @@ func estimateBits(est RareEventEstimate) [3]uint64 {
 }
 
 var rarePins = map[string][3]uint64{
-	"is/1oon/dense":      {0x3f5024d5599b454a, 0x3ef60bddd0321ebb, 0x3fee39c0ebedfa44},
-	"is/1oon/batched":    {0x3f50638f65695af5, 0x3ef65aa31719a004, 0x3fee2a9930be0ded},
-	"is/1oon/sparse":     {0x3f51105aaef99025, 0x3ef6c124c433037d, 0x3fee395810624dd3},
-	"is/2oo3/dense":      {0x3f67f46e0b7b764e, 0x3f105223d813c8dc, 0x3fee39c0ebedfa44},
-	"is/2oo3/batched":    {0x3f6850ec8f33bd4e, 0x3f108c4d50fe6747, 0x3fee2a9930be0ded},
-	"is/2oo3/sparse":     {0x3f69513b19afc187, 0x3f10d822b6d55ab2, 0x3fee395810624dd3},
-	"naive/1oon/dense":   {0x3f50624dd2f1aa0b, 0x3f2d4b3f24950c6c, 0x3f50624dd2f1a9fc},
-	"naive/1oon/batched": {0x3f52d77318fc5051, 0x3f2f69713b953856, 0x3f52d77318fc5048},
-	"naive/1oon/sparse":  {0x3f4f212d77318fdf, 0x3f2c8d8b5dd374d4, 0x3f4f212d77318fc5},
-	"naive/2oo3/dense":   {0x3f6b089a0275254f, 0x3f3a93aef462d53f, 0x3f6b089a02752546},
-	"naive/2oo3/batched": {0x3f67c1bda5119ceb, 0x3f38eb4da93026cc, 0x3f67c1bda5119ce0},
-	"naive/2oo3/sparse":  {0x3f68fc504816f00d, 0x3f398db69ad4bb3d, 0x3f68fc504816f007},
+	"is/1oon/dense":     {0x3f50638f65695af5, 0x3ef65aa31719a004, 0x3fee2a9930be0ded},
+	"is/1oon/sparse":    {0x3f51105aaef99025, 0x3ef6c124c433037d, 0x3fee395810624dd3},
+	"is/2oo3/dense":     {0x3f6850ec8f33bd4e, 0x3f108c4d50fe6747, 0x3fee2a9930be0ded},
+	"is/2oo3/sparse":    {0x3f69513b19afc187, 0x3f10d822b6d55ab2, 0x3fee395810624dd3},
+	"naive/1oon/dense":  {0x3f52d77318fc5051, 0x3f2f69713b953856, 0x3f52d77318fc5048},
+	"naive/1oon/sparse": {0x3f4f212d77318fdf, 0x3f2c8d8b5dd374d4, 0x3f4f212d77318fc5},
+	"naive/2oo3/dense":  {0x3f67c1bda5119ceb, 0x3f38eb4da93026cc, 0x3f67c1bda5119ce0},
+	"naive/2oo3/sparse": {0x3f68fc504816f00d, 0x3f398db69ad4bb3d, 0x3f68fc504816f007},
 }
 
 // TestRareCertainFault: a fault present with probability 1 defeats every
@@ -281,10 +276,10 @@ func TestRareCertainFault(t *testing.T) {
 	if err != nil {
 		t.Fatalf("importance sampling: %v", err)
 	}
-	if got, want := estimateBits(is), [3]uint64{0x3ff04c6c73535f46, 0x3f94211fcded5e8c, 0x3ff0000000000000}; got != want {
+	if got, want := estimateBits(is), [3]uint64{0x3ff0348aeaca4c78, 0x3f941a3ec02afcb3, 0x3ff0000000000000}; got != want {
 		t.Errorf("importance sampling bits %#x, pinned %#x (%+v)", got, want, is)
 	}
-	for _, opts := range []RareOptions{{}, {BatchWidth: 64}, {Sparse: true}} {
+	for _, opts := range []RareOptions{{}, {Sparse: true}} {
 		naive, err := EstimateNaiveSystemFaultOpts(ctx, fs, 2, 5000, 4, opts)
 		if err != nil {
 			t.Fatalf("naive %+v: %v", opts, err)

@@ -15,8 +15,8 @@ import (
 )
 
 // opaqueProcess exposes only the wrapped process's required Process
-// methods, hiding its optional sparse and batched kernels, so runs fall
-// back to the dense DevelopInto fill.
+// methods, hiding its optional sparse and row kernels, so runs develop one
+// column at a time with DevelopInto.
 type opaqueProcess struct {
 	inner devsim.Process
 }

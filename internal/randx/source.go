@@ -79,8 +79,8 @@ func (s *Source) Uint64() uint64 {
 // state is copied into locals for the duration of the loop, so the
 // compiler keeps it in registers instead of reloading four words from
 // memory per draw — the difference between ~3 ns and ~1 ns per variate,
-// which is what makes bulk-filling worthwhile for the batched
-// Monte-Carlo kernel.
+// which is what makes bulk-filling worthwhile for the dense row
+// kernel of the Monte-Carlo harness.
 func (s *Source) Fill(dst []uint64) {
 	s0, s1, s2, s3 := s.s[0], s.s[1], s.s[2], s.s[3]
 	for i := range dst {
@@ -106,7 +106,7 @@ const hitsRefineMask = 1<<21 - 1
 // t * 2^-53 — the distribution of Float64() < p) and packs them into
 // the returned mask's low n bits, lane j at bit j.
 //
-// Two cost levers make this the batched replication kernel's innermost
+// Two cost levers make this the dense row kernel's innermost
 // primitive. First, the generator state lives in registers across the
 // whole call (see Fill) and the threshold compare happens while each
 // draw is still in a register, so no variate ever round-trips through

@@ -106,9 +106,10 @@ func (r *Stream) BernoulliValidated(p float64) bool {
 // consumer between the two never changes its variates for a given seed.
 // The point of the batch is cost amortization: one call crosses the
 // method boundary once and runs the generator with its state held in
-// registers (Source.Fill), instead of reloading it per draw. BenchmarkFill measures the per-variate saving against
-// element-wise Uint64/Float64 calls; the batched replication kernel
-// (montecarlo Config.BatchWidth) is built on this primitive.
+// registers (Source.Fill), instead of reloading it per draw.
+// BenchmarkFill measures the per-variate saving against element-wise
+// Uint64/Float64 calls; the Monte-Carlo harness's dense row kernel is
+// built on this primitive.
 func (r *Stream) FillUint64(dst []uint64) {
 	r.src.Fill(dst)
 }

@@ -562,27 +562,37 @@ func TestAdjudicatedJob(t *testing.T) {
 	}
 }
 
-// TestBatchedJob runs a batched-kernel job end to end through the HTTP
-// API and checks the result view reports the kernel and its tile width.
+// TestBatchedJob: the batchWidth field older clients send is accepted
+// and ignored. A submission with batchWidth 64 and one without it are the
+// same job: both get the same jobId, and the second is served from the
+// cache.
 func TestBatchedJob(t *testing.T) {
 	t.Parallel()
 	_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 4}, nil)
 
-	body := `{"kind":"montecarlo","montecarlo":{"model":{"scenario":"safety-grade","scenarioSeed":1},"versions":2,"reps":2000,"workers":1,"seed":1,"batchWidth":64}}`
-	resp, v := postJob(t, ts, body)
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("submit status = %d, want 202", resp.StatusCode)
+	const spec = `"model":{"scenario":"safety-grade","scenarioSeed":1},"versions":2,"reps":2000,"workers":1,"seed":1`
+	var views []jobView
+	for _, body := range []string{
+		`{"kind":"montecarlo","montecarlo":{` + spec + `,"batchWidth":64}}`,
+		`{"kind":"montecarlo","montecarlo":{` + spec + `}}`,
+	} {
+		resp, v := postJob(t, ts, body)
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("submit status = %d, want 202", resp.StatusCode)
+		}
+		final := pollUntilTerminal(t, ts, v.ID)
+		if final.Status != string(statusDone) || final.Result.MonteCarlo == nil {
+			t.Fatalf("final status = %q (error %q), want a done Monte-Carlo job", final.Status, final.Error)
+		}
+		views = append(views, final)
 	}
-	final := pollUntilTerminal(t, ts, v.ID)
-	if final.Status != string(statusDone) {
-		t.Fatalf("final status = %q (error %q), want done", final.Status, final.Error)
+	first, second := views[0], views[1]
+	if second.JobID != first.JobID || second.Result.Hash != first.Result.Hash {
+		t.Fatalf("jobId %q (hash %s) with batchWidth 64, %q (hash %s) without; want one job",
+			first.JobID, first.Result.Hash, second.JobID, second.Result.Hash)
 	}
-	mc := final.Result.MonteCarlo
-	if mc == nil {
-		t.Fatal("final view carries no Monte-Carlo result")
-	}
-	if !mc.Batched || mc.BatchWidth != 64 {
-		t.Fatalf("result reports batched=%v width=%d, want the batched kernel at width 64", mc.Batched, mc.BatchWidth)
+	if first.Result.FromCache || !second.Result.FromCache {
+		t.Fatalf("fromCache = %v then %v, want false then true", first.Result.FromCache, second.Result.FromCache)
 	}
 }
 

@@ -106,12 +106,11 @@ func decodeSpec(t *testing.T, spec string) engine.Job {
 func TestResultViewBytesAcrossSources(t *testing.T) {
 	const model = `"model":{"scenario":"safety-grade","scenarioSeed":1},"versions":2,"reps":5000,"seed":1`
 	specs := map[string]string{
-		"buffered dense":   `{"kind":"montecarlo","montecarlo":{` + model + `}}`,
-		"buffered batched": `{"kind":"montecarlo","montecarlo":{` + model + `,"batchWidth":64}}`,
-		"buffered sparse":  `{"kind":"montecarlo","montecarlo":{` + model + `,"sparse":true}}`,
-		"streaming":        `{"kind":"montecarlo","montecarlo":{` + model + `,"streaming":true}}`,
-		"rare-event":       `{"kind":"rare-event","rareEvent":{` + model + `}}`,
-		"analytic":         analyticJobJSON,
+		"buffered dense":  `{"kind":"montecarlo","montecarlo":{` + model + `}}`,
+		"buffered sparse": `{"kind":"montecarlo","montecarlo":{` + model + `,"sparse":true}}`,
+		"streaming":       `{"kind":"montecarlo","montecarlo":{` + model + `,"streaming":true}}`,
+		"rare-event":      `{"kind":"rare-event","rareEvent":{` + model + `}}`,
+		"analytic":        analyticJobJSON,
 	}
 	ctx := context.Background()
 	ref := engine.New(engine.Options{DisableCache: true})
@@ -241,6 +240,50 @@ func TestLegacyRecordReplays(t *testing.T) {
 	}
 	if got := normaliseFromCache(viewBytes(t, hit)); !bytes.Equal(got, w) {
 		t.Errorf("warmed cache-hit view\n%s\nwant\n%s", got, w)
+	}
+}
+
+// TestBatchedRecordReplays: a done record journaled while the kernel
+// width was a job option — its spec carrying batchWidth 64 and its
+// Monte-Carlo result "Batched":true,"BatchWidth":64 — still replays and
+// renders the result's view, with the two dropped fields ignored.
+func TestBatchedRecordReplays(t *testing.T) {
+	ctx := context.Background()
+	const body = `{"kind":"montecarlo","montecarlo":{"model":{"scenario":"safety-grade","scenarioSeed":1},"versions":2,"reps":2000,"seed":1,"batchWidth":64}}`
+	job := decodeSpec(t, body)
+	raw, err := engine.New(engine.Options{}).Run(ctx, job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum, err := summarized(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	result, err := encodeResult(sum)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := bytes.Replace(result, []byte(`"SparseSkips":0,`), []byte(`"SparseSkips":0,"Batched":true,"BatchWidth":64,`), 1)
+	if bytes.Equal(old, result) {
+		t.Fatalf("stored result has no SparseSkips field to extend: %.300s", result)
+	}
+
+	dir := t.TempDir()
+	st := openStore(t, dir)
+	t.Cleanup(func() { st.Close() })
+	const id = "j-000001-batched0"
+	if err := st.Put(store.JobRecord{
+		ID: id, Seq: 1, EngineID: raw.ID, Kind: string(job.Kind), Spec: json.RawMessage(body),
+		Status: string(statusDone), Result: old,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	_, ts := newTestServer(t, Config{Workers: 1, Store: st}, nil)
+	if code, v := fetchJob(t, ts, id); code != http.StatusOK || v.Status != string(statusDone) {
+		t.Fatalf("replayed record: status %d, job %q, want 200 and done", code, v.Status)
+	}
+	if got, w := getResult(t, ts, id), viewBytes(t, raw); !bytes.Equal(got, w) {
+		t.Errorf("replayed GET result\n%s\nwant the live view\n%s", got, w)
 	}
 }
 

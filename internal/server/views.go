@@ -77,8 +77,6 @@ type mcResultView struct {
 	Adjudicator      string      `json:"adjudicator,omitempty"`
 	Streaming        bool        `json:"streaming,omitempty"`
 	Sparse           bool        `json:"sparse,omitempty"`
-	Batched          bool        `json:"batched,omitempty"`
-	BatchWidth       int         `json:"batchWidth,omitempty"`
 	Version          summaryView `json:"version"`
 	System           summaryView `json:"system"`
 	VersionFaultFree int         `json:"versionFaultFree"`
@@ -192,8 +190,6 @@ func resultViewOf(res *engine.Result) *resultView {
 			Adjudicator:      mc.Adjudicator,
 			Streaming:        mc.Streaming,
 			Sparse:           mc.Sparse,
-			Batched:          mc.Batched,
-			BatchWidth:       mc.BatchWidth,
 			VersionFaultFree: mc.VersionFaultFree,
 			SystemFaultFree:  mc.SystemFaultFree,
 		}

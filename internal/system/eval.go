@@ -9,7 +9,7 @@ import (
 
 // This file holds the allocation-free system-PFD kernels the Monte-Carlo
 // harness scores every replication with: BitsetSystemPFD for one
-// replication's masks and RowScorer for a batched tile's fault-major
+// replication's masks and RowScorer for a dense tile's fault-major
 // rows. Both reduce the adjudicator to its defeat threshold outside the
 // per-fault loop and sum in ascending fault order — bit for bit the
 // order System.PFD uses.
@@ -86,15 +86,15 @@ func BitsetSystemPFD(fs *faultmodel.FaultSet, adj Adjudicator, masks []*devsim.B
 	return ApplyStagePFD(adj, pfd), count
 }
 
-// RowScorer is the batched kernel's evaluation: it scores a whole tile
-// of replications from the fault-major mask rows the tile was drawn in
-// (devsim.BatchDeveloper), with no transpose into per-replication
+// RowScorer is the dense kernel's evaluation: it scores a whole tile of
+// up to 64 replications from the fault-major mask rows the tile was drawn
+// in (devsim.BatchDeveloper), with no transpose into per-replication
 // columns. The rule is reduced to its defeat threshold once, when the
 // scorer is built, and every adjudication is a handful of word-wide
-// operations per fault and lane group. Each lane sums its q_i in
-// ascending fault order — the order of the touched-word walks of
-// devsim.BitsetPFD and BitsetSystemPFD over the same masks — so every
-// PFD is bit for bit the one those functions return.
+// operations per fault. Each lane sums its q_i in ascending fault order —
+// the order of the touched-word walks of devsim.BitsetPFD and
+// BitsetSystemPFD over the same masks — so every PFD is bit for bit the
+// one those functions return.
 //
 // A RowScorer is not safe for concurrent use; the Monte-Carlo harness
 // builds one per worker.
@@ -118,53 +118,45 @@ func NewRowScorer(fs *faultmodel.FaultSet, adj Adjudicator, versions int) *RowSc
 	return &RowScorer{q: q, adj: adj, m: versions, th: th, carry: make([]uint64, min(th, versions)+1)}
 }
 
-// Score scores one tile of width lanes. rows[v] holds version v's mask
-// rows: for g = ceil(width/64) lane groups, bit j of rows[v][i*g+k] is
-// fault i in lane 64k+j, with the bits past width clear. Score writes
-// lane j's first-version PFD to vpfd[j] and its system PFD (the
-// imperfect stage folded in, as BitsetSystemPFD does) to spfd[j]; both
-// slices need at least 64·g elements. It ORs every fault's first-version
-// mask into vAny[k] and its system mask into sAny[k] (g words each,
-// cleared first), so a lane's version or system is fault-free exactly
-// when its bit there is clear.
-func (s *RowScorer) Score(rows [][]uint64, width int, vpfd, spfd []float64, vAny, sAny []uint64) {
-	g := (width + 63) / 64
+// Score scores one tile of width <= 64 lanes. rows[v] holds version v's
+// mask rows: bit j of rows[v][i] is fault i in lane j, with the bits past
+// width clear. Score writes lane j's first-version PFD to vpfd[j] and its
+// system PFD (the imperfect stage folded in, as BitsetSystemPFD does) to
+// spfd[j]. It returns the lanes whose first version carries a fault and
+// the lanes whose system has a defeating fault, so a lane's version or
+// system is fault-free exactly when its bit there is clear.
+func (s *RowScorer) Score(rows [][]uint64, width int, vpfd, spfd *[64]float64) (vAny, sAny uint64) {
 	clear(vpfd[:width])
 	clear(spfd[:width])
-	clear(vAny[:g])
-	clear(sAny[:g])
-	first := rows[0]
 	for i, q := range s.q {
-		for k := 0; k < g; k++ {
-			w := i*g + k
-			x := first[w]
-			vAny[k] |= x
-			addLanes((*[64]float64)(vpfd[64*k:]), x, q)
-			y := s.defeated(rows, w, width-64*k)
-			sAny[k] |= y
-			addLanes((*[64]float64)(spfd[64*k:]), y, q)
-		}
+		x := rows[0][i]
+		vAny |= x
+		addLanes(vpfd, x, q)
+		y := s.defeated(rows, i, width)
+		sAny |= y
+		addLanes(spfd, y, q)
 	}
 	for j := range spfd[:width] {
 		spfd[j] = ApplyStagePFD(s.adj, spfd[j])
 	}
+	return vAny, sAny
 }
 
-// defeated returns the lanes of mask word w in which fault w/g defeats
-// the rule; lanes is the number of live lanes in the word's group.
-func (s *RowScorer) defeated(rows [][]uint64, w, lanes int) uint64 {
+// defeated returns the lanes in which fault i defeats the rule; width is
+// the number of live lanes.
+func (s *RowScorer) defeated(rows [][]uint64, i, width int) uint64 {
 	switch {
 	case s.th > s.m:
 		return 0
 	case s.th == 0:
-		if lanes >= 64 {
+		if width >= 64 {
 			return ^uint64(0)
 		}
-		return 1<<uint(lanes) - 1
+		return 1<<uint(width) - 1
 	case s.th == s.m:
-		x := rows[0][w]
+		x := rows[0][i]
 		for _, r := range rows[1:] {
-			x &= r[w]
+			x &= r[i]
 		}
 		return x
 	}
@@ -172,7 +164,7 @@ func (s *RowScorer) defeated(rows [][]uint64, w, lanes int) uint64 {
 	c[0] = ^uint64(0)
 	clear(c[1:])
 	for v, r := range rows {
-		x := r[w]
+		x := r[i]
 		for t := min(v+1, s.th); t >= 1; t-- {
 			c[t] |= c[t-1] & x
 		}

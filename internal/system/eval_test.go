@@ -156,8 +156,7 @@ func FuzzKOutOfNStackedPopcount(f *testing.F) {
 // rows must give every lane the PFDs BitsetPFD and BitsetSystemPFD give
 // that lane's columns, bit for bit, and the same fault-free flags — over
 // pool sizes, every rule family including the degenerate thresholds,
-// widths with full and partial lane groups, and universes spanning one or
-// more mask words.
+// full and partial tiles, and universes spanning one or more mask words.
 func TestRowScorerMatchesBitsetKernels(t *testing.T) {
 	t.Parallel()
 
@@ -173,8 +172,7 @@ func TestRowScorerMatchesBitsetKernels(t *testing.T) {
 		}
 		for _, n := range []int{1, 40, 64, 65, 150} {
 			fs := randomUniverse(t, r, n)
-			for _, width := range []int{1, 63, 64, 65, 130} {
-				g := (width + 63) / 64
+			for _, width := range []int{1, 2, 63, 64} {
 				rows := make([][]uint64, m)
 				cols := make([][][]bool, width) // [lane][version][fault]
 				for j := range cols {
@@ -184,26 +182,25 @@ func TestRowScorerMatchesBitsetKernels(t *testing.T) {
 					}
 				}
 				for v := range rows {
-					rows[v] = make([]uint64, n*g)
+					rows[v] = make([]uint64, n)
 					for i := 0; i < n; i++ {
 						p := fs.Fault(i).P
 						for j := 0; j < width; j++ {
 							if r.Float64() < p {
-								rows[v][i*g+j/64] |= 1 << uint(j%64)
+								rows[v][i] |= 1 << uint(j)
 								cols[j][v][i] = true
 							}
 						}
 					}
 				}
 				for _, adj := range rules {
-					vpfd, spfd := make([]float64, 64*g), make([]float64, 64*g)
-					vAny, sAny := make([]uint64, g), make([]uint64, g)
-					NewRowScorer(fs, adj, m).Score(rows, width, vpfd, spfd, vAny, sAny)
+					var vpfd, spfd [64]float64
+					vAny, sAny := NewRowScorer(fs, adj, m).Score(rows, width, &vpfd, &spfd)
 					for j := 0; j < width; j++ {
 						masks := toBitsets(cols[j])
 						wantV, vCount := devsim.BitsetPFD(fs, masks[0])
 						wantS, sCount := BitsetSystemPFD(fs, adj, masks)
-						vFault, sFault := vAny[j/64]>>uint(j%64)&1 == 1, sAny[j/64]>>uint(j%64)&1 == 1
+						vFault, sFault := vAny>>uint(j)&1 == 1, sAny>>uint(j)&1 == 1
 						if math.Float64bits(vpfd[j]) != math.Float64bits(wantV) || vFault != (vCount > 0) {
 							t.Fatalf("m=%d n=%d width=%d %s lane %d: version (%v, faulty %v), columns (%v, %d faults)",
 								m, n, width, adj.Name(), j, vpfd[j], vFault, wantV, vCount)
@@ -213,10 +210,8 @@ func TestRowScorerMatchesBitsetKernels(t *testing.T) {
 								m, n, width, adj.Name(), j, spfd[j], sFault, wantS, sCount)
 						}
 					}
-					for k := range vAny {
-						if live := width - 64*k; live < 64 && (vAny[k]|sAny[k])>>uint(live) != 0 {
-							t.Fatalf("m=%d n=%d width=%d %s: fault bits past the width in group %d", m, n, width, adj.Name(), k)
-						}
+					if width < 64 && (vAny|sAny)>>uint(width) != 0 {
+						t.Fatalf("m=%d n=%d width=%d %s: fault bits past the width", m, n, width, adj.Name())
 					}
 				}
 			}
