@@ -283,7 +283,7 @@ func FuzzBernoulliThreshold(f *testing.F) {
 }
 
 // FuzzDevelopBatchMatchesFloatReference drives the independent and
-// common-cause batched kernels against the scalar []bool reference over
+// common-cause row kernels against the scalar []bool reference over
 // fuzzed probabilities, widths, and seeds.
 func FuzzDevelopBatchMatchesFloatReference(f *testing.F) {
 	f.Add(uint64(1), uint8(8), uint16(6553), uint16(32767), uint16(0), uint16(65535))
