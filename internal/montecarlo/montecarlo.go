@@ -497,10 +497,10 @@ func PreRegisterMetrics(reg *telemetry.Registry) {
 // (montecarlo.replications_total.<adjudicator>), so mixed workloads
 // expose how much simulation each voting rule consumed — replications per
 // second over the whole run (both unlabelled and under the kernel-mode
-// suffix .dense/.sparse), worker imbalance ((max-min)/max worker wall time — 0 means
-// perfectly balanced), sparse-kernel skip draws, whether the run
-// streamed, and, for cancelled runs, the latency between cancellation and
-// the last worker draining.
+// suffix .dense/.sparse), worker imbalance ((max-min)/max worker wall
+// time — 0 means perfectly balanced), sparse-kernel skip draws, whether
+// the run streamed, and, for cancelled runs, the latency between
+// cancellation and the last worker draining.
 func recordRunMetrics(reg *telemetry.Registry, res *Result, runStart time.Time, completed int64, workerElapsed []time.Duration, cancelledNanos int64) {
 	elapsed := time.Since(runStart)
 	reg.Counter("montecarlo.replications_total").Add(completed)
