@@ -1,7 +1,10 @@
 package montecarlo
 
 import (
+	"cmp"
 	"fmt"
+	"math/bits"
+	"slices"
 	"testing"
 
 	"diversity/internal/devsim"
@@ -95,11 +98,12 @@ func lawPValue(t *testing.T, sample, atoms, probs []float64) float64 {
 // a process that hides both extensions). Bit pins only freeze what a
 // kernel does; this checks that it samples the paper's law.
 //
-// Each of the 18 cells tests at α = 1e-3, so a correct set of kernels
-// fails the suite at a random seed with probability at most 1.8% (the
-// Bonferroni bound); the seed is fixed, so the outcome is deterministic.
-// The power case tests the same samples against the law with fault 9's
-// p scaled by 1.05, which every system cell must reject.
+// Each of the 18 cells here and the 12 of TestCorrelatedLawsMatchExactLaws
+// tests at α = 1e-3, so correct kernels fail the 30-cell gate at a random
+// seed with probability at most 3% (the Bonferroni bound); the seed is
+// fixed, so the outcome is deterministic. The power case tests the same
+// samples against the law with fault 9's p scaled by 1.05, which every
+// system cell must reject.
 func TestSampledLawMatchesExactLaw(t *testing.T) {
 	t.Parallel()
 
@@ -135,6 +139,193 @@ func TestSampledLawMatchesExactLaw(t *testing.T) {
 				t.Fatalf("%s %s: %v", k.name, rule, err)
 			}
 			label := fmt.Sprintf("%s/%s", k.name, rule)
+			if p := lawPValue(t, res.VersionPFD, versionAtoms, versionProbs); p < alpha {
+				t.Errorf("%s version PFD: chi-square p = %.3g < %g against the exact law", label, p, alpha)
+			}
+			if p := lawPValue(t, res.SystemPFD, atoms, probs); p < alpha {
+				t.Errorf("%s system PFD: chi-square p = %.3g < %g against the exact law", label, p, alpha)
+			}
+			if p := lawPValue(t, res.SystemPFD, wrongAtoms, wrongProbs); p >= alpha {
+				t.Errorf("%s system PFD: chi-square p = %.3g >= %g against the law with fault 9's p × 1.05; the gate has no power", label, p, alpha)
+			}
+		}
+	}
+}
+
+// productLaw returns P(S) for every subset S of independent faults with
+// presence probabilities pi, indexed by S with bit i standing for fault i.
+func productLaw(pi []float64) []float64 {
+	law := make([]float64, 1<<len(pi))
+	for s := range law {
+		pr := 1.0
+		for i, p := range pi {
+			if s>>i&1 == 1 {
+				pr *= p
+			} else {
+				pr *= 1 - p
+			}
+		}
+		law[s] = pr
+	}
+	return law
+}
+
+// commonCauseLaw is the version law of devsim.NewCommonCauseProcess(fs,
+// rho, boost): a rho-mixture of the bad-day and good-day products.
+func commonCauseLaw(fs *faultmodel.FaultSet, rho, boost float64) []float64 {
+	hi, lo := make([]float64, fs.N()), make([]float64, fs.N())
+	for i := range hi {
+		p := fs.Fault(i).P
+		hi[i] = min(1, p*boost)
+		lo[i] = (p - rho*hi[i]) / (1 - rho)
+	}
+	law, loLaw := productLaw(hi), productLaw(lo)
+	for s := range law {
+		law[s] = rho*law[s] + (1-rho)*loLaw[s]
+	}
+	return law
+}
+
+// resourceShiftLaw is the version law of devsim.NewResourceShiftProcess
+// over an even universe: pairs (0,1), (2,3), ... are independent, and
+// each pair mixes its two favoured/neglected products over a fair coin.
+func resourceShiftLaw(fs *faultmodel.FaultSet, shift float64) []float64 {
+	law := make([]float64, 1<<fs.N())
+	for s := range law {
+		pr := 1.0
+		for a := 0; a+1 < fs.N(); a += 2 {
+			pa, pb := fs.Fault(a).P, fs.Fault(a+1).P
+			xa, xb := s>>a&1 == 1, s>>(a+1)&1 == 1
+			pr *= 0.5*bern(pa*(1-shift), xa)*bern(pb*(1+shift), xb) +
+				0.5*bern(pa*(1+shift), xa)*bern(pb*(1-shift), xb)
+		}
+		law[s] = pr
+	}
+	return law
+}
+
+// tiedPairsLaw is the version law of devsim.NewTiedPairsProcess(fs,
+// pairs): each pair shares one coin at its smaller index's probability,
+// so a subset that splits a pair is impossible.
+func tiedPairsLaw(fs *faultmodel.FaultSet, pairs [][2]int) []float64 {
+	partner := make(map[int]int)
+	for _, pr := range pairs {
+		partner[max(pr[0], pr[1])] = min(pr[0], pr[1])
+	}
+	law := make([]float64, 1<<fs.N())
+	for s := range law {
+		pr := 1.0
+		for i := 0; i < fs.N(); i++ {
+			x := s>>i&1 == 1
+			if d, ok := partner[i]; ok {
+				if x != (s>>d&1 == 1) {
+					pr = 0
+				}
+				continue
+			}
+			pr *= bern(fs.Fault(i).P, x)
+		}
+		law[s] = pr
+	}
+	return law
+}
+
+// bern is the probability that a Bernoulli(p) variable takes value x.
+func bern(p float64, x bool) float64 {
+	if x {
+		return p
+	}
+	return 1 - p
+}
+
+// subsetPFDLaw maps a law over fault subsets to the PFD law of a version
+// (versions = 1) or of a 1-out-of-2 pool of two independent versions,
+// whose system carries exactly the faults both versions carry. Distinct
+// subsets of the gate's universe have distinct PFDs (q_i = 2^-(i+2)), so
+// each subset is one atom; atoms come back in ascending order.
+func subsetPFDLaw(fs *faultmodel.FaultSet, law []float64, versions int) (atoms, probs []float64) {
+	if versions == 2 {
+		sys := make([]float64, len(law))
+		for a, pa := range law {
+			for b, pb := range law {
+				sys[a&b] += pa * pb
+			}
+		}
+		law = sys
+	}
+	order := make([]int, len(law))
+	pfd := make([]float64, len(law))
+	for s := range law {
+		order[s] = s
+		for m := uint(s); m != 0; m &= m - 1 {
+			pfd[s] += fs.Fault(bits.TrailingZeros(m)).Q
+		}
+	}
+	slices.SortFunc(order, func(a, b int) int { return cmp.Compare(pfd[a], pfd[b]) })
+	for _, s := range order {
+		atoms = append(atoms, pfd[s])
+		probs = append(probs, law[s])
+	}
+	return atoms, probs
+}
+
+// TestCorrelatedLawsMatchExactLaws extends the gate of
+// TestSampledLawMatchesExactLaw to the three correlated processes on the
+// same universe. Each law is computed here by enumerating the 2^10 fault
+// subsets, independently of the kernels, and the 1oo2 system law by
+// pairing two independent versions. Every process is sampled by the
+// fault-major row kernel and by the per-column DevelopInto kernel (which
+// Sparse selects for a process without a sparse kernel); version and
+// system PFDs must each pass at α = 1e-3. The power case tests each
+// process's system samples against its law on the universe with fault
+// 9's p scaled by 1.05.
+func TestCorrelatedLawsMatchExactLaws(t *testing.T) {
+	t.Parallel()
+
+	const reps, alpha = 200000, 1e-3
+	const rho, boost, shift = 0.3, 1.5, 0.5
+	pairs := [][2]int{{0, 3}, {6, 5}}
+	processes := []struct {
+		name  string
+		build func(fs *faultmodel.FaultSet) (devsim.Process, []float64, error)
+	}{
+		{"common-cause", func(fs *faultmodel.FaultSet) (devsim.Process, []float64, error) {
+			p, err := devsim.NewCommonCauseProcess(fs, rho, boost)
+			return p, commonCauseLaw(fs, rho, boost), err
+		}},
+		{"resource-shift", func(fs *faultmodel.FaultSet) (devsim.Process, []float64, error) {
+			p, err := devsim.NewResourceShiftProcess(fs, shift)
+			return p, resourceShiftLaw(fs, shift), err
+		}},
+		{"tied-pairs", func(fs *faultmodel.FaultSet) (devsim.Process, []float64, error) {
+			p, err := devsim.NewTiedPairsProcess(fs, pairs)
+			return p, tiedPairsLaw(fs, pairs), err
+		}},
+	}
+	fs := lawFaults(t, 1)
+	perturbed := lawFaults(t, 1.05)
+	adj := system.OneOutOfN{}
+	for _, pc := range processes {
+		proc, law, err := pc.build(fs)
+		if err != nil {
+			t.Fatalf("%s: %v", pc.name, err)
+		}
+		_, wrongLaw, err := pc.build(perturbed)
+		if err != nil {
+			t.Fatalf("%s perturbed: %v", pc.name, err)
+		}
+		versionAtoms, versionProbs := subsetPFDLaw(fs, law, 1)
+		atoms, probs := subsetPFDLaw(fs, law, 2)
+		wrongAtoms, wrongProbs := subsetPFDLaw(fs, wrongLaw, 2)
+		for _, sparse := range []bool{false, true} {
+			label := pc.name + "/rows"
+			if sparse {
+				label = pc.name + "/per-column"
+			}
+			res, err := Run(Config{Process: proc, Sparse: sparse, Versions: 2, Adjudicator: adj, Reps: reps, Seed: 5})
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
 			if p := lawPValue(t, res.VersionPFD, versionAtoms, versionProbs); p < alpha {
 				t.Errorf("%s version PFD: chi-square p = %.3g < %g against the exact law", label, p, alpha)
 			}
