@@ -11,8 +11,9 @@ import (
 // TestGoldenE19 asserts the refactor's compatibility promise for the
 // experiment driver: E19 at the capture seed renders byte-identical
 // output to the golden, which was re-captured once when Monte-Carlo
-// replication blocks got their own streams and once when the 64-lane
-// row kernel became the only dense kernel. E19's Monte-Carlo runs use
+// replication blocks got their own streams, once when the 64-lane row
+// kernel became the only dense kernel and once when that kernel began
+// deciding its Bernoulli lanes bit-serially. E19's Monte-Carlo runs use
 // all cores, and the output must not depend on how many there are.
 func TestGoldenE19(t *testing.T) {
 	t.Parallel()

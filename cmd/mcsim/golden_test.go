@@ -18,7 +18,9 @@ import (
 // report began to name every voting rule by its adjudicator name
 // ("1oon"). Every file but the sparse one was re-captured once more when
 // the 64-lane row kernel became the only dense kernel: each is what the
-// CLI printed with -batch 64 before, minus the header's kernel suffix.
+// CLI printed with -batch 64 before, minus the header's kernel suffix,
+// and again when the dense kernel began deciding its Bernoulli lanes
+// bit-serially.
 // These tests assert the refactors' core compatibility
 // promise: every invocation renders byte-identical output — same variate
 // sequence, same summation order, same report text — and, because each

@@ -10,20 +10,18 @@ import (
 // harness's dense kernel. DevelopRows develops width <= 64 independent
 // versions — the tile's lanes — and returns their fault-major mask rows,
 // one word per fault: bit j of rows[i] is fault i's presence in lane j,
-// and the bits past width are clear. Every fault draws its Bernoulli
-// variates for all lanes as a batch — fused draw-and-compare randx.Stream.Hits calls for the
-// independent process, a randx.Stream.FillUint64 batch threshold-compared
-// branchlessly (see BernoulliThreshold) for the correlated processes —
-// straight into its lane masks. That amortizes the RNG call and the
-// per-fault probability lookup across the whole tile and keeps the hot
-// loop free of both branches (random hit patterns would mispredict
-// heavily) and scattered memory writes. The rows are the form the
-// evaluation kernel scores (system.RowScorer); nothing on the
-// Monte-Carlo path transposes them into per-lane columns.
+// and the bits past width are clear. Every Bernoulli mask, a fault's or
+// a latent coin's, comes from one randx.Stream.Hits call, which decides
+// all lanes bit-serially in about 7 generator words against the
+// threshold BernoulliThreshold gives. A correlated process blends two
+// such masks through a latent-coin mask (the common-cause day, the
+// resource-shift pair's favoured member) and draws only a mask that some
+// lane selects. The rows are the form the evaluation kernel scores
+// (system.RowScorer); nothing on the Monte-Carlo path transposes them
+// into per-lane columns.
 //
-// scratch is caller-owned space of length >= BatchScratchLen(width, n):
-// draw lanes, latent-coin lanes (common-cause day, resource-shift pair),
-// and the mask rows, which the returned slice aliases until the next
+// scratch is caller-owned space of length >= BatchScratchLen(width, n)
+// that holds the mask rows; the returned slice aliases it until the next
 // call with the same scratch. Reusing one scratch slice across calls
 // keeps the steady state allocation-free.
 //
@@ -45,10 +43,10 @@ var (
 )
 
 // BatchScratchLen returns the scratch length DevelopRows requires for a
-// tile of width <= 64 lanes over a universe of n faults: width draw
-// lanes, width latent-coin lanes, and one mask word per fault.
+// tile of width <= 64 lanes over a universe of n faults: one mask word
+// per fault, whatever the width.
 func BatchScratchLen(width, n int) int {
-	return 2*width + n
+	return n
 }
 
 // BernoulliThreshold maps a presence probability to the integer
@@ -73,17 +71,17 @@ func hitBit(u, t uint64) uint64 {
 	return (u>>11 - t) >> 63
 }
 
-// batchLayout slices one scratch arena into the kernel's three regions.
-func batchLayout(scratch []uint64, width, n int) (d, aux, rows []uint64) {
-	return scratch[:width], scratch[width : 2*width], scratch[2*width : 2*width+n]
-}
-
-// laneMask threshold-compares draw lanes into a mask: bit j is the hit
-// for lane j.
-func laneMask(d []uint64, t uint64) uint64 {
+// blendHits develops one fault's row whose lanes in sel hit at
+// threshold tSel and whose other lanes hit at tRest. It draws a mask only
+// if some lane selects it, so a tile whose lanes all fall on one side
+// draws one mask.
+func blendHits(r *randx.Stream, tSel, tRest, sel uint64, width int) uint64 {
 	var m uint64
-	for j, u := range d {
-		m |= hitBit(u, t) << uint(j)
+	if sel != 0 {
+		m = r.Hits(tSel, width) & sel
+	}
+	if sel != ^uint64(0)>>uint(64-width) {
+		m |= r.Hits(tRest, width) &^ sel
 	}
 	return m
 }
@@ -141,20 +139,13 @@ func (p *IndependentProcess) batchThresholds() []uint64 {
 	return p.thresholds
 }
 
-// DevelopRows implements BatchDeveloper: each fault's lane masks come
-// from fused randx.Stream.Hits calls against the fault's precomputed
-// threshold — the Bernoulli compare happens while each draw is still in
-// a register, and each 64-bit variate supplies two exactly-distributed
-// lanes, so the per-fault inner loop runs at half the generator's
-// element-wise speed with no intermediate draw buffer. Faults with
-// p = 0 are skipped without consuming variates.
+// DevelopRows implements BatchDeveloper: each fault's row is one
+// randx.Stream.Hits call against the fault's precomputed threshold.
+// Faults with p = 0 or p = 1 draw no variates.
 func (p *IndependentProcess) DevelopRows(r *randx.Stream, width int, scratch []uint64) []uint64 {
-	_, _, rows := batchLayout(scratch, width, p.fs.N())
+	rows := scratch[:p.fs.N()]
 	for i, t := range p.batchThresholds() {
-		rows[i] = 0
-		if t != 0 {
-			rows[i] = r.Hits(t, width)
-		}
+		rows[i] = r.Hits(t, width)
 	}
 	return rows
 }
@@ -183,43 +174,15 @@ func (p *CommonCauseProcess) batchThresholds() ([]uint64, []uint64) {
 	return p.thrHi, p.thrLo
 }
 
-// coinMask draws one batch of latent coins into aux and packs the
-// comparisons against thr into a lane mask. No draw happens when thr == 0
-// (the mask is zero), mirroring how Bernoulli skips degenerate
-// probabilities.
-func coinMask(r *randx.Stream, aux []uint64, thr uint64) uint64 {
-	if thr == 0 {
-		return 0
-	}
-	r.FillUint64(aux)
-	return laneMask(aux, thr)
-}
-
-// DevelopRows implements BatchDeveloper. One batch of "bad day" coins
-// is drawn per tile (only when rho > 0, like Bernoulli skips degenerate
-// draws) and packed into lane masks; each fault then blends its bad-day
-// and good-day comparisons through that mask.
+// DevelopRows implements BatchDeveloper. One "bad day" coin mask is
+// drawn per tile (no draw when rho = 0), and each fault blends its
+// bad-day and good-day masks through it.
 func (p *CommonCauseProcess) DevelopRows(r *randx.Stream, width int, scratch []uint64) []uint64 {
-	d, aux, rows := batchLayout(scratch, width, len(p.hi))
-	var thrRho uint64
-	if p.rho > 0 {
-		thrRho = BernoulliThreshold(p.rho)
-	}
-	day := coinMask(r, aux, thrRho)
+	rows := scratch[:len(p.hi)]
+	day := r.Hits(BernoulliThreshold(p.rho), width)
 	thrHi, thrLo := p.batchThresholds()
-	for i := range thrHi {
-		tHi, tLo := thrHi[i], thrLo[i]
-		rows[i] = 0
-		if tHi == 0 { // p_i == 0: lo <= hi, neither day can set the bit
-			continue
-		}
-		r.FillUint64(d)
-		var mLo, mHi uint64
-		for j, u := range d {
-			mLo |= hitBit(u, tLo) << uint(j)
-			mHi |= hitBit(u, tHi) << uint(j)
-		}
-		rows[i] = (mHi & day) | (mLo &^ day)
+	for i := range rows {
+		rows[i] = blendHits(r, thrHi[i], thrLo[i], day, width)
 	}
 	return rows
 }
@@ -247,46 +210,25 @@ func (p *ResourceShiftProcess) batchThresholds() ([]uint64, []uint64) {
 }
 
 // halfThreshold is BernoulliThreshold(0.5): the fair coin deciding which
-// member of a resource pair is favoured.
+// member of a resource pair is favoured. Hits settles it in one word.
 const halfThreshold = 1 << 52
 
-// DevelopRows implements BatchDeveloper. Each pair draws one batch of
-// fair coins packed into lane masks choosing the favoured member per
-// lane, then one batch per member blending the favoured and neglected
-// comparisons through that mask. The trailing unpaired fault of an odd
-// universe draws at its plain probability with no coin.
+// DevelopRows implements BatchDeveloper. Each pair draws one fair-coin
+// mask choosing the favoured member per lane; each member then blends
+// its favoured and neglected masks through it. The trailing unpaired
+// fault of an odd universe draws at its plain probability with no coin.
 func (p *ResourceShiftProcess) DevelopRows(r *randx.Stream, width int, scratch []uint64) []uint64 {
 	n := p.fs.N()
-	d, aux, rows := batchLayout(scratch, width, n)
+	rows := scratch[:n]
 	thrFav, thrNeg := p.batchThresholds()
 	for pair := 0; pair+1 < n; pair += 2 {
-		// A heads coin favours the first member (offset 0).
-		sel := coinMask(r, aux, halfThreshold)
-		for offset := 0; offset < 2; offset++ {
-			i := pair + offset
-			tFav, tNeg := thrFav[i], thrNeg[i]
-			rows[i] = 0
-			if offset == 1 {
-				sel = ^sel
-			}
-			if tNeg == 0 { // p_i == 0 either way
-				continue
-			}
-			r.FillUint64(d)
-			var mFav, mNeg uint64
-			for j, u := range d {
-				mFav |= hitBit(u, tFav) << uint(j)
-				mNeg |= hitBit(u, tNeg) << uint(j)
-			}
-			rows[i] = (mFav & sel) | (mNeg &^ sel)
-		}
+		// A heads coin favours the first member.
+		sel := r.Hits(halfThreshold, width)
+		rows[pair] = blendHits(r, thrFav[pair], thrNeg[pair], sel, width)
+		rows[pair+1] = blendHits(r, thrNeg[pair+1], thrFav[pair+1], sel, width)
 	}
-	if i := n - 1; n%2 == 1 {
-		rows[i] = 0
-		if t := thrFav[i]; t != 0 {
-			r.FillUint64(d)
-			rows[i] = laneMask(d, t)
-		}
+	if n%2 == 1 {
+		rows[n-1] = r.Hits(thrFav[n-1], width)
 	}
 	return rows
 }
@@ -304,23 +246,19 @@ func (p *TiedPairsProcess) batchThresholds() []uint64 {
 }
 
 // DevelopRows implements BatchDeveloper. Each pair's driver (smaller
-// index) draws one batch; the hit mask is written to both members' rows,
+// index) draws one hit mask, which is written to both members' rows,
 // exactly like the dense path's single shared coin. The fault-major row
 // layout makes the tie a plain copy.
 func (p *TiedPairsProcess) DevelopRows(r *randx.Stream, width int, scratch []uint64) []uint64 {
 	n := p.fs.N()
-	d, _, rows := batchLayout(scratch, width, n)
+	rows := scratch[:n]
 	thr := p.batchThresholds()
 	for i := 0; i < n; i++ {
 		partner := p.pairOf[i]
 		if partner >= 0 && partner < i {
 			continue // the partner's draw already wrote this row
 		}
-		rows[i] = 0
-		if t := thr[i]; t != 0 {
-			r.FillUint64(d)
-			rows[i] = laneMask(d, t)
-		}
+		rows[i] = r.Hits(thr[i], width)
 		if partner > i {
 			rows[partner] = rows[i]
 		}

@@ -2,6 +2,7 @@ package devsim
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"diversity/internal/faultmodel"
@@ -10,14 +11,10 @@ import (
 
 // refDevelopBatch is the naive []bool reference for DevelopRows: it
 // consumes a same-seeded stream in the exact same fault-major order, so
-// the kernel's branchless mask rows must hold bit-identical lanes, and
-// the column view's 64×64 transpose bit-identical columns. The
-// correlated processes replay Stream.Float64() < p comparisons (exactly
-// equivalent to the kernel's integer thresholds — see
-// FuzzBernoulliThreshold); the independent
-// process replays the paired 32-bit lane scheme of Stream.Hits with
-// branchy scalar code, since Hits deliberately consumes the stream
-// differently from element-wise draws.
+// the kernel's mask rows must hold bit-identical lanes, and the column
+// view's 64×64 transpose bit-identical columns. Every Bernoulli mask is
+// replayed by bitSerial, a scalar form of Stream.Hits, and a correlated
+// process's blend draws a mask only if some lane selects it.
 func refDevelopBatch(t *testing.T, proc Process, r *randx.Stream, width int) [][]bool {
 	t.Helper()
 	n := proc.FaultSet().N()
@@ -25,91 +22,75 @@ func refDevelopBatch(t *testing.T, proc Process, r *randx.Stream, width int) [][
 	for j := range cols {
 		cols[j] = make([]bool, n)
 	}
-	bernoulli := func(p float64) []bool {
-		hit := make([]bool, width)
-		for j := range hit {
-			hit[j] = r.Float64() < p
-		}
-		return hit
-	}
-	// pairedBernoulli mirrors Source.Hits: each 64-bit draw supplies two
-	// 32-bit coarse lanes (high half first) compared against T>>21, and
-	// an exact coarse tie draws one refinement word whose low 21 bits
-	// settle the outcome against T's low 21 bits.
-	pairedBernoulli := func(p float64) []bool {
+	// bitSerial draws one word at a time and, for each undecided lane j,
+	// compares bit j of the word with the threshold's next bit, most
+	// significant of its 53 first: lower is a hit, higher a miss. Lanes
+	// still undecided once the threshold has no set bit left miss.
+	bitSerial := func(p float64) []bool {
 		thr := BernoulliThreshold(p)
-		t32, tRef := thr>>21, thr&(1<<21-1)
 		hit := make([]bool, width)
-		for j := 0; j < width; {
+		decided := make([]bool, width)
+		if thr >= 1<<53 {
+			for j := range hit {
+				hit[j] = true
+			}
+			return hit
+		}
+		for bit := 52; bit >= 0 && slices.Contains(decided, false) && thr&(1<<uint(bit+1)-1) != 0; bit-- {
 			u := r.Uint64()
-			for _, lane := range []uint64{u >> 32, u & 0xFFFFFFFF} {
-				if j >= width {
-					break
+			tb := thr >> uint(bit) & 1
+			for j := range hit {
+				if ub := u >> uint(j) & 1; !decided[j] && ub != tb {
+					decided[j], hit[j] = true, ub < tb
 				}
-				switch {
-				case lane < t32:
-					hit[j] = true
-				case lane == t32:
-					hit[j] = r.Uint64()&(1<<21-1) < tRef
-				}
-				j++
 			}
 		}
 		return hit
+	}
+	// blend gives the lanes in sel a pSel mask and the others a pRest
+	// mask.
+	blend := func(pSel, pRest float64, sel []bool) []bool {
+		hit := make([]bool, width)
+		if slices.Contains(sel, true) {
+			for j, h := range bitSerial(pSel) {
+				if sel[j] {
+					hit[j] = h
+				}
+			}
+		}
+		if slices.Contains(sel, false) {
+			for j, h := range bitSerial(pRest) {
+				if !sel[j] {
+					hit[j] = h
+				}
+			}
+		}
+		return hit
+	}
+	setRow := func(i int, hit []bool) {
+		for j, h := range hit {
+			cols[j][i] = h
+		}
 	}
 	switch p := proc.(type) {
 	case *IndependentProcess:
 		for i := 0; i < n; i++ {
-			pi := p.fs.Fault(i).P
-			if pi == 0 {
-				continue
-			}
-			for j, hit := range pairedBernoulli(pi) {
-				cols[j][i] = hit
-			}
+			setRow(i, bitSerial(p.fs.Fault(i).P))
 		}
 	case *CommonCauseProcess:
-		bad := make([]bool, width)
-		if p.rho > 0 {
-			bad = bernoulli(p.rho)
-		}
+		bad := bitSerial(p.rho)
 		for i := 0; i < n; i++ {
-			if p.hi[i] == 0 {
-				continue
-			}
-			for j := 0; j < width; j++ {
-				pi := p.lo[i]
-				if bad[j] {
-					pi = p.hi[i]
-				}
-				cols[j][i] = r.Float64() < pi
-			}
+			setRow(i, blend(p.hi[i], p.lo[i], bad))
 		}
 	case *ResourceShiftProcess:
 		for pair := 0; pair+1 < n; pair += 2 {
-			favourFirst := bernoulli(0.5)
-			for offset := 0; offset < 2; offset++ {
-				i := pair + offset
-				pi := p.fs.Fault(i).P
-				if pi*(1+p.shift) == 0 {
-					continue
-				}
-				for j := 0; j < width; j++ {
-					pj := pi * (1 + p.shift)
-					if favourFirst[j] == (offset == 0) {
-						pj = pi * (1 - p.shift)
-					}
-					cols[j][i] = r.Float64() < pj
-				}
-			}
+			favourFirst := bitSerial(0.5)
+			pa, pb := p.fs.Fault(pair).P, p.fs.Fault(pair+1).P
+			setRow(pair, blend(pa*(1-p.shift), pa*(1+p.shift), favourFirst))
+			setRow(pair+1, blend(pb*(1+p.shift), pb*(1-p.shift), favourFirst))
 		}
 		if n%2 == 1 {
-			i := n - 1
-			if pi := p.fs.Fault(i).P; pi != 0 {
-				for j, hit := range bernoulli(pi) {
-					cols[j][i] = hit
-				}
-			}
+			setRow(n-1, bitSerial(p.fs.Fault(n-1).P))
 		}
 	case *TiedPairsProcess:
 		for i := 0; i < n; i++ {
@@ -117,17 +98,10 @@ func refDevelopBatch(t *testing.T, proc Process, r *randx.Stream, width int) [][
 			if partner >= 0 && partner < i {
 				continue
 			}
-			pi := p.fs.Fault(i).P
-			if pi == 0 {
-				continue
-			}
-			for j, hit := range bernoulli(pi) {
-				if hit {
-					cols[j][i] = true
-					if partner > i {
-						cols[j][partner] = true
-					}
-				}
+			hit := bitSerial(p.fs.Fault(i).P)
+			setRow(i, hit)
+			if partner > i {
+				setRow(partner, hit)
 			}
 		}
 	default:
@@ -137,7 +111,7 @@ func refDevelopBatch(t *testing.T, proc Process, r *randx.Stream, width int) [][
 }
 
 // assertBatchMatchesReference runs DevelopRows over stale scratch and the
-// float reference on same-seeded streams and requires bit-identical lanes
+// scalar reference on same-seeded streams and requires bit-identical lanes
 // and clear bits past the width; for the independent process it also
 // requires DevelopBatch's columns to be the same lanes.
 func assertBatchMatchesReference(t *testing.T, name string, proc Process, seed uint64, width int) {
@@ -192,7 +166,7 @@ func assertBatchMatchesReference(t *testing.T, name string, proc Process, seed u
 }
 
 // TestDevelopBatchMatchesFloatReference: every process's row kernel
-// must reproduce the scalar reference draw for draw, including
+// must reproduce the scalar reference word for word, including
 // degenerate p = 0 / p = 1 faults, odd universes, and width-1 tiles.
 func TestDevelopBatchMatchesFloatReference(t *testing.T) {
 	t.Parallel()

@@ -46,17 +46,17 @@ func legacySpecs() map[string]Job {
 // captured before the adjudicator refactor and re-pinned once with each
 // hashDomain bump: diversity/engine/v2 left every legacy document
 // unchanged except that workers no longer appears in it, and
-// diversity/engine/v3 and v4 changed only the domain prefix. Regenerate
+// diversity/engine/v3, v4 and v5 changed only the domain prefix. Regenerate
 // deliberately — only with a hashDomain bump — via: go test
 // ./internal/engine -run TestLegacySpecHashContract -v (the failure
 // message prints got hashes).
 var legacyHashes = map[string]string{
-	"mc-scenario-default-arch": "18eeba3338c65557b2c52dab361d53f470cfc8aa250d36b0fe2d9d6c1add1058",
-	"mc-majority":              "9a8957fc2caee13916a069aa230b682ff502653b10afc89750c23c1f4354017a",
-	"mc-inline-stream-sparse":  "8049ccbba649ecd4ccd3b0a74ee3e2635bb9d687b10ca8868f33402f638492ee",
-	"rare-event":               "e4a8912436df6cd07380b08607512d6f127a75acc51e600021767c4f93c55b88",
-	"experiments":              "30470363ed2693707d7d5c2973013d4f5d9ebb9edccfe309f9e1b87757e0e827",
-	"analytic":                 "ad163cc34d5942be9b65f6e9ceafe71747e59faa9341257411c93ddc723d4483",
+	"mc-scenario-default-arch": "875ce96e601be960318bf5260dc4a91836969566d5031087a19cceca43966266",
+	"mc-majority":              "39d7b0727bd959e2d1f33b2b82f109357759d946d601f6ac9103fae5315a4502",
+	"mc-inline-stream-sparse":  "12a928ef38bb18df02e3aa6755a438c6f76cb052761547abd328b76733f8bc37",
+	"rare-event":               "85f7b0ef1d7c1c35194d70730f70f6c724f641372c61b4c87abcc973ec2277e2",
+	"experiments":              "c3c9e9f713794abca6d2fe2396f46b68d53941379fc5674bffaea3d54fe2a6b3",
+	"analytic":                 "ea91f2b3321d226651a3d755d4dc914d774371336e2824969239f3beb3833554",
 }
 
 // TestLegacySpecHashContract proves that pre-refactor 1oo2 (and legacy

@@ -58,8 +58,10 @@ const (
 // fixed-seed rare-event result; no other kind's result moved. v4: every
 // dense Monte-Carlo and rare-event run develops 64-lane fault-major
 // tiles, which changed every dense fixed-seed result, and batchWidth
-// left the encoding.
-const hashDomain = "diversity/engine/v4"
+// left the encoding. v5: every dense Bernoulli mask is decided
+// bit-serially, which changed every dense fixed-seed Monte-Carlo,
+// rare-event and experiments result; sparse results did not move.
+const hashDomain = "diversity/engine/v5"
 
 // ModelSpec names the fault-set model a job runs against. Exactly one of
 // Scenario or Faults must be set. Model files are resolved to inline

@@ -170,99 +170,99 @@ func TestBatchedBitPins(t *testing.T) {
 }
 
 var batchedPins = map[string]string{
-	"common-cause/1oon/v1/w1":                           "dd9b8b71704c2d2a",
-	"common-cause/1oon/v1/w64/streaming=false":          "a01503ec7e5af7a5",
-	"common-cause/1oon/v1/w64/streaming=true":           "95ee56d84996c6f5",
-	"common-cause/1oon/v2/w1":                           "4406e857440ee793",
-	"common-cause/1oon/v2/w64/streaming=false":          "672969bb3b84c06b",
-	"common-cause/1oon/v2/w64/streaming=true":           "991f52d5fc94437a",
-	"common-cause/2oo3/v3/w1":                           "4ceb12b854c24e4c",
-	"common-cause/2oo3/v3/w64/streaming=false":          "68cfc9d4d929660a",
-	"common-cause/2oo3/v3/w64/streaming=true":           "f3e14ac9236d22f9",
-	"common-cause/2oo3@0.0001/v3/w1":                    "0893db9e9a360e88",
-	"common-cause/2oo3@0.0001/v3/w64/streaming=false":   "91488d934186a8bb",
-	"common-cause/2oo3@0.0001/v3/w64/streaming=true":    "91066ead368686cb",
-	"common-cause/3oo5/v5/w1":                           "c7cc7525499662d3",
-	"common-cause/3oo5/v5/w64/streaming=false":          "135cdc6fd86e0135",
-	"common-cause/3oo5/v5/w64/streaming=true":           "1e5962148e5cf2b3",
-	"independent/1oon/v1/w1":                            "21fc53c9a26f8c78",
-	"independent/1oon/v1/w64/streaming=false":           "4145a60a23c72237",
-	"independent/1oon/v1/w64/streaming=true":            "a000ef4c50ead0aa",
-	"independent/1oon/v2/w1":                            "a0009bc16e3f9a11",
-	"independent/1oon/v2/w64/streaming=false":           "fd625dc627fb6d75",
-	"independent/1oon/v2/w64/streaming=true":            "b122c5683c376120",
-	"independent/2oo3/v3/w1":                            "b64fd27cd2a1f6f6",
-	"independent/2oo3/v3/w64/streaming=false":           "f4ff2cc63a5c7131",
-	"independent/2oo3/v3/w64/streaming=true":            "3d5359e2d879fa6e",
-	"independent/2oo3@0.0001/v3/w1":                     "64ffdafded0b7ba6",
-	"independent/2oo3@0.0001/v3/w64/streaming=false":    "fc5c7282e6a34771",
-	"independent/2oo3@0.0001/v3/w64/streaming=true":     "f76fb847265b747f",
-	"independent/3oo5/v5/w1":                            "c2fac1198eb48d9b",
-	"independent/3oo5/v5/w64/streaming=false":           "473937172f05beae",
-	"independent/3oo5/v5/w64/streaming=true":            "69d08d6b3c90b8b1",
-	"resource-shift/1oon/v1/w1":                         "5deb65726edbb81f",
-	"resource-shift/1oon/v1/w64/streaming=false":        "8516ce8d64e5d828",
-	"resource-shift/1oon/v1/w64/streaming=true":         "7fde8745f5ba6bfd",
-	"resource-shift/1oon/v2/w1":                         "f21138eb2dc4a9f4",
-	"resource-shift/1oon/v2/w64/streaming=false":        "52a7f3a9ec5106ef",
-	"resource-shift/1oon/v2/w64/streaming=true":         "b8470e9a2fc25678",
-	"resource-shift/2oo3/v3/w1":                         "c8fd4f1fa8846d4d",
-	"resource-shift/2oo3/v3/w64/streaming=false":        "507af539a432b591",
-	"resource-shift/2oo3/v3/w64/streaming=true":         "54ba0601fcdb3d86",
-	"resource-shift/2oo3@0.0001/v3/w1":                  "d5e55758223568c2",
-	"resource-shift/2oo3@0.0001/v3/w64/streaming=false": "ff4729fb47be4165",
-	"resource-shift/2oo3@0.0001/v3/w64/streaming=true":  "9892e4ef511e2a0d",
-	"resource-shift/3oo5/v5/w1":                         "f3039456b06e68e5",
-	"resource-shift/3oo5/v5/w64/streaming=false":        "fb97ab634ed57149",
-	"resource-shift/3oo5/v5/w64/streaming=true":         "765333d958a0c613",
-	"tied/1oon/v1/w1":                                   "703772a495b8b34e",
-	"tied/1oon/v1/w64/streaming=false":                  "aff3baf4089156d0",
-	"tied/1oon/v1/w64/streaming=true":                   "573a62107a81a628",
-	"tied/1oon/v2/w1":                                   "07dabcf846aa2bf9",
-	"tied/1oon/v2/w64/streaming=false":                  "2cead957bd3e1a23",
-	"tied/1oon/v2/w64/streaming=true":                   "244eca16d8ae69b8",
-	"tied/2oo3/v3/w1":                                   "4ec35bd30f6718d4",
-	"tied/2oo3/v3/w64/streaming=false":                  "15c062c817d8944c",
-	"tied/2oo3/v3/w64/streaming=true":                   "1fab2dbf6794eaf3",
-	"tied/2oo3@0.0001/v3/w1":                            "caba23b5b2aef329",
-	"tied/2oo3@0.0001/v3/w64/streaming=false":           "3a4fc7b27a151e8c",
-	"tied/2oo3@0.0001/v3/w64/streaming=true":            "51e2378589c3abb7",
-	"tied/3oo5/v5/w1":                                   "fe7d5a1c5409f0d0",
-	"tied/3oo5/v5/w64/streaming=false":                  "9df9504ecfdcae14",
-	"tied/3oo5/v5/w64/streaming=true":                   "a53fe5d3e839be2e",
+	"common-cause/1oon/v1/w1":                           "753e623b88141b92",
+	"common-cause/1oon/v1/w64/streaming=false":          "2e64e67362741de0",
+	"common-cause/1oon/v1/w64/streaming=true":           "65ea8fb92c39401a",
+	"common-cause/1oon/v2/w1":                           "77c25306dc4bf5c5",
+	"common-cause/1oon/v2/w64/streaming=false":          "370bd6c9ac7b83eb",
+	"common-cause/1oon/v2/w64/streaming=true":           "92812a2ed794f46e",
+	"common-cause/2oo3/v3/w1":                           "eec32a8ff66572b1",
+	"common-cause/2oo3/v3/w64/streaming=false":          "5189a5fd1863c98f",
+	"common-cause/2oo3/v3/w64/streaming=true":           "c6e5a4794132d401",
+	"common-cause/2oo3@0.0001/v3/w1":                    "31a9a54346312f60",
+	"common-cause/2oo3@0.0001/v3/w64/streaming=false":   "64f08c9090126e9d",
+	"common-cause/2oo3@0.0001/v3/w64/streaming=true":    "383f24a28c2ccfa9",
+	"common-cause/3oo5/v5/w1":                           "115ae3dcd7fc0b3d",
+	"common-cause/3oo5/v5/w64/streaming=false":          "2b5623274c55280e",
+	"common-cause/3oo5/v5/w64/streaming=true":           "d27c5bebe81bd2cf",
+	"independent/1oon/v1/w1":                            "5de3673696ef4005",
+	"independent/1oon/v1/w64/streaming=false":           "b2c49c7d5d34fe22",
+	"independent/1oon/v1/w64/streaming=true":            "b66c72f17ec4986f",
+	"independent/1oon/v2/w1":                            "23042a53db996450",
+	"independent/1oon/v2/w64/streaming=false":           "efb84705c1a84b1f",
+	"independent/1oon/v2/w64/streaming=true":            "f5cd807760084dd6",
+	"independent/2oo3/v3/w1":                            "5277758f8b990ca3",
+	"independent/2oo3/v3/w64/streaming=false":           "62952af09a7a7359",
+	"independent/2oo3/v3/w64/streaming=true":            "d229e15086b754dd",
+	"independent/2oo3@0.0001/v3/w1":                     "379631b2d1886507",
+	"independent/2oo3@0.0001/v3/w64/streaming=false":    "b0297991eee2b9cb",
+	"independent/2oo3@0.0001/v3/w64/streaming=true":     "89dd6fbd99f855f1",
+	"independent/3oo5/v5/w1":                            "c068f58994358ef1",
+	"independent/3oo5/v5/w64/streaming=false":           "a8434c72b449e82a",
+	"independent/3oo5/v5/w64/streaming=true":            "62a41133502e5cd2",
+	"resource-shift/1oon/v1/w1":                         "21731a8e8d4a02c9",
+	"resource-shift/1oon/v1/w64/streaming=false":        "f50758c4ff76bf5f",
+	"resource-shift/1oon/v1/w64/streaming=true":         "839963d505b03245",
+	"resource-shift/1oon/v2/w1":                         "88941e1f203b98e3",
+	"resource-shift/1oon/v2/w64/streaming=false":        "91ba1fa1a6f53a15",
+	"resource-shift/1oon/v2/w64/streaming=true":         "fdaba4b0263bc7bf",
+	"resource-shift/2oo3/v3/w1":                         "be90d77e803997a2",
+	"resource-shift/2oo3/v3/w64/streaming=false":        "6a041eda0402ba3e",
+	"resource-shift/2oo3/v3/w64/streaming=true":         "323f2fe6b7266a71",
+	"resource-shift/2oo3@0.0001/v3/w1":                  "ead3ea8da7c0ef16",
+	"resource-shift/2oo3@0.0001/v3/w64/streaming=false": "e0efc34e06afb22a",
+	"resource-shift/2oo3@0.0001/v3/w64/streaming=true":  "e8c8de031b8a9cf8",
+	"resource-shift/3oo5/v5/w1":                         "f5ee0870207e53c9",
+	"resource-shift/3oo5/v5/w64/streaming=false":        "7213a8f515b7e0aa",
+	"resource-shift/3oo5/v5/w64/streaming=true":         "872cec18720bc789",
+	"tied/1oon/v1/w1":                                   "a2ec2cd96a5df553",
+	"tied/1oon/v1/w64/streaming=false":                  "8bae93ceda57f9ad",
+	"tied/1oon/v1/w64/streaming=true":                   "7614c6d6faf443c0",
+	"tied/1oon/v2/w1":                                   "00fc4bee279fe907",
+	"tied/1oon/v2/w64/streaming=false":                  "8f16a959e314fc98",
+	"tied/1oon/v2/w64/streaming=true":                   "65ffc0ca4d6df732",
+	"tied/2oo3/v3/w1":                                   "433eccee6fb787bc",
+	"tied/2oo3/v3/w64/streaming=false":                  "40ffd564e8008aea",
+	"tied/2oo3/v3/w64/streaming=true":                   "3e292db1459db013",
+	"tied/2oo3@0.0001/v3/w1":                            "824a809e6115c75d",
+	"tied/2oo3@0.0001/v3/w64/streaming=false":           "91f620f7d606bfa9",
+	"tied/2oo3@0.0001/v3/w64/streaming=true":            "1cc3e0561aafc001",
+	"tied/3oo5/v5/w1":                                   "87361d06cb0d5d36",
+	"tied/3oo5/v5/w64/streaming=false":                  "fdbf82d73a576fdf",
+	"tied/3oo5/v5/w64/streaming=true":                   "991a3d72212299d9",
 }
 
 var runPins = map[string]string{
-	"independent/1oon/dense/streaming=false":     "fd625dc627fb6d75",
-	"independent/1oon/dense/streaming=true":      "b122c5683c376120",
+	"independent/1oon/dense/streaming=false":     "efb84705c1a84b1f",
+	"independent/1oon/dense/streaming=true":      "f5cd807760084dd6",
 	"independent/1oon/sparse/streaming=false":    "e59024f60aee6e6c",
 	"independent/1oon/sparse/streaming=true":     "d6d8642ddaa0eae5",
-	"independent/2oo3/dense/streaming=false":     "f4ff2cc63a5c7131",
-	"independent/2oo3/dense/streaming=true":      "3d5359e2d879fa6e",
+	"independent/2oo3/dense/streaming=false":     "62952af09a7a7359",
+	"independent/2oo3/dense/streaming=true":      "d229e15086b754dd",
 	"independent/2oo3/sparse/streaming=false":    "82ae5e420ecf1cb2",
 	"independent/2oo3/sparse/streaming=true":     "55352048977f5409",
-	"common-cause/1oon/dense/streaming=false":    "672969bb3b84c06b",
-	"common-cause/1oon/dense/streaming=true":     "991f52d5fc94437a",
+	"common-cause/1oon/dense/streaming=false":    "370bd6c9ac7b83eb",
+	"common-cause/1oon/dense/streaming=true":     "92812a2ed794f46e",
 	"common-cause/1oon/sparse/streaming=false":   "e8ad255d31c2843b",
 	"common-cause/1oon/sparse/streaming=true":    "c7560f50aa3c9fdc",
-	"common-cause/2oo3/dense/streaming=false":    "68cfc9d4d929660a",
-	"common-cause/2oo3/dense/streaming=true":     "f3e14ac9236d22f9",
+	"common-cause/2oo3/dense/streaming=false":    "5189a5fd1863c98f",
+	"common-cause/2oo3/dense/streaming=true":     "c6e5a4794132d401",
 	"common-cause/2oo3/sparse/streaming=false":   "a34f81119c844c75",
 	"common-cause/2oo3/sparse/streaming=true":    "80def77cb86351a1",
-	"resource-shift/1oon/dense/streaming=false":  "52a7f3a9ec5106ef",
-	"resource-shift/1oon/dense/streaming=true":   "b8470e9a2fc25678",
+	"resource-shift/1oon/dense/streaming=false":  "91ba1fa1a6f53a15",
+	"resource-shift/1oon/dense/streaming=true":   "fdaba4b0263bc7bf",
 	"resource-shift/1oon/sparse/streaming=false": "3c39b35f0b0b66ff",
 	"resource-shift/1oon/sparse/streaming=true":  "1a132de59d4d77d1",
-	"resource-shift/2oo3/dense/streaming=false":  "507af539a432b591",
-	"resource-shift/2oo3/dense/streaming=true":   "54ba0601fcdb3d86",
+	"resource-shift/2oo3/dense/streaming=false":  "6a041eda0402ba3e",
+	"resource-shift/2oo3/dense/streaming=true":   "323f2fe6b7266a71",
 	"resource-shift/2oo3/sparse/streaming=false": "3d39dee1f5299517",
 	"resource-shift/2oo3/sparse/streaming=true":  "c5db6985f498c329",
-	"tied/1oon/dense/streaming=false":            "2cead957bd3e1a23",
-	"tied/1oon/dense/streaming=true":             "244eca16d8ae69b8",
+	"tied/1oon/dense/streaming=false":            "8f16a959e314fc98",
+	"tied/1oon/dense/streaming=true":             "65ffc0ca4d6df732",
 	"tied/1oon/sparse/streaming=false":           "15c2ada0cec3c1c6",
 	"tied/1oon/sparse/streaming=true":            "d57a61a15bb0f597",
-	"tied/2oo3/dense/streaming=false":            "15c062c817d8944c",
-	"tied/2oo3/dense/streaming=true":             "1fab2dbf6794eaf3",
+	"tied/2oo3/dense/streaming=false":            "40ffd564e8008aea",
+	"tied/2oo3/dense/streaming=true":             "3e292db1459db013",
 	"tied/2oo3/sparse/streaming=false":           "903c1a733dcb8593",
 	"tied/2oo3/sparse/streaming=true":            "99a8ac419c300107",
 }

@@ -246,30 +246,28 @@ type tiltWorker struct {
 	mom   stats.Moments // the current block's weights
 	hits  int
 	skips int64
-	draws [64]uint64
 	logW  [64]float64
-	event [64]bool
 }
 
 // dense runs n replications in tiles of 64 (the last tile of a block
-// fewer). Each active fault's draws for a tile come from one FillUint64
-// batch compared against its integer threshold, which decides exactly
-// like the float compare in Stream.Bernoulli; per replication the
+// fewer). Each active fault's presence in a tile's lanes is one
+// randx.Stream.Hits mask at its tilted threshold; per replication the
 // log-weight sums logHit or logStay in fault order.
 func (tw *tiltWorker) dense(n int) {
 	k, r := tw.k, tw.r
 	for base := 0; base < n; base += 64 {
 		b := min(64, n-base)
-		d, logW, event := tw.draws[:b], tw.logW[:b], tw.event[:b]
-		for j := range logW {
-			logW[j] = 0
-			event[j] = k.certain
+		logW := tw.logW[:b]
+		clear(logW)
+		var event uint64
+		if k.certain {
+			event = ^uint64(0)
 		}
 		for _, f := range k.active {
-			r.FillUint64(d)
-			for j, u := range d {
-				if u>>11 < f.thr {
-					event[j] = true
+			m := r.Hits(f.thr, b)
+			event |= m
+			for j := range logW {
+				if m>>uint(j)&1 == 1 {
 					logW[j] += f.logHit
 				} else {
 					logW[j] += f.logStay
@@ -277,7 +275,7 @@ func (tw *tiltWorker) dense(n int) {
 			}
 		}
 		for j, lw := range logW {
-			tw.observe(event[j], lw)
+			tw.observe(event>>uint(j)&1 == 1, lw)
 		}
 	}
 }

@@ -247,13 +247,13 @@ func estimateBits(est RareEventEstimate) [3]uint64 {
 }
 
 var rarePins = map[string][3]uint64{
-	"is/1oon/dense":     {0x3f50638f65695af5, 0x3ef65aa31719a004, 0x3fee2a9930be0ded},
+	"is/1oon/dense":     {0x3f4f3f06429d5e6c, 0x3ef5d8dcb52f5b81, 0x3fee0ebedfa43fe6},
 	"is/1oon/sparse":    {0x3f51105aaef99025, 0x3ef6c124c433037d, 0x3fee395810624dd3},
-	"is/2oo3/dense":     {0x3f6850ec8f33bd4e, 0x3f108c4d50fe6747, 0x3fee2a9930be0ded},
+	"is/2oo3/dense":     {0x3f672e68705aa0e6, 0x3f102c44e6259599, 0x3fee0ebedfa43fe6},
 	"is/2oo3/sparse":    {0x3f69513b19afc187, 0x3f10d822b6d55ab2, 0x3fee395810624dd3},
-	"naive/1oon/dense":  {0x3f52d77318fc5051, 0x3f2f69713b953856, 0x3f52d77318fc5048},
+	"naive/1oon/dense":  {0x3f4bda5119ce076e, 0x3f2b027b9b38e635, 0x3f4bda5119ce075f},
 	"naive/1oon/sparse": {0x3f4f212d77318fdf, 0x3f2c8d8b5dd374d4, 0x3f4f212d77318fc5},
-	"naive/2oo3/dense":  {0x3f67c1bda5119ceb, 0x3f38eb4da93026cc, 0x3f67c1bda5119ce0},
+	"naive/2oo3/dense":  {0x3f6758e219652bda, 0x3f38b43a93e37cf0, 0x3f6758e219652bd4},
 	"naive/2oo3/sparse": {0x3f68fc504816f00d, 0x3f398db69ad4bb3d, 0x3f68fc504816f007},
 }
 
@@ -276,7 +276,7 @@ func TestRareCertainFault(t *testing.T) {
 	if err != nil {
 		t.Fatalf("importance sampling: %v", err)
 	}
-	if got, want := estimateBits(is), [3]uint64{0x3ff0348aeaca4c78, 0x3f941a3ec02afcb3, 0x3ff0000000000000}; got != want {
+	if got, want := estimateBits(is), [3]uint64{0x3ff0322738de6af2, 0x3f94198d768251e9, 0x3ff0000000000000}; got != want {
 		t.Errorf("importance sampling bits %#x, pinned %#x (%+v)", got, want, is)
 	}
 	for _, opts := range []RareOptions{{}, {Sparse: true}} {

@@ -50,11 +50,13 @@ func BenchmarkFill(b *testing.B) {
 	}
 }
 
-// BenchmarkHits measures the fused draw-and-compare kernel against the
-// fill-then-compare alternative it replaced: w packed Bernoulli lanes
-// per call versus a w-wide FillUint64 followed by a scalar threshold
-// loop. The paired 32-bit lanes should come in near half the
-// per-variate cost of the fill path.
+// BenchmarkHits times the bit-serial kernel against the
+// fill-then-compare form it replaced: w packed Bernoulli lanes per call
+// versus a w-wide FillUint64 followed by a threshold compare per lane.
+// Hits draws about log2(w)+1.3 words where the fill draws w, but each
+// call ends on a data-dependent branch, so the fill can win at small
+// widths; the dense kernel calls Hits at width 64. Report ns/op divided
+// by the width for the per-decision cost.
 func BenchmarkHits(b *testing.B) {
 	thr := uint64(math.Ceil(0.3 * 0x1p53))
 	for _, width := range []int{8, 64} {

@@ -97,125 +97,35 @@ func (s *Source) Fill(dst []uint64) {
 	s.s[0], s.s[1], s.s[2], s.s[3] = s0, s1, s2, s3
 }
 
-// hitsRefineMask selects the 21 refinement bits a coarse tie consumes;
-// see Hits.
-const hitsRefineMask = 1<<21 - 1
-
 // Hits draws n (at most 64) Bernoulli outcomes with 53-bit threshold t
 // (t = ceil(p * 2^53), so each lane hits with probability exactly
 // t * 2^-53 — the distribution of Float64() < p) and packs them into
 // the returned mask's low n bits, lane j at bit j.
 //
-// Two cost levers make this the dense row kernel's innermost
-// primitive. First, the generator state lives in registers across the
-// whole call (see Fill) and the threshold compare happens while each
-// draw is still in a register, so no variate ever round-trips through
-// memory. Second, each 64-bit generator output supplies TWO lanes — the
-// high 32 bits then the low 32 — compared against the coarse threshold
-// t>>21. A lane strictly below the coarse threshold is a hit, strictly
-// above is a miss, and an exact coarse tie (probability 2^-32 per lane)
-// draws one fresh refinement word whose low 21 bits settle the outcome
-// against t's low 21 bits. The split is exact:
+// The lanes are decided bit-serially, all at once. Lane j's uniform
+// 53-bit variate U_j is built most significant bit first from bit j of
+// successive generator words, and U_j < t is settled by the first bit
+// where U_j and t differ: a 0 against t's 1 is a hit, a 1 against t's 0
+// a miss. Each word therefore decides every still-live lane whose bit
+// differs from t's, half of them on average, so all 64 lanes are
+// decided after E[max of 64 Geometric(1/2)] ≈ 7.34 words whatever p is.
+// A lane still live below t's lowest set bit equals t in every bit so
+// far, so U_j >= t and it misses without further draws. This is why
+// Hits(1<<52, n), a fair coin per lane, draws exactly one word. The
+// ★★ scrambler makes every output bit position equally usable.
 //
-//	P(hit) = (t>>21)·2^-32 + 2^-32 · (t mod 2^21)·2^-21 = t·2^-53,
-//
-// because (t>>21)·2^21 + (t mod 2^21) = t. Halving the generator work
-// per lane costs only two predictable never-taken branches.
-//
-// Hits therefore consumes ceil(n/2) draws, plus one per coarse tie. It
-// does NOT consume the stream like n Uint64 calls — callers that need
-// draw-for-draw equivalence with the element-wise samplers must use
-// FillUint64 and compare themselves.
+// Hits draws no word at all for t = 0 (no lane hits) or t >= 2^53
+// (every lane hits). It does NOT consume the stream like n Uint64
+// calls — callers that need draw-for-draw equivalence with the
+// element-wise samplers must use FillUint64 and compare themselves.
 func (s *Source) Hits(t uint64, n int) uint64 {
-	s0, s1, s2, s3 := s.s[0], s.s[1], s.s[2], s.s[3]
-	t32 := t >> 21
-	const lane = 0xFFFFFFFF
-	var m, b uint64
-	j := 0
-	// Main loop: eight lanes from four words per iteration. The lane
-	// offsets inside a group are constants, so only one variable shift
-	// reaches the accumulator per group, and the coarse compares issue
-	// in the generator's latency shadow. Each tie check sits directly
-	// after its word so the refinement draw lands at the same stream
-	// position as in the scalar pairing.
-	for ; j+8 <= n; j += 8 {
-		u0 := bits.RotateLeft64(s1*5, 7) * 9
-		tv := s1 << 17
-		s2 ^= s0
-		s3 ^= s1
-		s1 ^= s2
-		s0 ^= s3
-		s2 ^= tv
-		s3 = bits.RotateLeft64(s3, 45)
-		if u0>>32 == t32 {
-			s0, s1, s2, s3, b = hitsRefine(s0, s1, s2, s3, t)
-			m |= b << uint(j)
-		}
-		if u0&lane == t32 {
-			s0, s1, s2, s3, b = hitsRefine(s0, s1, s2, s3, t)
-			m |= b << uint(j+1)
-		}
-
-		u1 := bits.RotateLeft64(s1*5, 7) * 9
-		tv = s1 << 17
-		s2 ^= s0
-		s3 ^= s1
-		s1 ^= s2
-		s0 ^= s3
-		s2 ^= tv
-		s3 = bits.RotateLeft64(s3, 45)
-		if u1>>32 == t32 {
-			s0, s1, s2, s3, b = hitsRefine(s0, s1, s2, s3, t)
-			m |= b << uint(j+2)
-		}
-		if u1&lane == t32 {
-			s0, s1, s2, s3, b = hitsRefine(s0, s1, s2, s3, t)
-			m |= b << uint(j+3)
-		}
-
-		u2 := bits.RotateLeft64(s1*5, 7) * 9
-		tv = s1 << 17
-		s2 ^= s0
-		s3 ^= s1
-		s1 ^= s2
-		s0 ^= s3
-		s2 ^= tv
-		s3 = bits.RotateLeft64(s3, 45)
-		if u2>>32 == t32 {
-			s0, s1, s2, s3, b = hitsRefine(s0, s1, s2, s3, t)
-			m |= b << uint(j+4)
-		}
-		if u2&lane == t32 {
-			s0, s1, s2, s3, b = hitsRefine(s0, s1, s2, s3, t)
-			m |= b << uint(j+5)
-		}
-
-		u3 := bits.RotateLeft64(s1*5, 7) * 9
-		tv = s1 << 17
-		s2 ^= s0
-		s3 ^= s1
-		s1 ^= s2
-		s0 ^= s3
-		s2 ^= tv
-		s3 = bits.RotateLeft64(s3, 45)
-		if u3>>32 == t32 {
-			s0, s1, s2, s3, b = hitsRefine(s0, s1, s2, s3, t)
-			m |= b << uint(j+6)
-		}
-		if u3&lane == t32 {
-			s0, s1, s2, s3, b = hitsRefine(s0, s1, s2, s3, t)
-			m |= b << uint(j+7)
-		}
-
-		g := (u0>>32-t32)>>63 | (u0&lane-t32)>>63<<1 |
-			(u1>>32-t32)>>63<<2 | (u1&lane-t32)>>63<<3 |
-			(u2>>32-t32)>>63<<4 | (u2&lane-t32)>>63<<5 |
-			(u3>>32-t32)>>63<<6 | (u3&lane-t32)>>63<<7
-		m |= g << uint(j)
+	live := ^uint64(0) >> uint(64-n)
+	if t >= 1<<53 {
+		return live
 	}
-	// Tail: the remaining lanes two at a time, same word and refinement
-	// order as the main loop.
-	for j < n {
+	s0, s1, s2, s3 := s.s[0], s.s[1], s.s[2], s.s[3]
+	var m uint64
+	for bit, stop := 52, bits.TrailingZeros64(t); live != 0 && bit >= stop; bit-- {
 		u := bits.RotateLeft64(s1*5, 7) * 9
 		tv := s1 << 17
 		s2 ^= s0
@@ -225,44 +135,10 @@ func (s *Source) Hits(t uint64, n int) uint64 {
 		s2 ^= tv
 		s3 = bits.RotateLeft64(s3, 45)
 
-		hi := u >> 32
-		m |= ((hi - t32) >> 63) << uint(j)
-		if hi == t32 {
-			s0, s1, s2, s3, b = hitsRefine(s0, s1, s2, s3, t)
-			m |= b << uint(j)
-		}
-		j++
-		if j >= n {
-			break
-		}
-		lo := u & lane
-		m |= ((lo - t32) >> 63) << uint(j)
-		if lo == t32 {
-			s0, s1, s2, s3, b = hitsRefine(s0, s1, s2, s3, t)
-			m |= b << uint(j)
-		}
-		j++
+		b := -(t >> uint(bit) & 1) // all ones where t's bit is 1
+		m |= live & b &^ u
+		live &^= u ^ b
 	}
 	s.s[0], s.s[1], s.s[2], s.s[3] = s0, s1, s2, s3
 	return m
-}
-
-// hitsRefine draws the refinement word for an exact coarse tie and
-// returns the advanced state plus the lane's hit bit. It runs with
-// probability 2^-32 per lane, so it stays a plain function off the hot
-// path.
-func hitsRefine(s0, s1, s2, s3, t uint64) (uint64, uint64, uint64, uint64, uint64) {
-	u := bits.RotateLeft64(s1*5, 7) * 9
-	tv := s1 << 17
-	s2 ^= s0
-	s3 ^= s1
-	s1 ^= s2
-	s0 ^= s3
-	s2 ^= tv
-	s3 = bits.RotateLeft64(s3, 45)
-	var bit uint64
-	if u&hitsRefineMask < t&hitsRefineMask {
-		bit = 1
-	}
-	return s0, s1, s2, s3, bit
 }

@@ -108,18 +108,17 @@ func (r *Stream) BernoulliValidated(p float64) bool {
 // method boundary once and runs the generator with its state held in
 // registers (Source.Fill), instead of reloading it per draw.
 // BenchmarkFill measures the per-variate saving against element-wise
-// Uint64/Float64 calls; the Monte-Carlo harness's dense row kernel is
-// built on this primitive.
+// Uint64/Float64 calls.
 func (r *Stream) FillUint64(dst []uint64) {
 	r.src.Fill(dst)
 }
 
 // Hits draws n (at most 64) Bernoulli outcomes with probability exactly
 // t * 2^-53 (t = ceil(p * 2^53)) and packs them into the returned
-// mask's low n bits; see Source.Hits for the paired 32-bit lane scheme.
-// Unlike FillUint64 it does not consume the stream like element-wise
-// calls: it draws ceil(n/2) words plus a rare refinement word per
-// coarse tie.
+// mask's low n bits; see Source.Hits for the bit-serial scheme. Unlike
+// FillUint64 it does not consume the stream like element-wise calls: it
+// draws one word per bit of t until every lane is decided, about 7.34
+// words for 64 lanes, and none for t = 0 or t >= 2^53.
 func (r *Stream) Hits(t uint64, n int) uint64 {
 	return r.src.Hits(t, n)
 }
