@@ -266,12 +266,11 @@ func (tw *tiltWorker) dense(n int) {
 		for _, f := range k.active {
 			m := r.Hits(f.thr, b)
 			event |= m
+			// Indexing by the hit bit adds exactly logHit or logStay
+			// without a branch on the random outcome.
+			terms := [2]float64{f.logStay, f.logHit}
 			for j := range logW {
-				if m>>uint(j)&1 == 1 {
-					logW[j] += f.logHit
-				} else {
-					logW[j] += f.logStay
-				}
+				logW[j] += terms[m>>uint(j)&1]
 			}
 		}
 		for j, lw := range logW {
