@@ -159,11 +159,7 @@ func productLaw(pi []float64) []float64 {
 	for s := range law {
 		pr := 1.0
 		for i, p := range pi {
-			if s>>i&1 == 1 {
-				pr *= p
-			} else {
-				pr *= 1 - p
-			}
+			pr *= bern(p, s>>i&1 == 1)
 		}
 		law[s] = pr
 	}

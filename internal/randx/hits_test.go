@@ -114,12 +114,12 @@ func TestHitsDegenerateThresholds(t *testing.T) {
 	}
 }
 
-// TestHitsLaneFrequencies tests every lane's hit count over 20,000
+// TestHitsFrequency tests every lane's hit count over 20,000
 // 64-lane calls against Binomial(20000, t·2^-53) with a two-sided exact
 // test at α = 1e-4 per lane: 192 tests over three thresholds, so a
 // correct kernel fails at a random seed with probability at most 1.9%
 // (Bonferroni). The seed is fixed, so the outcome is deterministic.
-func TestHitsLaneFrequencies(t *testing.T) {
+func TestHitsFrequency(t *testing.T) {
 	t.Parallel()
 
 	const calls, alpha = 20000, 1e-4
