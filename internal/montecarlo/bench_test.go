@@ -66,3 +66,23 @@ func BenchmarkDenseKernel(b *testing.B) {
 		b.Fatal(err)
 	}
 }
+
+// BenchmarkSummarized times the summary a serve node computes once per
+// buffered job: a 20,000-replication safety-grade pair, where most
+// version PFDs and nearly all system PFDs are exactly 0.
+func BenchmarkSummarized(b *testing.B) {
+	sc, err := scenario.SafetyGrade(1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	res, err := Run(Config{Process: devsim.NewIndependentProcess(sc.FaultSet), Versions: 2, Reps: 20000, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := res.Summarized(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

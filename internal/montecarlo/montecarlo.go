@@ -184,11 +184,7 @@ func (res *Result) Summarized() (*Result, error) {
 	if res.VersionSum != nil && res.SystemSum != nil {
 		return res, nil
 	}
-	v, err := res.VersionSummary()
-	if err != nil {
-		return nil, err
-	}
-	s, err := res.SystemSummary()
+	v, s, err := res.summaries()
 	if err != nil {
 		return nil, err
 	}
@@ -196,6 +192,24 @@ func (res *Result) Summarized() (*Result, error) {
 	out.VersionSum, out.SystemSum = &v, &s
 	out.VersionPFD, out.SystemPFD, out.VersionAgg, out.SystemAgg = nil, nil, nil, nil
 	return &out, nil
+}
+
+// summaries returns both populations' summaries. A raw buffered result
+// folds the moments of both in one paired pass, with the bits of one
+// pass each.
+func (res *Result) summaries() (v, s stats.Summary, err error) {
+	raw := res.VersionSum == nil && res.SystemSum == nil && res.VersionAgg == nil && res.SystemAgg == nil
+	if raw && len(res.VersionPFD) == len(res.SystemPFD) {
+		mv, ms := blockMomentPair(res.VersionPFD, res.SystemPFD)
+		if v, err = bufferedSummary(res.VersionPFD, mv); err == nil {
+			s, err = bufferedSummary(res.SystemPFD, ms)
+		}
+		return v, s, err
+	}
+	if v, err = res.VersionSummary(); err == nil {
+		s, err = res.SystemSummary()
+	}
+	return v, s, err
 }
 
 // PVersionAnyFault returns the empirical estimate of P(N1 > 0).
@@ -453,9 +467,21 @@ func blockMoments(xs []float64) stats.Moments {
 	return total
 }
 
+// blockMomentPair folds two populations of one length as blockMoments
+// folds each, in one pass: each block adds both populations' values in
+// the same loop and merges into their folds in block order.
+func blockMomentPair(xs, ys []float64) (mx, my stats.Moments) {
+	for lo := 0; lo < len(xs); lo += blockSize {
+		hi := min(lo+blockSize, len(xs))
+		bx, by := stats.PairMoments(xs[lo:hi], ys[lo:hi])
+		mx.Merge(bx)
+		my.Merge(by)
+	}
+	return mx, my
+}
+
 // summarize returns a held summary or summarises a streaming aggregate
-// or, when both are nil, a buffered population: exact order statistics
-// from the sample, moments from the block-ordered fold.
+// or, when both are nil, a buffered population.
 func summarize(held *stats.Summary, agg *Agg, xs []float64) (stats.Summary, error) {
 	if held != nil {
 		return *held, nil
@@ -463,11 +489,16 @@ func summarize(held *stats.Summary, agg *Agg, xs []float64) (stats.Summary, erro
 	if agg != nil {
 		return agg.Summary()
 	}
-	s, err := stats.Summarize(xs)
+	return bufferedSummary(xs, blockMoments(xs))
+}
+
+// bufferedSummary summarises a buffered population: exact order
+// statistics from the sample xs, moments from m, its block-ordered fold.
+func bufferedSummary(xs []float64, m stats.Moments) (stats.Summary, error) {
+	s, err := stats.OrderSummary(xs)
 	if err != nil {
 		return s, err
 	}
-	m := blockMoments(xs)
 	s.Mean, s.Skewness, s.Kurtosis = m.Mean(), m.Skewness(), m.Kurtosis()
 	if sd, err := m.StdDev(); err == nil {
 		s.StdDev = sd

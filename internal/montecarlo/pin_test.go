@@ -92,6 +92,13 @@ func pinProcesses(t *testing.T) []pinProcess {
 	if err != nil {
 		t.Fatalf("faultmodel.New: %v", err)
 	}
+	return processesOver(t, fs, [][2]int{{0, 100}, {5, 70}, {64, 127}})
+}
+
+// processesOver returns the four development processes over fs, the
+// tied one tying pairs.
+func processesOver(t *testing.T, fs *faultmodel.FaultSet, pairs [][2]int) []pinProcess {
+	t.Helper()
 	cc, err := devsim.NewCommonCauseProcess(fs, 0.2, 2)
 	if err != nil {
 		t.Fatalf("NewCommonCauseProcess: %v", err)
@@ -100,7 +107,7 @@ func pinProcesses(t *testing.T) []pinProcess {
 	if err != nil {
 		t.Fatalf("NewResourceShiftProcess: %v", err)
 	}
-	tied, err := devsim.NewTiedPairsProcess(fs, [][2]int{{0, 100}, {5, 70}, {64, 127}})
+	tied, err := devsim.NewTiedPairsProcess(fs, pairs)
 	if err != nil {
 		t.Fatalf("NewTiedPairsProcess: %v", err)
 	}
