@@ -11,7 +11,7 @@ import (
 // TiedPairsProcess is the paper's Section-6.1 extreme of positive
 // correlation: designated pairs of mistakes "can only occur together".
 // Each tied pair is introduced (or avoided) as a unit, with the presence
-// probability of its first member; untied faults are introduced
+// probability of its smaller index; untied faults are introduced
 // independently as usual. The paper observes that such a process is
 // exactly equivalent to the independent process over a universe in which
 // each tied pair is merged into one fault with the union failure region —
@@ -32,7 +32,8 @@ var _ Process = (*TiedPairsProcess)(nil)
 
 // NewTiedPairsProcess builds the process. pairs lists index pairs to tie;
 // indices must be in range, distinct, and appear in at most one pair. The
-// presence probability of each pair is taken from its first member.
+// presence probability of each pair is taken from its smaller index, so
+// the order within a pair does not matter.
 func NewTiedPairsProcess(fs *faultmodel.FaultSet, pairs [][2]int) (*TiedPairsProcess, error) {
 	if fs == nil {
 		return nil, fmt.Errorf("devsim: fault set must not be nil")

@@ -446,3 +446,49 @@ func BenchmarkBernoulliValidatedLoop(b *testing.B) {
 	}
 	_ = hits
 }
+
+// TestTiedPairOrderIrrelevant: a pair listed as (6, 5) or as (5, 6)
+// develops the same masks from the same seed in the per-column and the
+// row kernel, and is driven by its smaller index: with p5 = 1 and
+// p6 = 0 the pair is always present.
+func TestTiedPairOrderIrrelevant(t *testing.T) {
+	t.Parallel()
+
+	faults := make([]faultmodel.Fault, 8)
+	for i := range faults {
+		faults[i] = faultmodel.Fault{P: 0.1 + 0.05*float64(i), Q: 0.01}
+	}
+	faults[5].P, faults[6].P = 1, 0
+	fs := mustFaultSet(t, faults)
+	var procs [2]*TiedPairsProcess
+	for i, pair := range [][2]int{{6, 5}, {5, 6}} {
+		p, err := NewTiedPairsProcess(fs, [][2]int{pair, {0, 3}})
+		if err != nil {
+			t.Fatalf("NewTiedPairsProcess: %v", err)
+		}
+		procs[i] = p
+	}
+	for seed := uint64(1); seed <= 20; seed++ {
+		var cols [2]*Bitset
+		var rows [2][]uint64
+		for i, p := range procs {
+			cols[i] = NewBitset(fs.N())
+			p.DevelopInto(randx.NewStream(seed), cols[i])
+			rows[i] = append([]uint64(nil), p.DevelopRows(randx.NewStream(seed), 64, make([]uint64, BatchScratchLen(64, fs.N())))...)
+		}
+		if cols[0].Word(0) != cols[1].Word(0) {
+			t.Errorf("seed %d: DevelopInto masks %#x and %#x differ with the pair's order", seed, cols[0].Word(0), cols[1].Word(0))
+		}
+		if !cols[0].Test(5) || !cols[0].Test(6) {
+			t.Errorf("seed %d: DevelopInto mask %#x lacks the pair driven by p5 = 1", seed, cols[0].Word(0))
+		}
+		for f := range rows[0] {
+			if rows[0][f] != rows[1][f] {
+				t.Errorf("seed %d: DevelopRows row %d is %#x and %#x with the pair's order", seed, f, rows[0][f], rows[1][f])
+			}
+		}
+		if rows[0][5] != ^uint64(0) || rows[0][6] != ^uint64(0) {
+			t.Errorf("seed %d: DevelopRows rows 5, 6 = %#x, %#x, want every lane", seed, rows[0][5], rows[0][6])
+		}
+	}
+}
