@@ -84,6 +84,9 @@ type (
 	Version = devsim.Version
 	// Process develops program versions.
 	Process = devsim.Process
+	// IndependentProcess is the paper's independent-mistake process; its
+	// Develop method develops one Version at a time.
+	IndependentProcess = devsim.IndependentProcess
 	// MonteCarloConfig parameterises a simulation run. Setting its
 	// Streaming field selects constant-memory aggregation: the result
 	// then carries StreamingAggregate values instead of raw PFD samples.
@@ -213,7 +216,9 @@ func NewStream(seed uint64) *Stream { return randx.NewStream(seed) }
 
 // NewIndependentProcess returns the paper's independent-mistake
 // development process over fs.
-func NewIndependentProcess(fs *FaultSet) Process { return devsim.NewIndependentProcess(fs) }
+func NewIndependentProcess(fs *FaultSet) *IndependentProcess {
+	return devsim.NewIndependentProcess(fs)
+}
 
 // MonteCarlo replicates the fault creation process, returning simulated
 // version and system PFD populations. It delegates to the unified

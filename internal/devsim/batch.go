@@ -6,42 +6,6 @@ import (
 	"diversity/internal/randx"
 )
 
-// BatchDeveloper is an optional Process extension for the Monte-Carlo
-// harness's dense kernel. DevelopRows develops width <= 64 independent
-// versions — the tile's lanes — and returns their fault-major mask rows,
-// one word per fault: bit j of rows[i] is fault i's presence in lane j,
-// and the bits past width are clear. Every Bernoulli mask, a fault's or
-// a latent coin's, comes from one randx.Stream.Hits call, which decides
-// all lanes bit-serially in about 7 generator words against the
-// threshold BernoulliThreshold gives. A correlated process blends two
-// such masks through a latent-coin mask (the common-cause day, the
-// resource-shift pair's favoured member) and draws only a mask that some
-// lane selects. The rows are the form the evaluation kernel scores
-// (system.RowScorer); nothing on the Monte-Carlo path transposes them
-// into per-lane columns.
-//
-// scratch is caller-owned space of length >= BatchScratchLen(width, n)
-// that holds the mask rows; the returned slice aliases it until the next
-// call with the same scratch. Reusing one scratch slice across calls
-// keeps the steady state allocation-free.
-//
-// Like SparseDeveloper's contract, DevelopRows consumes the stream in
-// its own (fault-major) order, so for a given seed it produces a
-// different — but distributionally identical — sample than Develop's
-// replication-major order. Implementations must be safe for concurrent
-// use from multiple goroutines with distinct streams and scratch.
-type BatchDeveloper interface {
-	DevelopRows(r *randx.Stream, width int, scratch []uint64) []uint64
-}
-
-// Every shipped process supports the fault-major row kernel.
-var (
-	_ BatchDeveloper = (*IndependentProcess)(nil)
-	_ BatchDeveloper = (*CommonCauseProcess)(nil)
-	_ BatchDeveloper = (*ResourceShiftProcess)(nil)
-	_ BatchDeveloper = (*TiedPairsProcess)(nil)
-)
-
 // BatchScratchLen returns the scratch length DevelopRows requires for a
 // tile of width <= 64 lanes over a universe of n faults: one mask word
 // per fault, whatever the width.
@@ -61,14 +25,6 @@ func BatchScratchLen(width, n int) int {
 // T = 2^53 (always true), matching BernoulliValidated.
 func BernoulliThreshold(p float64) uint64 {
 	return uint64(math.Ceil(p * 0x1p53))
-}
-
-// hitBit returns 1 when draw u clears threshold t (Float64() < p), else
-// 0, without a branch: both u>>11 and t are below 2^53, so u>>11 - t is
-// negative exactly on a hit and the wrapped difference carries that sign
-// in its top bit.
-func hitBit(u, t uint64) uint64 {
-	return (u>>11 - t) >> 63
 }
 
 // blendHits develops one fault's row whose lanes in sel hit at
@@ -139,7 +95,7 @@ func (p *IndependentProcess) batchThresholds() []uint64 {
 	return p.thresholds
 }
 
-// DevelopRows implements BatchDeveloper: each fault's row is one
+// DevelopRows implements Process: each fault's row is one
 // randx.Stream.Hits call against the fault's precomputed threshold.
 // Faults with p = 0 or p = 1 draw no variates.
 func (p *IndependentProcess) DevelopRows(r *randx.Stream, width int, scratch []uint64) []uint64 {
@@ -174,7 +130,7 @@ func (p *CommonCauseProcess) batchThresholds() ([]uint64, []uint64) {
 	return p.thrHi, p.thrLo
 }
 
-// DevelopRows implements BatchDeveloper. One "bad day" coin mask is
+// DevelopRows implements Process. One "bad day" coin mask is
 // drawn per tile (no draw when rho = 0), and each fault blends its
 // bad-day and good-day masks through it.
 func (p *CommonCauseProcess) DevelopRows(r *randx.Stream, width int, scratch []uint64) []uint64 {
@@ -213,7 +169,7 @@ func (p *ResourceShiftProcess) batchThresholds() ([]uint64, []uint64) {
 // member of a resource pair is favoured. Hits settles it in one word.
 const halfThreshold = 1 << 52
 
-// DevelopRows implements BatchDeveloper. Each pair draws one fair-coin
+// DevelopRows implements Process. Each pair draws one fair-coin
 // mask choosing the favoured member per lane; each member then blends
 // its favoured and neglected masks through it. The trailing unpaired
 // fault of an odd universe draws at its plain probability with no coin.
@@ -245,10 +201,10 @@ func (p *TiedPairsProcess) batchThresholds() []uint64 {
 	return p.thresholds
 }
 
-// DevelopRows implements BatchDeveloper. Each pair's driver (smaller
-// index) draws one hit mask, which is written to both members' rows,
-// exactly like the dense path's single shared coin. The fault-major row
-// layout makes the tie a plain copy.
+// DevelopRows implements Process. Each pair's driver (smaller
+// index) draws one hit mask, which is written to both members' rows, so
+// the pair shares one coin per lane. The fault-major row layout makes
+// the tie a plain copy.
 func (p *TiedPairsProcess) DevelopRows(r *randx.Stream, width int, scratch []uint64) []uint64 {
 	n := p.fs.N()
 	rows := scratch[:n]

@@ -116,16 +116,12 @@ func refDevelopBatch(t *testing.T, proc Process, r *randx.Stream, width int) [][
 // requires DevelopBatch's columns to be the same lanes.
 func assertBatchMatchesReference(t *testing.T, name string, proc Process, seed uint64, width int) {
 	t.Helper()
-	bd, ok := proc.(BatchDeveloper)
-	if !ok {
-		t.Fatalf("%s: %T does not implement BatchDeveloper", name, proc)
-	}
 	n := proc.FaultSet().N()
 	scratch := make([]uint64, BatchScratchLen(width, n))
 	for i := range scratch {
 		scratch[i] = ^uint64(0) // stale state: DevelopRows must overwrite it
 	}
-	rows := bd.DevelopRows(randx.NewStream(seed), width, scratch)
+	rows := proc.DevelopRows(randx.NewStream(seed), width, scratch)
 	want := refDevelopBatch(t, proc, randx.NewStream(seed), width)
 	if len(rows) != n {
 		t.Fatalf("%s width=%d: %d rows, want %d", name, width, len(rows), n)

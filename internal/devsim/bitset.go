@@ -50,29 +50,6 @@ func (b *Bitset) Set(i int) {
 	b.words[w] |= 1 << (uint(i) & 63)
 }
 
-// orWord sets the bits of x in word w, recording a 0 -> nonzero
-// transition in the touched list exactly like Set.
-func (b *Bitset) orWord(w int, x uint64) {
-	if x == 0 {
-		return
-	}
-	if b.words[w] == 0 {
-		b.touched = append(b.touched, int32(w))
-	}
-	b.words[w] |= x
-}
-
-// fillWords resets b and rebuilds it one word at a time in ascending
-// order, so Touched comes out ascending: word(lo, hi) returns the presence
-// bits of faults [lo, hi), bit j for fault lo + j. Earlier words are
-// already stored when word runs, so it may read them with Test.
-func (b *Bitset) fillWords(word func(lo, hi int) uint64) {
-	b.Reset()
-	for lo := 0; lo < b.n; lo += 64 {
-		b.orWord(lo>>6, word(lo, min(lo+64, b.n)))
-	}
-}
-
 // Test reports whether bit i is set. It panics if i is out of range,
 // mirroring slice indexing.
 func (b *Bitset) Test(i int) bool {

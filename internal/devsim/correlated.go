@@ -26,7 +26,7 @@ type CommonCauseProcess struct {
 	lo []float64
 
 	// Row-kernel state, built lazily on first DevelopRows: integer
-	// Bernoulli thresholds for hi and lo (see bernoulliThreshold).
+	// Bernoulli thresholds for hi and lo (see BernoulliThreshold).
 	batchOnce sync.Once
 	thrHi     []uint64
 	thrLo     []uint64
@@ -70,27 +70,8 @@ func NewCommonCauseProcess(fs *faultmodel.FaultSet, rho, boost float64) (*Common
 	return p, nil
 }
 
-// Develop implements Process.
+// Develop develops one version: lane 0 of a one-lane DevelopRows.
 func (p *CommonCauseProcess) Develop(r *randx.Stream) *Version { return develop(p, r) }
-
-// DevelopInto implements Process: one latent bad-day coin, then one
-// Bernoulli draw per fault at the day's conditional probability, in
-// ascending fault order.
-func (p *CommonCauseProcess) DevelopInto(r *randx.Stream, mask *Bitset) {
-	probs := p.lo
-	if r.Bernoulli(p.rho) {
-		probs = p.hi
-	}
-	mask.fillWords(func(lo, hi int) uint64 {
-		var x uint64
-		for j, pi := range probs[lo:hi] {
-			if r.Bernoulli(pi) {
-				x |= 1 << uint(j)
-			}
-		}
-		return x
-	})
-}
 
 // FaultSet implements Process.
 func (p *CommonCauseProcess) FaultSet() *faultmodel.FaultSet { return p.fs }
@@ -132,40 +113,8 @@ func NewResourceShiftProcess(fs *faultmodel.FaultSet, shift float64) (*ResourceS
 	return &ResourceShiftProcess{fs: fs, shift: shift}, nil
 }
 
-// Develop implements Process.
+// Develop develops one version: lane 0 of a one-lane DevelopRows.
 func (p *ResourceShiftProcess) Develop(r *randx.Stream) *Version { return develop(p, r) }
-
-// DevelopInto implements Process: per pair, one fair coin picks the
-// favoured member, then each member draws at its shifted probability;
-// the trailing unpaired fault of an odd universe draws at its plain
-// probability. Pairs start at even indices, so none straddles a word.
-func (p *ResourceShiftProcess) DevelopInto(r *randx.Stream, mask *Bitset) {
-	mask.fillWords(func(lo, hi int) uint64 {
-		var x uint64
-		i := lo
-		for ; i+1 < hi; i += 2 {
-			// Within each pair, one member gets the scrutiny this
-			// development; the coin is per pair, so distinct pairs stay
-			// independent and the induced correlation is purely negative.
-			favourFirst := r.BernoulliValidated(0.5)
-			for offset := 0; offset < 2; offset++ {
-				pi := p.fs.Fault(i + offset).P
-				if (offset == 0) == favourFirst {
-					pi *= 1 - p.shift
-				} else {
-					pi *= 1 + p.shift
-				}
-				if r.Bernoulli(pi) {
-					x |= 1 << uint(i+offset-lo)
-				}
-			}
-		}
-		if i < hi && r.Bernoulli(p.fs.Fault(i).P) {
-			x |= 1 << uint(i-lo)
-		}
-		return x
-	})
-}
 
 // FaultSet implements Process.
 func (p *ResourceShiftProcess) FaultSet() *faultmodel.FaultSet { return p.fs }

@@ -9,45 +9,16 @@ import (
 )
 
 // TestSparseFallbackMatchesDense: the correlated and tied processes have
-// no geometric sampler, so their sparse kernel is DevelopInto itself — the
-// historical dense draw sequence, bit for bit.
+// no geometric sampler, so a sparse run of one develops the same rows as
+// a dense run (TestRunBitPins in the montecarlo package compares the
+// runs). None may claim a sparse sampler, or Config.Sparse would leave
+// the row kernel for it.
 func TestSparseFallbackMatchesDense(t *testing.T) {
 	t.Parallel()
 
-	fs := mustFaultSet(t, []faultmodel.Fault{
-		{P: 0.2, Q: 0.01}, {P: 0.2, Q: 0.01}, {P: 0.35, Q: 0.02},
-		{P: 0.35, Q: 0.02}, {P: 0.1, Q: 0.01},
-	})
-	common, err := NewCommonCauseProcess(fs, 0.25, 2)
-	if err != nil {
-		t.Fatalf("NewCommonCauseProcess: %v", err)
-	}
-	shift, err := NewResourceShiftProcess(fs, 0.5)
-	if err != nil {
-		t.Fatalf("NewResourceShiftProcess: %v", err)
-	}
-	tied, err := NewTiedPairsProcess(fs, [][2]int{{0, 3}})
-	if err != nil {
-		t.Fatalf("NewTiedPairsProcess: %v", err)
-	}
-	for name, proc := range map[string]Process{
-		"common-cause":   common,
-		"resource-shift": shift,
-		"tied-pairs":     tied,
-	} {
-		if _, ok := proc.(SparseDeveloper); ok {
-			t.Fatalf("%s: replays dense draws, so it must not claim a sparse sampler", name)
-		}
-		mask := NewBitset(fs.N())
-		for seed := uint64(1); seed <= 50; seed++ {
-			a, b := randx.NewStream(seed), randx.NewStream(seed)
-			proc.DevelopInto(a, mask)
-			present := refDevelop(proc, b)
-			for i := range present {
-				if mask.Test(i) != present[i] {
-					t.Fatalf("%s seed=%d: bit %d sparse=%v dense=%v", name, seed, i, mask.Test(i), present[i])
-				}
-			}
+	for name, proc := range denseTestProcesses(t, 65) {
+		if _, ok := Process(proc).(SparseDeveloper); ok != (name == "independent") {
+			t.Errorf("%s: implements SparseDeveloper = %v", name, ok)
 		}
 	}
 }
@@ -234,22 +205,6 @@ func BenchmarkDevelopSparseMillionFaults(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		proc.DevelopSparse(r, mask)
-	}
-}
-
-func BenchmarkDevelopIntoDense100k(b *testing.B) {
-	const n = 100_000
-	fs, err := faultmodel.Uniform(n, 5.0/n, 0.5/n)
-	if err != nil {
-		b.Fatalf("Uniform: %v", err)
-	}
-	proc := NewIndependentProcess(fs)
-	r := randx.NewStream(1)
-	mask := NewBitset(n)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		proc.DevelopInto(r, mask)
 	}
 }
 

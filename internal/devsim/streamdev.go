@@ -7,13 +7,13 @@ import "diversity/internal/randx"
 // fault mask into a caller-owned Bitset (clearing it first) and returns
 // the number of geometric skip draws used.
 //
-// Unlike DevelopInto, implementations may draw a different — but
-// distributionally identical — variate sequence from Develop. Sparse
-// results are therefore exactly reproducible for a fixed seed, yet not
-// bitwise comparable with dense runs; the Monte-Carlo harness keeps dense
-// as its default and enables this path only on request (Config.Sparse).
-// Processes without the extension have no cheaper sampler than their
-// O(n) draws, so for them the sparse kernel is DevelopInto itself.
+// Implementations draw a different — but distributionally identical —
+// variate sequence from DevelopRows. Sparse results are therefore
+// exactly reproducible for a fixed seed, yet not bitwise comparable with
+// dense runs; the Monte-Carlo harness keeps dense as its default and
+// enables this path only on request (Config.Sparse). Processes without
+// the extension have no cheaper sampler than their O(n) rows, so a
+// sparse run of one develops rows exactly like a dense run.
 type SparseDeveloper interface {
 	// DevelopSparse overwrites mask — which must have Len() equal to
 	// FaultSet().N() — with one development's fault-presence mask and

@@ -59,33 +59,8 @@ func NewTiedPairsProcess(fs *faultmodel.FaultSet, pairs [][2]int) (*TiedPairsPro
 	return p, nil
 }
 
-// Develop implements Process.
+// Develop develops one version: lane 0 of a one-lane DevelopRows.
 func (p *TiedPairsProcess) Develop(r *randx.Stream) *Version { return develop(p, r) }
-
-// DevelopInto implements Process: untied faults and each pair's driver
-// (its smaller index) draw one Bernoulli variate in ascending order; the
-// partner copies the driver's bit when the loop reaches it — from the word
-// being built, or from an earlier word already stored in the mask.
-func (p *TiedPairsProcess) DevelopInto(r *randx.Stream, mask *Bitset) {
-	mask.fillWords(func(lo, hi int) uint64 {
-		var x uint64
-		for i := lo; i < hi; i++ {
-			var hit bool
-			switch partner := p.pairOf[i]; {
-			case partner < 0 || partner > i:
-				hit = r.Bernoulli(p.fs.Fault(i).P)
-			case partner >= lo:
-				hit = x>>uint(partner-lo)&1 == 1
-			default:
-				hit = mask.Test(partner)
-			}
-			if hit {
-				x |= 1 << uint(i-lo)
-			}
-		}
-		return x
-	})
-}
 
 // FaultSet implements Process.
 func (p *TiedPairsProcess) FaultSet() *faultmodel.FaultSet { return p.fs }

@@ -35,7 +35,7 @@ type Version struct {
 // packed mask and counts them — the PFD of the version the mask
 // describes. It walks only the touched words, so the cost is O(k) in the
 // present faults regardless of universe size; for masks filled in
-// ascending word order (DevelopInto, DevelopBatch) the q_i sum runs in
+// ascending word order (Develop, DevelopBatch) the q_i sum runs in
 // ascending fault order, the order system.RowScorer sums each lane in.
 func BitsetPFD(fs *faultmodel.FaultSet, mask *Bitset) (pfd float64, count int) {
 	for _, tw := range mask.Touched() {
@@ -50,12 +50,18 @@ func BitsetPFD(fs *faultmodel.FaultSet, mask *Bitset) (pfd float64, count int) {
 	return pfd, count
 }
 
-// develop is every process's Develop: one DevelopInto into a fresh mask,
-// which the returned Version keeps.
+// develop is every process's Develop: a one-lane DevelopRows, whose
+// nonzero rows are Set into a fresh mask in ascending fault order, so
+// the mask's touched words are ascending and its PFD sums in ascending
+// fault order.
 func develop(p Process, r *randx.Stream) *Version {
 	fs := p.FaultSet()
 	v := &Version{mask: NewBitset(fs.N())}
-	p.DevelopInto(r, v.mask)
+	for i, row := range p.DevelopRows(r, 1, make([]uint64, BatchScratchLen(1, fs.N()))) {
+		if row != 0 {
+			v.mask.Set(i)
+		}
+	}
 	v.pfd, v.count = BitsetPFD(fs, v.mask)
 	return v
 }
@@ -122,18 +128,27 @@ func CommonPFD(fs *faultmodel.FaultSet, versions ...*Version) (float64, error) {
 
 // Process develops program versions against a fixed fault universe.
 // Implementations must be safe for concurrent use by multiple goroutines,
-// each supplying its own random stream — the Monte-Carlo harness relies on
-// this to shard replications across workers.
+// each supplying its own random stream and scratch — the Monte-Carlo
+// harness relies on this to shard replications across workers.
 type Process interface {
-	// Develop produces one version using randomness from r. It is
-	// DevelopInto into a fresh mask, so both draw the same variates.
-	Develop(r *randx.Stream) *Version
-	// DevelopInto overwrites mask — which must have Len() equal to
-	// FaultSet().N() — with one development's fault-presence mask,
-	// without allocating. The mask's words are filled in ascending order,
-	// so its touched words are ascending and every bitset PFD walk sums
-	// in ascending fault order.
-	DevelopInto(r *randx.Stream, mask *Bitset)
+	// DevelopRows develops width <= 64 independent versions — a tile's
+	// lanes — and returns their fault-major mask rows, one word per
+	// fault: bit j of rows[i] is fault i's presence in lane j, and the
+	// bits past width are clear. Every Bernoulli mask, a fault's or a
+	// latent coin's, comes from one randx.Stream.Hits call, which
+	// decides all lanes bit-serially in about 7 generator words against
+	// the threshold BernoulliThreshold gives. A correlated process
+	// blends two such masks through a latent-coin mask (the common-cause
+	// day, the resource-shift pair's favoured member) and draws only a
+	// mask that some lane selects. The rows are the form the evaluation
+	// kernel scores (system.RowScorer); nothing on the Monte-Carlo path
+	// transposes them into per-lane columns.
+	//
+	// scratch is caller-owned space of length >= BatchScratchLen(width,
+	// n) that holds the mask rows; the returned slice aliases it until
+	// the next call with the same scratch. Reusing one scratch slice
+	// across calls keeps the steady state allocation-free.
+	DevelopRows(r *randx.Stream, width int, scratch []uint64) []uint64
 	// FaultSet returns the potential-fault universe the process samples
 	// from.
 	FaultSet() *faultmodel.FaultSet
@@ -151,9 +166,8 @@ type IndependentProcess struct {
 	sparseOnce sync.Once
 	groups     []faultGroup
 
-	// Per-column and row kernel state, built lazily on first DevelopInto
-	// or DevelopRows: one integer Bernoulli threshold per fault (see
-	// BernoulliThreshold).
+	// Row-kernel state, built lazily on first DevelopRows: one integer
+	// Bernoulli threshold per fault (see BernoulliThreshold).
 	batchOnce  sync.Once
 	thresholds []uint64
 }
@@ -193,28 +207,8 @@ func NewIndependentProcess(fs *faultmodel.FaultSet) *IndependentProcess {
 	return &IndependentProcess{fs: fs}
 }
 
-// Develop implements Process.
+// Develop develops one version: lane 0 of a one-lane DevelopRows.
 func (p *IndependentProcess) Develop(r *randx.Stream) *Version { return develop(p, r) }
-
-// DevelopInto implements Process with one variate per fault in ascending
-// order — the draws of BernoulliValidated(p_i), since each p_i was
-// validated into [0, 1] when the fault set was built. Each mask word is
-// built in a register: one FillUint64 of up to 64 variates, compared
-// branch-free against the faults' integer thresholds (BernoulliThreshold
-// decides exactly like the float compare).
-func (p *IndependentProcess) DevelopInto(r *randx.Stream, mask *Bitset) {
-	thr := p.batchThresholds()
-	var d [64]uint64
-	mask.fillWords(func(lo, hi int) uint64 {
-		lanes := d[:hi-lo]
-		r.FillUint64(lanes)
-		var x uint64
-		for j, u := range lanes {
-			x |= hitBit(u, thr[lo+j]) << uint(j)
-		}
-		return x
-	})
-}
 
 // sparseGroups builds (once) the equal-p fault groups the sparse kernel
 // skips within. Faults with p = 0 are omitted entirely — they can never
@@ -283,7 +277,7 @@ func (p *IndependentProcess) sparseGroups() []faultGroup {
 // survivor set is sampled by geometric gap-skipping — the gap to the next
 // introduced fault is Geometric(p), so the cost is one logarithm per
 // survivor plus one per group, O(k + groups) rather than O(n). The draws
-// differ from Develop's but the sampled distribution is identical.
+// differ from DevelopRows' but the sampled distribution is identical.
 func (p *IndependentProcess) DevelopSparse(r *randx.Stream, mask *Bitset) int {
 	mask.Reset()
 	skips := 0

@@ -448,8 +448,8 @@ func BenchmarkBernoulliValidatedLoop(b *testing.B) {
 }
 
 // TestTiedPairOrderIrrelevant: a pair listed as (6, 5) or as (5, 6)
-// develops the same masks from the same seed in the per-column and the
-// row kernel, and is driven by its smaller index: with p5 = 1 and
+// develops the same masks from the same seed under Develop and in
+// 64-lane rows, and is driven by its smaller index: with p5 = 1 and
 // p6 = 0 the pair is always present.
 func TestTiedPairOrderIrrelevant(t *testing.T) {
 	t.Parallel()
@@ -469,18 +469,17 @@ func TestTiedPairOrderIrrelevant(t *testing.T) {
 		procs[i] = p
 	}
 	for seed := uint64(1); seed <= 20; seed++ {
-		var cols [2]*Bitset
+		var versions [2]*Version
 		var rows [2][]uint64
 		for i, p := range procs {
-			cols[i] = NewBitset(fs.N())
-			p.DevelopInto(randx.NewStream(seed), cols[i])
+			versions[i] = p.Develop(randx.NewStream(seed))
 			rows[i] = append([]uint64(nil), p.DevelopRows(randx.NewStream(seed), 64, make([]uint64, BatchScratchLen(64, fs.N())))...)
 		}
-		if cols[0].Word(0) != cols[1].Word(0) {
-			t.Errorf("seed %d: DevelopInto masks %#x and %#x differ with the pair's order", seed, cols[0].Word(0), cols[1].Word(0))
+		if a, b := versions[0].mask.Word(0), versions[1].mask.Word(0); a != b {
+			t.Errorf("seed %d: Develop masks %#x and %#x differ with the pair's order", seed, a, b)
 		}
-		if !cols[0].Test(5) || !cols[0].Test(6) {
-			t.Errorf("seed %d: DevelopInto mask %#x lacks the pair driven by p5 = 1", seed, cols[0].Word(0))
+		if !versions[0].Has(5) || !versions[0].Has(6) {
+			t.Errorf("seed %d: Develop mask %#x lacks the pair driven by p5 = 1", seed, versions[0].mask.Word(0))
 		}
 		for f := range rows[0] {
 			if rows[0][f] != rows[1][f] {

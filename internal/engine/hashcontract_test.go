@@ -46,17 +46,17 @@ func legacySpecs() map[string]Job {
 // captured before the adjudicator refactor and re-pinned once with each
 // hashDomain bump: diversity/engine/v2 left every legacy document
 // unchanged except that workers no longer appears in it, and
-// diversity/engine/v3, v4 and v5 changed only the domain prefix. Regenerate
-// deliberately — only with a hashDomain bump — via: go test
+// diversity/engine/v3, v4, v5 and v6 changed only the domain prefix.
+// Regenerate deliberately — only with a hashDomain bump — via: go test
 // ./internal/engine -run TestLegacySpecHashContract -v (the failure
 // message prints got hashes).
 var legacyHashes = map[string]string{
-	"mc-scenario-default-arch": "875ce96e601be960318bf5260dc4a91836969566d5031087a19cceca43966266",
-	"mc-majority":              "39d7b0727bd959e2d1f33b2b82f109357759d946d601f6ac9103fae5315a4502",
-	"mc-inline-stream-sparse":  "12a928ef38bb18df02e3aa6755a438c6f76cb052761547abd328b76733f8bc37",
-	"rare-event":               "85f7b0ef1d7c1c35194d70730f70f6c724f641372c61b4c87abcc973ec2277e2",
-	"experiments":              "c3c9e9f713794abca6d2fe2396f46b68d53941379fc5674bffaea3d54fe2a6b3",
-	"analytic":                 "ea91f2b3321d226651a3d755d4dc914d774371336e2824969239f3beb3833554",
+	"mc-scenario-default-arch": "2f024b3e24d511e0a9c9b55f2b07598f01221e25d55c28a886704bc20f644d4f",
+	"mc-majority":              "1e385ee32c1bb7652f7d8c1416184f88a4ed9a648ca46ae1bdded7bd18245a59",
+	"mc-inline-stream-sparse":  "dba901b1b6f274b720c2204ed578c86837da8208e800f4eac8e79bf53e59efa6",
+	"rare-event":               "e2cf4393553ca0390ae98d1986e1b16819887cbb361cf98c4ae92cf0a5ace5f1",
+	"experiments":              "0bf6361fef8b4e642a6404b3ab0aa4014757ccfd4e1895cc1885018defe29ab7",
+	"analytic":                 "5fbc7e4d645827cff64a11ab4397dae109236792f7f8ad31b438c42486811323",
 }
 
 // TestLegacySpecHashContract proves that pre-refactor 1oo2 (and legacy

@@ -60,8 +60,12 @@ const (
 // tiles, which changed every dense fixed-seed result, and batchWidth
 // left the encoding. v5: every dense Bernoulli mask is decided
 // bit-serially, which changed every dense fixed-seed Monte-Carlo,
-// rare-event and experiments result; sparse results did not move.
-const hashDomain = "diversity/engine/v5"
+// rare-event and experiments result; sparse results did not move. v6:
+// every process develops through its 64-lane rows, so a sparse run of a
+// correlated or tied-pairs process now equals its dense run, and the
+// experiments that develop versions one at a time (E12, E15, E22) moved;
+// no other result moved.
+const hashDomain = "diversity/engine/v6"
 
 // ModelSpec names the fault-set model a job runs against. Exactly one of
 // Scenario or Faults must be set. Model files are resolved to inline

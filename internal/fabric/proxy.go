@@ -422,13 +422,25 @@ func (c *Coordinator) handleEvents(w http.ResponseWriter, r *http.Request) {
 		c.reg.Gauge("fabric.sse_streams_inflight").Set(float64(c.sse.Add(-1)))
 	}()
 
-	// Copy the stream line by line, watching for a terminal event: done
-	// (job finished) or draining (node shutting down gracefully — the
-	// single-node contract tells the client to re-poll, and the
-	// coordinator keeps that contract rather than silently absorbing
-	// it).
-	terminalSeen := false
-	reader := bufio.NewReader(resp.Body)
+	if copyEvents(w, flusher, resp.Body) || ctx.Err() != nil {
+		if c.isDraining() {
+			server.WriteSSE(w, flusher, "draining", map[string]string{"status": "draining"})
+		}
+		return
+	}
+
+	// Upstream died mid-stream: restart recovery.
+	c.recoverStream(ctx, w, flusher, id, reqID)
+}
+
+// copyEvents copies an SSE stream line by line, flushing after each
+// line, and reports whether it saw a terminal event: done (job finished)
+// or draining (node shutting down gracefully — the single-node contract
+// tells the client to re-poll, and the coordinator keeps that contract
+// rather than silently absorbing it). A final line without a newline is
+// copied too.
+func copyEvents(w io.Writer, flusher http.Flusher, body io.Reader) (terminalSeen bool) {
+	reader := bufio.NewReader(body)
 	for {
 		line, err := reader.ReadString('\n')
 		if len(line) > 0 {
@@ -439,18 +451,9 @@ func (c *Coordinator) handleEvents(w http.ResponseWriter, r *http.Request) {
 			flusher.Flush()
 		}
 		if err != nil {
-			break
+			return terminalSeen
 		}
 	}
-	if terminalSeen || ctx.Err() != nil {
-		if c.isDraining() {
-			server.WriteSSE(w, flusher, "draining", map[string]string{"status": "draining"})
-		}
-		return
-	}
-
-	// Upstream died mid-stream: restart recovery.
-	c.recoverStream(ctx, w, flusher, id, reqID)
 }
 
 // openStream opens the upstream SSE connection, walking the candidates

@@ -9,7 +9,6 @@ import (
 
 	"diversity/internal/devsim"
 	"diversity/internal/faultmodel"
-	"diversity/internal/randx"
 	"diversity/internal/system"
 	"diversity/internal/telemetry"
 )
@@ -58,50 +57,48 @@ func TestBatchedBufferedMatchesBatchedStreaming(t *testing.T) {
 	}
 }
 
-// TestBatchedFallbackProcess: a process without the BatchDeveloper
-// extension develops one column at a time with its DevelopInto, so a
-// dense run reproduces that loop over block 0's stream bit for bit.
+// TestBatchedFallbackProcess: a process type this package does not know
+// develops through its DevelopRows, so a dense run of it reproduces the
+// row reference over block 0's stream bit for bit.
 func TestBatchedFallbackProcess(t *testing.T) {
 	t.Parallel()
 
-	proc := opaqueProcess{inner: testProcess(t)}
-	fs := proc.FaultSet()
+	inner := testProcess(t)
 	const reps, seed = 500, 5
-	res, err := Run(Config{Process: proc, Versions: 2, Reps: reps, Seed: seed, Workers: 2})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	r := randx.NewStream(0)
-	r.SeedAt(seed, 0) // reps fits in block 0
-	cols := []*devsim.Bitset{devsim.NewBitset(fs.N()), devsim.NewBitset(fs.N())}
-	for rep := 0; rep < reps; rep++ {
-		for _, col := range cols {
-			proc.DevelopInto(r, col)
-		}
-		v, _ := devsim.BitsetPFD(fs, cols[0])
-		s, _ := system.BitsetSystemPFD(fs, system.OneOutOfN{}, cols)
-		if res.VersionPFD[rep] != v || res.SystemPFD[rep] != s {
-			t.Fatalf("rep %d: run (%v, %v), DevelopInto loop (%v, %v)", rep, res.VersionPFD[rep], res.SystemPFD[rep], v, s)
-		}
-	}
+	adj := system.OneOutOfN{}
+	assertPipelineMatches(t, "opaque", Config{Process: opaqueProcess{inner: inner}}, adj, 2, reps, seed,
+		rowReference(t, inner, adj, 2, reps, seed))
 }
 
 // TestDenseMemoryGuard: the row kernel holds versions·n mask words per
-// worker, so a dense run over more than maxRowWords of them is refused
-// with an error naming the sparse kernel, which runs it.
+// worker, so a row-kernel run over more than maxRowWords of them is
+// refused. For the independent process the error names Sparse, which
+// runs it; a sparse run of a process without a sparse sampler develops
+// rows too, so its error names that lack instead of telling the caller
+// to set Sparse.
 func TestDenseMemoryGuard(t *testing.T) {
 	t.Parallel()
 
+	fs := groupedFaultSet(t, 1<<20)
 	cfg := Config{
-		Process:  devsim.NewIndependentProcess(groupedFaultSet(t, 1<<20)),
+		Process:  devsim.NewIndependentProcess(fs),
 		Versions: 40, Reps: 100, Seed: 1, Workers: 1, Streaming: true,
 	}
-	if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), "Sparse") {
+	if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), "set Sparse") {
 		t.Fatalf("dense run of 40 versions over 2^20 faults: err = %v, want an error naming Sparse", err)
 	}
 	cfg.Sparse = true
 	if _, err := Run(cfg); err != nil {
 		t.Fatalf("sparse run: %v", err)
+	}
+	cc, err := devsim.NewCommonCauseProcess(fs, 0.2, 2)
+	if err != nil {
+		t.Fatalf("NewCommonCauseProcess: %v", err)
+	}
+	cfg.Process = cc
+	_, err = Run(cfg)
+	if err == nil || !strings.Contains(err.Error(), "no sparse sampler") || strings.Contains(err.Error(), "set Sparse") {
+		t.Fatalf("sparse common-cause run of 40 versions over 2^20 faults: err = %v, want an error naming the missing sparse sampler, not telling the caller to set Sparse", err)
 	}
 }
 

@@ -14,15 +14,14 @@ import (
 // TestPipelineMatchesVersionAPI holds the tile loop to reference
 // implementations on block 0's stream, bit for bit: every replication's
 // version and system PFD and both fault-free counts, for every process
-// and voting rule, buffered and streaming. The per-column path — the
-// correlated processes under Sparse, whose sparse kernel is DevelopInto,
-// and the independent process behind opaqueProcess — must reproduce
-// Develop → system.NewVoted → PFD()/SystemFaultCount(). The dense row
-// kernel must reproduce a loop that develops 64-lane tiles with
+// and voting rule, buffered and streaming. A one-replication run is one
+// one-lane tile, whose versions are exactly Develop's, so at every seed
+// it must reproduce Develop → system.NewVoted → PFD()/SystemFaultCount().
+// A longer run must reproduce a loop that develops 64-lane tiles with
 // DevelopRows, sets each lane's bits into devsim.Bitset columns and
 // scores them with BitsetPFD/BitsetSystemPFD, which the system package's
 // tests hold to NewVoted. The tied process ties pairs across bitset
-// words, so partners are set from an earlier word's stored bits.
+// words.
 func TestPipelineMatchesVersionAPI(t *testing.T) {
 	t.Parallel()
 
@@ -46,7 +45,7 @@ func TestPipelineMatchesVersionAPI(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewTiedPairsProcess: %v", err)
 	}
-	procs := []devsim.Process{devsim.NewIndependentProcess(fs), cc, rs, tied}
+	procs := []developer{devsim.NewIndependentProcess(fs), cc, rs, tied}
 	const reps, seed = 400, 31
 	for pi, proc := range procs {
 		for _, spec := range []string{"1oo2", "2oo3", "majority", "1oo2@1e-4"} {
@@ -59,11 +58,9 @@ func TestPipelineMatchesVersionAPI(t *testing.T) {
 				m = 2
 			}
 			label := fmt.Sprintf("process %d %s", pi, spec)
-			columns := Config{Process: proc, Sparse: true}
-			if _, ok := proc.(devsim.SparseDeveloper); ok {
-				columns = Config{Process: opaqueProcess{inner: proc}}
+			for s := uint64(1); s <= 40; s++ {
+				assertPipelineMatches(t, fmt.Sprintf("%s one-lane seed %d", label, s), Config{Process: proc}, adj, m, 1, s, versionReference(t, proc, adj, m, 1, s))
 			}
-			assertPipelineMatches(t, label+" per-column", columns, adj, m, reps, seed, versionReference(t, proc, adj, m, reps, seed))
 			assertPipelineMatches(t, label+" rows", Config{Process: proc}, adj, m, reps, seed, rowReference(t, proc, adj, m, reps, seed))
 		}
 	}
@@ -87,9 +84,15 @@ func (ref *pipelineReference) add(v, s float64, vFaults, sFaults int) {
 	}
 }
 
+// developer is a process with a Develop method: every devsim process.
+type developer interface {
+	devsim.Process
+	Develop(r *randx.Stream) *devsim.Version
+}
+
 // versionReference develops reps replications of m versions on block 0's
 // stream with Develop and scores them with system.NewVoted.
-func versionReference(t *testing.T, proc devsim.Process, adj system.Adjudicator, m, reps int, seed uint64) pipelineReference {
+func versionReference(t *testing.T, proc developer, adj system.Adjudicator, m, reps int, seed uint64) pipelineReference {
 	t.Helper()
 	r := randx.NewStream(0)
 	r.SeedAt(seed, 0) // reps fits in block 0
@@ -126,7 +129,7 @@ func rowReference(t *testing.T, proc devsim.Process, adj system.Adjudicator, m, 
 	for base := 0; base < reps; base += 64 {
 		b := min(64, reps-base)
 		for v := range rows {
-			rows[v] = proc.(devsim.BatchDeveloper).DevelopRows(r, b, scratch[v])
+			rows[v] = proc.DevelopRows(r, b, scratch[v])
 		}
 		for j := 0; j < b; j++ {
 			for v := range cols {

@@ -94,9 +94,9 @@ func lawPValue(t *testing.T, sample, atoms, probs []float64) float64 {
 // kernel: the version and system PFDs a run samples from the independent
 // process must pass a chi-square test against the exact law, under 1oo2,
 // 2oo3 and 1oo2 with an imperfect stage, for the fault-major row kernel,
-// the sparse kernel and the per-column DevelopInto kernel (reached through
-// a process that hides both extensions). Bit pins only freeze what a
-// kernel does; this checks that it samples the paper's law.
+// the sparse kernel and Develop (one-lane developments scored by
+// system.NewVoted, as the experiments use them). Bit pins only freeze
+// what a kernel does; this checks that it samples the paper's law.
 //
 // Each of the 18 cells here and the 12 of TestCorrelatedLawsMatchExactLaws
 // tests at α = 1e-3, so correct kernels fail the 30-cell gate at a random
@@ -117,7 +117,7 @@ func TestSampledLawMatchesExactLaw(t *testing.T) {
 	}{
 		{"rows", Config{Process: proc}},
 		{"sparse", Config{Process: proc, Sparse: true}},
-		{"per-column", Config{Process: opaqueProcess{inner: proc}}},
+		{"Develop", Config{}},
 	}
 	versionAtoms, versionProbs := exactLaw(t, fs, system.OneOutOfN{}, 1)
 	for _, rule := range []string{"1oo2", "2oo3", "1oo2@1e-4"} {
@@ -132,24 +132,37 @@ func TestSampledLawMatchesExactLaw(t *testing.T) {
 		atoms, probs := exactLaw(t, fs, adj, versions)
 		wrongAtoms, wrongProbs := exactLaw(t, perturbed, adj, versions)
 		for _, k := range kernels {
-			cfg := k.cfg
-			cfg.Versions, cfg.Adjudicator, cfg.Reps, cfg.Seed = versions, adj, reps, 5
-			res, err := Run(cfg)
-			if err != nil {
-				t.Fatalf("%s %s: %v", k.name, rule, err)
-			}
 			label := fmt.Sprintf("%s/%s", k.name, rule)
-			if p := lawPValue(t, res.VersionPFD, versionAtoms, versionProbs); p < alpha {
+			vpfd, spfd := lawSample(t, label, proc, k.cfg, adj, versions, reps)
+			if p := lawPValue(t, vpfd, versionAtoms, versionProbs); p < alpha {
 				t.Errorf("%s version PFD: chi-square p = %.3g < %g against the exact law", label, p, alpha)
 			}
-			if p := lawPValue(t, res.SystemPFD, atoms, probs); p < alpha {
+			if p := lawPValue(t, spfd, atoms, probs); p < alpha {
 				t.Errorf("%s system PFD: chi-square p = %.3g < %g against the exact law", label, p, alpha)
 			}
-			if p := lawPValue(t, res.SystemPFD, wrongAtoms, wrongProbs); p >= alpha {
+			if p := lawPValue(t, spfd, wrongAtoms, wrongProbs); p >= alpha {
 				t.Errorf("%s system PFD: chi-square p = %.3g >= %g against the law with fault 9's p × 1.05; the gate has no power", label, p, alpha)
 			}
 		}
 	}
+}
+
+// lawSample draws the gate's sample at seed 5: a Run of cfg, or, when
+// cfg has no process, reps replications developed with proc's Develop
+// and scored by system.NewVoted.
+func lawSample(t *testing.T, label string, proc developer, cfg Config, adj system.Adjudicator, versions, reps int) (vpfd, spfd []float64) {
+	t.Helper()
+	const seed = 5
+	if cfg.Process == nil {
+		ref := versionReference(t, proc, adj, versions, reps, seed)
+		return ref.v, ref.s
+	}
+	cfg.Versions, cfg.Adjudicator, cfg.Reps, cfg.Seed = versions, adj, reps, seed
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	return res.VersionPFD, res.SystemPFD
 }
 
 // productLaw returns P(S) for every subset S of independent faults with
@@ -270,9 +283,8 @@ func subsetPFDLaw(fs *faultmodel.FaultSet, law []float64, versions int) (atoms, 
 // same universe. Each law is computed here by enumerating the 2^10 fault
 // subsets, independently of the kernels, and the 1oo2 system law by
 // pairing two independent versions. Every process is sampled by the
-// fault-major row kernel and by the per-column DevelopInto kernel (which
-// Sparse selects for a process without a sparse kernel); version and
-// system PFDs must each pass at α = 1e-3. The power case tests each
+// fault-major row kernel and by Develop (one-lane developments scored by
+// system.NewVoted); version and system PFDs must each pass at α = 1e-3. The power case tests each
 // process's system samples against its law on the universe with fault
 // 9's p scaled by 1.05.
 func TestCorrelatedLawsMatchExactLaws(t *testing.T) {
@@ -283,17 +295,17 @@ func TestCorrelatedLawsMatchExactLaws(t *testing.T) {
 	pairs := [][2]int{{0, 3}, {6, 5}}
 	processes := []struct {
 		name  string
-		build func(fs *faultmodel.FaultSet) (devsim.Process, []float64, error)
+		build func(fs *faultmodel.FaultSet) (developer, []float64, error)
 	}{
-		{"common-cause", func(fs *faultmodel.FaultSet) (devsim.Process, []float64, error) {
+		{"common-cause", func(fs *faultmodel.FaultSet) (developer, []float64, error) {
 			p, err := devsim.NewCommonCauseProcess(fs, rho, boost)
 			return p, commonCauseLaw(fs, rho, boost), err
 		}},
-		{"resource-shift", func(fs *faultmodel.FaultSet) (devsim.Process, []float64, error) {
+		{"resource-shift", func(fs *faultmodel.FaultSet) (developer, []float64, error) {
 			p, err := devsim.NewResourceShiftProcess(fs, shift)
 			return p, resourceShiftLaw(fs, shift), err
 		}},
-		{"tied-pairs", func(fs *faultmodel.FaultSet) (devsim.Process, []float64, error) {
+		{"tied-pairs", func(fs *faultmodel.FaultSet) (developer, []float64, error) {
 			p, err := devsim.NewTiedPairsProcess(fs, pairs)
 			return p, tiedPairsLaw(fs, pairs), err
 		}},
@@ -313,22 +325,22 @@ func TestCorrelatedLawsMatchExactLaws(t *testing.T) {
 		versionAtoms, versionProbs := subsetPFDLaw(fs, law, 1)
 		atoms, probs := subsetPFDLaw(fs, law, 2)
 		wrongAtoms, wrongProbs := subsetPFDLaw(fs, wrongLaw, 2)
-		for _, sparse := range []bool{false, true} {
-			label := pc.name + "/rows"
-			if sparse {
-				label = pc.name + "/per-column"
-			}
-			res, err := Run(Config{Process: proc, Sparse: sparse, Versions: 2, Adjudicator: adj, Reps: reps, Seed: 5})
-			if err != nil {
-				t.Fatalf("%s: %v", label, err)
-			}
-			if p := lawPValue(t, res.VersionPFD, versionAtoms, versionProbs); p < alpha {
+		for _, k := range []struct {
+			name string
+			cfg  Config
+		}{
+			{"rows", Config{Process: proc}},
+			{"Develop", Config{}},
+		} {
+			label := pc.name + "/" + k.name
+			vpfd, spfd := lawSample(t, label, proc, k.cfg, adj, 2, reps)
+			if p := lawPValue(t, vpfd, versionAtoms, versionProbs); p < alpha {
 				t.Errorf("%s version PFD: chi-square p = %.3g < %g against the exact law", label, p, alpha)
 			}
-			if p := lawPValue(t, res.SystemPFD, atoms, probs); p < alpha {
+			if p := lawPValue(t, spfd, atoms, probs); p < alpha {
 				t.Errorf("%s system PFD: chi-square p = %.3g < %g against the exact law", label, p, alpha)
 			}
-			if p := lawPValue(t, res.SystemPFD, wrongAtoms, wrongProbs); p >= alpha {
+			if p := lawPValue(t, spfd, wrongAtoms, wrongProbs); p >= alpha {
 				t.Errorf("%s system PFD: chi-square p = %.3g >= %g against the law with fault 9's p × 1.05; the gate has no power", label, p, alpha)
 			}
 		}

@@ -78,20 +78,19 @@ type Config struct {
 	// per-replication cost scales with the expected fault count rather
 	// than the universe size. Geometric gaps are sequential per
 	// replication, so sparse runs develop one column at a time. Every
-	// other process has no cheaper sampler than its DevelopInto, which is
-	// then its sparse kernel.
+	// other process has no cheaper sampler than its rows, so Sparse
+	// leaves its run on the row kernel, bit for bit the dense run.
 	//
-	// Without Sparse, a run develops tiles of 64 replications as
-	// fault-major rows (devsim.BatchDeveloper's DevelopRows: one word of
-	// lane bits per fault), which system.RowScorer scores word-wide under
-	// the voting rule; the last tile of a block uses fewer lanes. A
-	// process without DevelopRows develops one column at a time with
-	// DevelopInto. The row kernel holds versions·n words per worker, so a
-	// dense run over more than 1<<24 of them is an error: such universes
-	// belong to the sparse kernel. The kernels draw different (but
-	// distributionally identical) variate sequences, so fixed-seed
-	// results are reproducible within a kernel yet not bitwise comparable
-	// across kernels. Both compose with both aggregation modes.
+	// The row kernel develops tiles of 64 replications as fault-major
+	// rows (devsim.Process's DevelopRows: one word of lane bits per
+	// fault), which system.RowScorer scores word-wide under the voting
+	// rule; the last tile of a block uses fewer lanes. It holds
+	// versions·n words per worker, so a row-kernel run over more than
+	// 1<<24 of them is an error: such universes belong to the sparse
+	// kernel. The two kernels draw different (but distributionally
+	// identical) variate sequences, so fixed-seed results are
+	// reproducible within a kernel yet not bitwise comparable across
+	// kernels. Both compose with both aggregation modes.
 	Sparse bool
 	// Deprecated: BatchWidth is ignored. Every dense run uses the 64-lane
 	// row kernel described under Sparse.
@@ -126,13 +125,11 @@ type Result struct {
 	// buffered runs fill VersionPFD/SystemPFD, streaming runs fill
 	// VersionAgg/SystemAgg, and a summarised result holds neither.
 	Streaming bool
-	// Sparse reports whether the run used the sparse development kernel
-	// (Config.Sparse); for processes without the SparseDeveloper
-	// extension that kernel is their dense DevelopInto.
+	// Sparse reports Config.Sparse. A process without the
+	// SparseDeveloper extension ran on the row kernel all the same.
 	Sparse bool
 	// SparseSkips is the total number of geometric skip draws the sparse
-	// kernel consumed (0 for dense runs and for processes whose sparse
-	// kernel is DevelopInto).
+	// kernel consumed (0 for every run on the row kernel).
 	SparseSkips int64
 	// VersionPFD holds the PFD of the first version of each replication.
 	// It is nil for streaming runs.
@@ -268,14 +265,17 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 
 	fs := cfg.Process.FaultSet()
 	k := kernel{proc: cfg.Process}
+	sparse, hasSparse := cfg.Process.(devsim.SparseDeveloper)
 	if cfg.Sparse {
-		k.sparse, _ = cfg.Process.(devsim.SparseDeveloper)
-	} else {
-		k.rows, _ = cfg.Process.(devsim.BatchDeveloper)
+		k.sparse = sparse
 	}
-	if words := cfg.Versions * fs.N(); k.rows != nil && words > maxRowWords {
-		return nil, fmt.Errorf("montecarlo: %d versions of %d faults need %d row words per worker, over the dense kernel's %d; set Sparse",
-			cfg.Versions, fs.N(), words, maxRowWords)
+	if words := cfg.Versions * fs.N(); k.sparse == nil && words > maxRowWords {
+		remedy := "set Sparse"
+		if !hasSparse {
+			remedy = fmt.Sprintf("%T has no sparse sampler, so Sparse does not lift the bound", cfg.Process)
+		}
+		return nil, fmt.Errorf("montecarlo: %d versions of %d faults need %d row words per worker, over the row kernel's %d; %s",
+			cfg.Versions, fs.N(), words, maxRowWords, remedy)
 	}
 
 	res := &Result{

@@ -214,9 +214,9 @@ func TestSparseBufferedMatchesSparseStreaming(t *testing.T) {
 }
 
 // TestSparseFallbackProcess: a process without the SparseDeveloper
-// extension has no cheaper sampler than its dense DevelopInto, which is
-// then its sparse kernel: the run reports the sparse kernel with zero
-// skips and reproduces the dense run bit for bit.
+// extension has no cheaper sampler than its rows, so a sparse run of it
+// develops rows: the run reports Sparse with zero skips and reproduces
+// the dense run bit for bit.
 func TestSparseFallbackProcess(t *testing.T) {
 	t.Parallel()
 
@@ -236,7 +236,7 @@ func TestSparseFallbackProcess(t *testing.T) {
 		t.Error("sparse run does not report the sparse kernel")
 	}
 	if res.SparseSkips != 0 {
-		t.Errorf("DevelopInto fallback reports %d skips", res.SparseSkips)
+		t.Errorf("row fallback reports %d skips", res.SparseSkips)
 	}
 	for rep := range dense.SystemPFD {
 		if dense.VersionPFD[rep] != res.VersionPFD[rep] || dense.SystemPFD[rep] != res.SystemPFD[rep] {

@@ -14,16 +14,14 @@ import (
 	"diversity/internal/system"
 )
 
-// opaqueProcess exposes only the wrapped process's required Process
-// methods, hiding its optional sparse and row kernels, so runs develop one
-// column at a time with DevelopInto.
+// opaqueProcess exposes only the wrapped process's Process methods,
+// hiding its sparse sampler, so even a Sparse run develops rows.
 type opaqueProcess struct {
 	inner devsim.Process
 }
 
-func (p opaqueProcess) Develop(r *randx.Stream) *devsim.Version { return p.inner.Develop(r) }
-func (p opaqueProcess) DevelopInto(r *randx.Stream, mask *devsim.Bitset) {
-	p.inner.DevelopInto(r, mask)
+func (p opaqueProcess) DevelopRows(r *randx.Stream, width int, scratch []uint64) []uint64 {
+	return p.inner.DevelopRows(r, width, scratch)
 }
 func (p opaqueProcess) FaultSet() *faultmodel.FaultSet { return p.inner.FaultSet() }
 
@@ -168,17 +166,17 @@ func TestStreamingMatchesBufferedCorrelated(t *testing.T) {
 }
 
 // TestStreamingFallbackProcess exercises the constant-memory path for
-// processes with no optional kernel extension: the sampled population
+// a process with no sparse sampler under Sparse: the sampled population
 // must still match the buffered run exactly.
 func TestStreamingFallbackProcess(t *testing.T) {
 	t.Parallel()
 
 	proc := opaqueProcess{inner: testProcess(t)}
-	if _, ok := devsim.Process(proc).(devsim.BatchDeveloper); ok {
-		t.Fatal("opaqueProcess must not implement BatchDeveloper")
+	if _, ok := devsim.Process(proc).(devsim.SparseDeveloper); ok {
+		t.Fatal("opaqueProcess must not implement SparseDeveloper")
 	}
 	assertStreamingMatchesBuffered(t, Config{
-		Process: proc, Versions: 2, Reps: 3000, Seed: 5, Workers: 2,
+		Process: proc, Versions: 2, Reps: 3000, Seed: 5, Workers: 2, Sparse: true,
 	})
 }
 

@@ -17,13 +17,11 @@ import (
 const maxRowWords = 1 << 24
 
 // kernel is a run's development kernel, chosen once per run from the
-// configuration and the process's type: 64-lane fault-major rows for a
-// dense run of a BatchDeveloper, geometric skips per column for a sparse
-// run of a SparseDeveloper, and otherwise the process's DevelopInto per
-// column.
+// configuration and the process's type: geometric skips per column for a
+// sparse run of a SparseDeveloper (sparse set), and otherwise 64-lane
+// fault-major rows (sparse nil).
 type kernel struct {
 	proc   devsim.Process
-	rows   devsim.BatchDeveloper
 	sparse devsim.SparseDeveloper
 }
 
@@ -32,8 +30,8 @@ type kernel struct {
 // tile of replications per step, and records the tile's PFDs into its
 // sink in replication order. The row kernel develops every version's
 // fault-major mask rows for up to 64 replications and scores them with a
-// system.RowScorer; the per-column kernels develop one bitset column per
-// version and score it with the bitset PFD walks. Everything is allocated
+// system.RowScorer; the sparse kernel develops one bitset column per
+// version and scores it with the bitset PFD walks. Everything is allocated
 // once at construction and reused across blocks, so the steady state
 // performs no allocations.
 type tileWorker struct {
@@ -61,7 +59,7 @@ type tileWorker struct {
 func newTileWorker(fs *faultmodel.FaultSet, adj system.Adjudicator, versions int, k kernel) *tileWorker {
 	r := randx.NewStream(0)
 	tw := &tileWorker{r: r, width: 1}
-	if k.rows != nil {
+	if k.sparse == nil {
 		tw.width = 64
 		scorer := system.NewRowScorer(fs, adj, versions)
 		rows := make([][]uint64, versions)
@@ -71,15 +69,11 @@ func newTileWorker(fs *faultmodel.FaultSet, adj system.Adjudicator, versions int
 		}
 		tw.tile = func(b int) {
 			for v := range rows {
-				rows[v] = k.rows.DevelopRows(r, b, scratch[v])
+				rows[v] = k.proc.DevelopRows(r, b, scratch[v])
 			}
 			tw.vAny, tw.sAny = scorer.Score(rows, b, &tw.vpfd, &tw.spfd)
 		}
 		return tw
-	}
-	develop := func(col *devsim.Bitset) { k.proc.DevelopInto(r, col) }
-	if k.sparse != nil {
-		develop = func(col *devsim.Bitset) { tw.skips += int64(k.sparse.DevelopSparse(r, col)) }
 	}
 	cols := make([]*devsim.Bitset, versions)
 	for v := range cols {
@@ -87,7 +81,7 @@ func newTileWorker(fs *faultmodel.FaultSet, adj system.Adjudicator, versions int
 	}
 	tw.tile = func(int) {
 		for _, col := range cols {
-			develop(col)
+			tw.skips += int64(k.sparse.DevelopSparse(r, col))
 		}
 		vpfd, vcount := devsim.BitsetPFD(fs, cols[0])
 		spfd, scount := system.BitsetSystemPFD(fs, adj, cols)

@@ -86,9 +86,9 @@ func BitsetSystemPFD(fs *faultmodel.FaultSet, adj Adjudicator, masks []*devsim.B
 	return ApplyStagePFD(adj, pfd), count
 }
 
-// RowScorer is the dense kernel's evaluation: it scores a whole tile of
-// up to 64 replications from the fault-major mask rows the tile was drawn
-// in (devsim.BatchDeveloper), with no transpose into per-replication
+// RowScorer is the row kernel's evaluation: it scores a whole tile of up
+// to 64 replications from the fault-major mask rows the tile was drawn in
+// (devsim.Process's DevelopRows), with no transpose into per-replication
 // columns. The rule is reduced to its defeat threshold once, when the
 // scorer is built, and every adjudication is a handful of word-wide
 // operations per fault. Each lane sums its q_i in ascending fault order —
