@@ -61,6 +61,13 @@ func TestGoldenLegacyOutputs(t *testing.T) {
 			golden: "golden_correlated.txt",
 		},
 		{
+			// The common-cause process has no sparse sampler, so -sparse
+			// leaves the run, and its header, on the row kernel.
+			name:   "correlated sparse",
+			args:   []string{"-model", model, "-reps", "20000", "-seed", "3", "-correlation", "0.2", "-sparse"},
+			golden: "golden_correlated.txt",
+		},
+		{
 			name:   "correlated streaming",
 			args:   []string{"-model", model, "-reps", "20000", "-seed", "3", "-correlation", "0.2", "-stream"},
 			golden: "golden_correlated_stream.txt",

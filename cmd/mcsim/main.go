@@ -139,7 +139,11 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	if *progress {
 		cliutil.ReportJob(os.Stderr, res)
 	}
-	if err := renderSimulation(out, res, *versions, *reps, adj); err != nil {
+	// Only the independent process has a sparse sampler: a correlated
+	// run develops rows whatever -sparse asks (montecarlo.Config.Sparse),
+	// so the header names the row kernel for it.
+	sparseKernel := res.MonteCarlo.Sparse && *correlation == 0
+	if err := renderSimulation(out, res, *versions, *reps, adj, sparseKernel); err != nil {
 		return err
 	}
 	return tel.Flush()
@@ -149,7 +153,8 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 // model's analytic predictions: the k-of-N closed forms of the run's
 // voting rule, plus the standard deviation (eq 2) and, for pairs, the
 // eq (10) risk ratio that the paper derives for the plain 1-out-of-N rule.
-func renderSimulation(out io.Writer, eres *engine.Result, versions, reps int, adj system.Adjudicator) error {
+// sparseKernel reports whether the run drew on the sparse kernel.
+func renderSimulation(out io.Writer, eres *engine.Result, versions, reps int, adj system.Adjudicator, sparseKernel bool) error {
 	fs, name, res := eres.FaultSet, eres.ModelName, eres.MonteCarlo
 	if name == "" {
 		name = "unnamed model"
@@ -158,7 +163,7 @@ func renderSimulation(out io.Writer, eres *engine.Result, versions, reps int, ad
 	if res.Streaming {
 		mode = ", streaming aggregation"
 	}
-	if res.Sparse {
+	if sparseKernel {
 		mode += ", sparse kernel"
 	}
 	fmt.Fprintf(out, "Model: %s — %d replications of %d versions (%s adjudication%s)\n\n",

@@ -90,20 +90,21 @@ func summarized(res *engine.Result) (*engine.Result, error) {
 	return &out, nil
 }
 
-// storePut journals a fresh submission. Called with s.mu held, before
-// the queue send, so every admitted job is journaled — a failure here
-// fails the submission (the client sees a 500 and can retry), because
-// acknowledging a job the ledger never saw would silently downgrade the
-// durability contract.
-func (s *Server) storePut(js *jobState, seq uint64) error {
+// storePut writes a fresh submission's record. Called with s.mu held,
+// before the queue send; submit waits for the returned ticket once it
+// has released s.mu, and answers 202 only when the record is durable. A
+// failure fails the submission (the client sees a 500 and can retry),
+// because acknowledging a job the ledger never saw would silently
+// downgrade the durability contract.
+func (s *Server) storePut(js *jobState, seq uint64) (store.Ticket, error) {
 	if s.store == nil {
-		return nil
+		return store.Ticket{}, nil
 	}
 	spec, err := json.Marshal(js.job)
 	if err != nil {
-		return err
+		return store.Ticket{}, err
 	}
-	return s.store.Put(store.JobRecord{
+	return s.store.WritePut(store.JobRecord{
 		ID:        js.id,
 		Seq:       seq,
 		EngineID:  js.engineID,
@@ -115,36 +116,63 @@ func (s *Server) storePut(js *jobState, seq uint64) error {
 	})
 }
 
-// storeUpdate journals a lifecycle transition, best effort: the client
-// already holds the job and its state is authoritative in memory, and a
-// record whose terminal transition never landed is re-marked
-// failed/restart on the next startup. An update carrying a result that
-// the store rejects (an oversized record) is retried without the
-// result, so at least the terminal status is durable.
-func (s *Server) storeUpdate(u store.Update) {
+// storeSync waits until the record t names is durable.
+func (s *Server) storeSync(t store.Ticket) error {
 	if s.store == nil {
-		return
+		return nil
 	}
-	err := s.store.Update(u)
+	return s.store.Sync(t)
+}
+
+// storeWrite writes a lifecycle transition without waiting for it to be
+// durable, best effort: the client already holds the job and its state
+// is authoritative in memory, and a record whose terminal transition
+// never landed is re-marked failed/restart on the next startup. An
+// update carrying a result that the store rejects (an oversized record)
+// is retried without the result, so at least the terminal status is
+// journaled. ok reports whether a record was written.
+func (s *Server) storeWrite(u store.Update) (t store.Ticket, ok bool) {
+	if s.store == nil {
+		return store.Ticket{}, false
+	}
+	t, err := s.store.WriteUpdate(u)
 	if err != nil && len(u.Result) > 0 {
 		if s.log != nil {
 			s.log.Warn("persisting job result failed; retrying status-only", "id", u.ID, "error", err)
 		}
 		u.Result = nil
-		err = s.store.Update(u)
+		t, err = s.store.WriteUpdate(u)
 	}
-	if err != nil && s.log != nil {
+	if err != nil {
+		if s.log != nil {
+			s.log.Warn("persisting job transition failed", "id", u.ID, "status", u.Status, "error", err)
+		}
+		return store.Ticket{}, false
+	}
+	return t, true
+}
+
+// storeUpdate journals a lifecycle transition and waits until it is
+// durable, best effort (see storeWrite).
+func (s *Server) storeUpdate(u store.Update) {
+	t, ok := s.storeWrite(u)
+	if !ok {
+		return
+	}
+	if err := s.storeSync(t); err != nil && s.log != nil {
 		s.log.Warn("persisting job transition failed", "id", u.ID, "status", u.Status, "error", err)
 	}
 }
 
-// storeEvict journals a ledger eviction, best effort. Called with s.mu
+// storeEvict writes a ledger eviction, best effort, without waiting:
+// the next fsync makes it durable, and a crash before that only brings
+// a terminal job back until the next eviction pass. Called with s.mu
 // held.
 func (s *Server) storeEvict(id string) {
 	if s.store == nil {
 		return
 	}
-	if err := s.store.Evict(id); err != nil && s.log != nil {
+	if _, err := s.store.WriteEvict(id); err != nil && s.log != nil {
 		s.log.Warn("persisting job eviction failed", "id", id, "error", err)
 	}
 }
@@ -152,17 +180,18 @@ func (s *Server) storeEvict(id string) {
 // replayFromStore rebuilds the in-memory ledger from the durable store:
 // finished results become fetchable under their original submission IDs
 // again, jobs that were queued or running when the process died are
-// re-marked failed/restart (and the re-mark is journaled, so the next
-// restart replays it instead of re-deciding), the engine result cache
-// is warmed so resubmitting a pre-restart spec is a cache hit, and
-// submission numbering resumes past the highest replayed sequence.
-// Called from New, before the worker pool exists.
+// re-marked failed/restart (the re-marks are written, then made durable
+// by one fsync, so the next restart replays them instead of
+// re-deciding), the engine result cache is warmed so resubmitting a
+// pre-restart spec is a cache hit, and submission numbering resumes past
+// the highest replayed sequence. Called from New, before the worker pool
+// exists.
 func (s *Server) replayFromStore() {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	records := s.store.Jobs()
 	s.seq = s.store.MaxSeq()
 	var interrupted, warmed int
+	var remarked store.Ticket // the last re-mark written
 	for i := range records {
 		rec := &records[i]
 		js := &jobState{
@@ -189,12 +218,14 @@ func (s *Server) replayFromStore() {
 			js.status = statusFailed
 			js.errMsg = restartReason
 			js.finished = time.Now()
-			s.storeUpdate(store.Update{
+			if t, ok := s.storeWrite(store.Update{
 				ID:       js.id,
 				Status:   string(statusFailed),
 				Error:    restartReason,
 				Finished: js.finished,
-			})
+			}); ok {
+				remarked = t
+			}
 			s.reg.Counter("server.jobs_total." + string(statusFailed)).Inc()
 			s.reg.Event("job.failed", js.runID, map[string]string{"id": js.id, "reason": "restart"})
 			interrupted++
@@ -221,8 +252,13 @@ func (s *Server) replayFromStore() {
 		s.order = append(s.order, js.id)
 	}
 	s.evictOldestLocked()
+	nextSeq := s.seq + 1
+	s.mu.Unlock()
+	if err := s.storeSync(remarked); err != nil && s.log != nil {
+		s.log.Warn("persisting restart re-marks failed", "error", err)
+	}
 	if s.log != nil {
 		s.log.Info("job ledger replayed",
-			"jobs", len(records), "interrupted", interrupted, "cache_warmed", warmed, "next_seq", s.seq+1)
+			"jobs", len(records), "interrupted", interrupted, "cache_warmed", warmed, "next_seq", nextSeq)
 	}
 }

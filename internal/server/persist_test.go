@@ -3,14 +3,18 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"diversity/internal/engine"
 	"diversity/internal/store"
+	"diversity/internal/telemetry"
 )
 
 // openStore opens a ledger in dir with test-friendly defaults.
@@ -261,5 +265,94 @@ func TestReplaySharesModel(t *testing.T) {
 		if got := s2.jobs[id].result.FaultSet; got != shared {
 			t.Errorf("replayed job %s fault set %p, want the shared %p", id, got, shared)
 		}
+	}
+}
+
+// TestFailedSubmitFsyncAnswers500: when the fsync that would make a
+// submission durable fails, the client is answered 500 without an ID,
+// and the job, already queued when its fsync ran, never runs, is never
+// listed and never reaches done.
+func TestFailedSubmitFsyncAnswers500(t *testing.T) {
+	st := openStore(t, t.TempDir())
+	t.Cleanup(func() { st.Close() })
+	var runs atomic.Int64
+	runStub := func(ctx context.Context, job engine.Job, progress func(engine.Progress)) (*engine.Result, error) {
+		runs.Add(1)
+		return &engine.Result{Kind: job.Kind}, nil
+	}
+	s, ts := newTestServer(t, Config{Workers: 1, Store: st}, runStub)
+	// Fail the submission's fsync only once the idle worker has taken
+	// the job off the queue, so the worker meets it before the outcome.
+	st.SetSyncHook(func(*os.File) error {
+		deadline := time.Now().Add(5 * time.Second)
+		for len(s.queue) > 0 && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+		time.Sleep(20 * time.Millisecond)
+		return errors.New("injected fsync failure")
+	})
+
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(mcJobJSON))
+	if err != nil {
+		t.Fatalf("POST /v1/jobs: %v", err)
+	}
+	var body map[string]any
+	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+		t.Fatalf("decoding the error body: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("submit over a failing fsync answered %d, want 500", resp.StatusCode)
+	}
+	if _, ok := body["id"]; ok || resp.Header.Get("Location") != "" {
+		t.Fatalf("the 500 names a job: body %v, Location %q", body, resp.Header.Get("Location"))
+	}
+
+	stopServer(t, s, ts)
+	if n := runs.Load(); n != 0 {
+		t.Fatalf("the unacknowledged job ran %d times", n)
+	}
+	if n := s.reg.Counter("server.jobs_total.done").Value(); n != 0 {
+		t.Fatalf("server.jobs_total.done = %d, want 0", n)
+	}
+	if jobs := s.list(); len(jobs) != 0 {
+		t.Fatalf("the ledger lists %d jobs after the failed submission, want 0", len(jobs))
+	}
+}
+
+// TestQueueFullJournalsNothing: a submission refused for a full queue
+// answers 503 before anything reaches the journal.
+func TestQueueFullJournalsNothing(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	st, err := store.Open(store.Options{Dir: t.TempDir(), Registry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() })
+	release := make(chan struct{})
+	_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 1, Store: st, Registry: reg},
+		func(ctx context.Context, job engine.Job, progress func(engine.Progress)) (*engine.Result, error) {
+			<-release
+			return &engine.Result{Kind: job.Kind}, nil
+		})
+	defer close(release)
+
+	_, running := postJob(t, ts, mcJobJSON)
+	waitForStatus(t, ts, running.ID, statusRunning)
+	if resp, _ := postJob(t, ts, mcJobJSON); resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("second submit status = %d, want 202", resp.StatusCode)
+	}
+	// Two submissions and the first job's running record.
+	appends := reg.Counter("store.appends_total")
+	deadline := time.Now().Add(5 * time.Second)
+	for appends.Value() < 3 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	before := appends.Value()
+	if resp, _ := postJob(t, ts, mcJobJSON); resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("overflow submit status = %d, want 503", resp.StatusCode)
+	}
+	if got := appends.Value(); got != before {
+		t.Fatalf("the 503 journaled %d records, want none", got-before)
 	}
 }

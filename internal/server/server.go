@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"log/slog"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -99,6 +100,10 @@ type jobState struct {
 	runID    string // request/run correlation ID, immutable after submit
 	job      engine.Job
 	tracker  *progressTracker
+	// journaled is closed once submit knows the outcome of the
+	// submission's fsync: the record is durable, or the submission failed
+	// and the job is already failed. Workers wait for it before running.
+	journaled chan struct{}
 
 	mu              sync.Mutex
 	status          jobStatus
@@ -215,18 +220,49 @@ var (
 	errDraining  = errors.New("server draining")
 )
 
-// submit registers and enqueues a job, returning its state. The draining
-// check, ledger insert and queue send happen under one lock so Shutdown
-// cannot drain the queue between a successful admission check and the
-// send (which would strand the job). runID is the submitting request's
-// correlation ID; the worker threads it to the engine run, so the trace,
-// logs and flight-recorder events of the eventual execution all carry
-// the submission's X-Request-ID.
+// submit registers, journals and enqueues a job and returns its state
+// once the submission's record is durable. The record is written under
+// s.mu, but the wait for its fsync is not, so concurrent submissions and
+// lookups never queue behind a disk flush, and submissions that wait
+// together share one fsync. runID is the submitting request's
+// correlation ID; the worker threads it to the engine run, so the
+// trace, logs and flight-recorder events of the eventual execution all
+// carry the submission's X-Request-ID.
 func (s *Server) submit(job engine.Job, engineID, runID string) (*jobState, error) {
+	js, ticket, err := s.admit(job, engineID, runID)
+	if err != nil {
+		return nil, err
+	}
+	if err := s.storeSync(ticket); err != nil {
+		s.abandon(js)
+		return nil, fmt.Errorf("persisting submission: %w", err)
+	}
+	close(js.journaled)
+	s.reg.Event("job.accepted", js.runID, map[string]string{
+		"id": js.id, "job": engineID, "kind": string(js.job.Kind),
+	})
+	if s.log != nil {
+		s.log.InfoContext(js.logCtx(), "job accepted", "id", js.id, "job", engineID, "kind", js.job.Kind, "queue_depth", len(s.queue))
+	}
+	return js, nil
+}
+
+// admit registers and enqueues a job and writes its submission record,
+// returning the record's ticket. The draining and queue-room checks, the
+// ledger insert and the queue send happen under one lock, so Shutdown
+// cannot drain the queue between a successful admission check and the
+// send (which would strand the job), and a full queue is refused before
+// anything is journaled.
+func (s *Server) admit(job engine.Job, engineID, runID string) (*jobState, store.Ticket, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.draining || !s.started {
-		return nil, errDraining
+		return nil, store.Ticket{}, errDraining
+	}
+	// Only admit sends to the queue, under s.mu, so the room seen here is
+	// still there at the send below.
+	if len(s.queue) == cap(s.queue) {
+		return nil, store.Ticket{}, errQueueFull
 	}
 	s.seq++
 	js := &jobState{
@@ -235,31 +271,41 @@ func (s *Server) submit(job engine.Job, engineID, runID string) (*jobState, erro
 		runID:     runID,
 		job:       job,
 		tracker:   newProgressTracker(),
+		journaled: make(chan struct{}),
 		status:    statusQueued,
 		submitted: time.Now(),
 	}
 	// Journal before the queue send: a job the client sees accepted is a
 	// job the ledger can replay. A journal failure fails the submission.
-	if err := s.storePut(js, s.seq); err != nil {
-		return nil, fmt.Errorf("persisting submission: %w", err)
+	ticket, err := s.storePut(js, s.seq)
+	if err != nil {
+		return nil, store.Ticket{}, fmt.Errorf("persisting submission: %w", err)
 	}
-	select {
-	case s.queue <- js:
-	default:
-		s.storeEvict(js.id) // journaled but never admitted
-		return nil, errQueueFull
-	}
+	s.queue <- js
 	s.jobs[js.id] = js
 	s.order = append(s.order, js.id)
 	s.evictOldestLocked()
 	s.reg.Gauge("server.queue_depth").Set(float64(len(s.queue)))
-	s.reg.Event("job.accepted", js.runID, map[string]string{
-		"id": js.id, "job": engineID, "kind": string(js.job.Kind),
-	})
-	if s.log != nil {
-		s.log.InfoContext(js.logCtx(), "job accepted", "id", js.id, "job", engineID, "kind", js.job.Kind, "queue_depth", len(s.queue))
+	return js, ticket, nil
+}
+
+// abandon fails and forgets a job whose submission record could not be
+// made durable: the client is answered 500 without an ID, so the job
+// never runs and is never listed.
+func (s *Server) abandon(js *jobState) {
+	js.mu.Lock()
+	js.status = statusFailed
+	js.errMsg = "the submission could not be journaled"
+	js.finished = time.Now()
+	js.mu.Unlock()
+	close(js.journaled)
+	js.tracker.finish()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	delete(s.jobs, js.id)
+	if i := slices.Index(s.order, js.id); i >= 0 {
+		s.order = slices.Delete(s.order, i, i+1)
 	}
-	return js, nil
 }
 
 // logCtx returns a context carrying the job's run ID, so slog lines
@@ -362,6 +408,7 @@ func (s *Server) worker() {
 // run ID — one identifier correlates the access log, job logs, trace
 // snapshot and flight recorder.
 func (s *Server) execute(js *jobState) {
+	<-js.journaled
 	if s.isDraining() {
 		s.reject(js, "server shutting down before the job started")
 		return
@@ -369,7 +416,7 @@ func (s *Server) execute(js *jobState) {
 	ctx, cancel := context.WithCancel(js.logCtx())
 	defer cancel()
 	js.mu.Lock()
-	if js.status != statusQueued { // cancelled while queued
+	if js.status != statusQueued { // cancelled while queued, or abandoned
 		js.mu.Unlock()
 		return
 	}
@@ -378,7 +425,9 @@ func (s *Server) execute(js *jobState) {
 	js.cancel = cancel
 	started := js.started
 	js.mu.Unlock()
-	s.storeUpdate(store.Update{ID: js.id, Status: string(statusRunning), Started: started})
+	// The running record rides on the next fsync: if a crash loses it,
+	// replay re-marks the queued record exactly as it would a running one.
+	s.storeWrite(store.Update{ID: js.id, Status: string(statusRunning), Started: started})
 
 	s.reg.Gauge("server.jobs_inflight").Set(float64(s.inflight.Add(1)))
 	res, err := s.runJob(ctx, js.job, js.tracker.publish)

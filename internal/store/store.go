@@ -17,14 +17,18 @@ import (
 
 // Fsync policies for Options.Fsync.
 const (
-	// FsyncAlways fsyncs the journal after every appended record: a
-	// record acknowledged to the caller survives an immediate power
-	// loss. The default.
+	// FsyncAlways makes every acknowledged record durable: Put, Update
+	// and Evict (and Sync for a written record) return only after an
+	// fsync that started after the record was written, so the record
+	// survives an immediate power loss. Records written concurrently share
+	// that fsync (group commit): it runs outside the store's lock and
+	// covers every record written before it started. The default.
 	FsyncAlways = "always"
 	// FsyncOff leaves flushing to the OS page cache: appends are
-	// buffered writes only (snapshots are still fsynced before their
-	// rename). A crash can lose the most recent records — replay
-	// tolerates the torn tail, so the store still opens cleanly.
+	// buffered writes only and nothing waits for an fsync (snapshots are
+	// still fsynced before their rename). A crash can lose the most
+	// recent records — replay tolerates the torn tail, so the store still
+	// opens cleanly.
 	FsyncOff = "off"
 )
 
@@ -132,14 +136,24 @@ type ReplayStats struct {
 // Store is a durable job ledger: an in-memory materialised state kept
 // in lockstep with an append-only journal on disk. All methods are
 // safe for concurrent use.
+//
+// Appends are group-committed. A record is written to the journal under
+// mu and gets a Ticket; Sync(ticket) waits until an fsync that started
+// after the write has finished. One fsync at a time runs, outside mu,
+// and it covers every record written before it started, so concurrent
+// appenders share it instead of queueing behind one another's flushes.
 type Store struct {
 	dir          string
 	fsync        bool
 	compactEvery int
 	reg          *telemetry.Registry
 	log          *slog.Logger
+	// syncFile fsyncs the journal: (*os.File).Sync, swapped only by
+	// fault-injection tests (SetSyncHook).
+	syncFile func(*os.File) error
 
 	mu      sync.Mutex
+	idle    sync.Cond // on mu; broadcast whenever a journal fsync ends
 	gen     uint64
 	journal *os.File
 	jbytes  int64 // current journal size
@@ -148,6 +162,17 @@ type Store struct {
 	replay  ReplayStats
 	closed  bool
 	encBuf  []byte // reused frame buffer
+	written uint64 // tickets issued: the number of records written
+	durable uint64 // the highest ticket a finished fsync covers
+	syncing bool   // a journal fsync is running outside mu
+	syncErr error  // the first failed journal fsync; it fails every later append
+}
+
+// Ticket names one record written to the journal; Sync(t) returns once
+// that record is durable. The zero Ticket names no record.
+type Ticket struct {
+	seq     uint64    // the record's position in write order, from 1
+	written time.Time // when its append began
 }
 
 // Open opens (creating if needed) the store in opts.Dir, replays the
@@ -175,7 +200,9 @@ func Open(opts Options) (*Store, error) {
 		reg:          opts.Registry,
 		log:          opts.Logger,
 		state:        make(map[string]*JobRecord),
+		syncFile:     (*os.File).Sync,
 	}
+	s.idle.L = &s.mu
 	// Pre-register the store.* series so the first scrape after a
 	// restart carries them — zeros included (docs/METRICS.md).
 	if s.reg != nil {
@@ -184,6 +211,8 @@ func Open(opts Options) (*Store, error) {
 		s.reg.Counter("store.replay_records_total")
 		s.reg.Counter("store.compactions_total")
 		s.reg.Gauge("store.journal_bytes")
+		s.reg.Histogram("store.fsync_duration_seconds", telemetry.DurationBuckets)
+		s.reg.Histogram("store.append_duration_seconds", telemetry.DurationBuckets)
 	}
 	if err := s.open(); err != nil {
 		return nil, err
@@ -414,78 +443,203 @@ func (s *Store) ReplayStats() ReplayStats {
 	return s.replay
 }
 
-// Put journals a full job record (a new submission, or an upsert).
+// Put journals a full job record (a new submission, or an upsert) and
+// returns once it is durable.
 func (s *Store) Put(job JobRecord) error {
-	return s.append(op{Op: opPut, Job: &job})
+	return s.commit(s.WritePut(job))
 }
 
-// Update journals a partial job update: non-zero fields overwrite the
-// stored record.
+// Update journals a partial job update — non-zero fields overwrite the
+// stored record — and returns once it is durable.
 func (s *Store) Update(u Update) error {
-	return s.append(op{Op: opUpdate, Update: &u})
+	return s.commit(s.WriteUpdate(u))
 }
 
-// Evict journals the removal of a job from the ledger.
+// Evict journals the removal of a job from the ledger and returns once
+// it is durable.
 func (s *Store) Evict(id string) error {
-	return s.append(op{Op: opEvict, ID: id})
+	return s.commit(s.WriteEvict(id))
 }
 
-// append journals one operation, applies it to the materialised state,
-// and compacts when the segment has accumulated CompactEvery records.
-func (s *Store) append(o op) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return fmt.Errorf("store: closed")
+// WritePut is Put without the wait: the record is written and applied,
+// and Sync(ticket) makes it durable.
+func (s *Store) WritePut(job JobRecord) (Ticket, error) {
+	return s.write(op{Op: opPut, Job: &job})
+}
+
+// WriteUpdate is Update without the wait for durability.
+func (s *Store) WriteUpdate(u Update) (Ticket, error) {
+	return s.write(op{Op: opUpdate, Update: &u})
+}
+
+// WriteEvict is Evict without the wait for durability.
+func (s *Store) WriteEvict(id string) (Ticket, error) {
+	return s.write(op{Op: opEvict, ID: id})
+}
+
+func (s *Store) commit(t Ticket, err error) error {
+	if err != nil {
+		return err
 	}
+	return s.Sync(t)
+}
+
+// write journals one operation, applies it to the materialised state,
+// and compacts when the segment has accumulated CompactEvery records.
+// Only the file write and the state update hold mu.
+func (s *Store) write(o op) (Ticket, error) {
+	start := time.Now()
 	payload, err := json.Marshal(o)
 	if err != nil {
-		return fmt.Errorf("store: encoding journal record: %w", err)
+		return Ticket{}, fmt.Errorf("store: encoding journal record: %w", err)
 	}
 	// A record past the replay cap would be indistinguishable from a torn
 	// tail on the next open; refuse it while the caller can still react.
 	if len(payload) > maxRecordLen {
-		return fmt.Errorf("store: journal record of %d bytes exceeds the %d byte cap", len(payload), maxRecordLen)
+		return Ticket{}, fmt.Errorf("store: journal record of %d bytes exceeds the %d byte cap", len(payload), maxRecordLen)
+	}
+
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return Ticket{}, fmt.Errorf("store: closed")
+	}
+	if s.syncErr != nil {
+		return Ticket{}, s.syncErr
 	}
 	s.encBuf = frame(s.encBuf[:0], payload)
 	if _, err := s.journal.Write(s.encBuf); err != nil {
-		return fmt.Errorf("store: appending journal record: %w", err)
-	}
-	if s.fsync {
-		if err := s.journal.Sync(); err != nil {
-			return fmt.Errorf("store: syncing journal: %w", err)
-		}
-		if s.reg != nil {
-			s.reg.Counter("store.fsyncs_total").Inc()
-		}
+		return Ticket{}, fmt.Errorf("store: appending journal record: %w", err)
 	}
 	s.jbytes += int64(len(s.encBuf))
 	s.pending++
+	s.written++
+	t := Ticket{seq: s.written, written: start}
 	s.apply(o)
 	if s.reg != nil {
 		s.reg.Counter("store.appends_total").Inc()
 		s.reg.Gauge("store.journal_bytes").Set(float64(s.jbytes))
 	}
-	if s.pending >= s.compactEvery {
-		return s.compactLocked()
+	if s.pending < s.compactEvery {
+		return t, nil
+	}
+	s.waitSyncIdleLocked()
+	if s.pending < s.compactEvery {
+		return t, nil // another append compacted while this one waited
+	}
+	return t, s.compactLocked()
+}
+
+// Sync returns once the record t names is durable. Under FsyncAlways
+// that is after an fsync that started after the record was written:
+// Sync runs one itself when none is running, and otherwise waits for
+// the running one and, if that began before the write, for the next,
+// so concurrent callers share fsyncs. Under FsyncOff Sync returns at
+// once. A failed fsync fails the store: the kernel may have dropped the
+// pages it did not flush, leaving a hole replay would stop at, so Sync
+// and every later append return that error until the store is
+// reopened.
+func (s *Store) Sync(t Ticket) error {
+	if err := s.awaitDurable(t.seq); err != nil {
+		return err
+	}
+	if s.reg != nil && t.seq > 0 {
+		s.reg.Histogram("store.append_duration_seconds", telemetry.DurationBuckets).Observe(time.Since(t.written).Seconds())
 	}
 	return nil
+}
+
+func (s *Store) awaitDurable(seq uint64) error {
+	if !s.fsync {
+		return nil
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for seq > s.durable {
+		switch {
+		case s.syncErr != nil:
+			return s.syncErr
+		case s.syncing:
+			s.idle.Wait()
+		default:
+			s.syncJournalLocked()
+		}
+	}
+	return nil
+}
+
+// syncJournalLocked fsyncs the journal with mu released, then marks
+// every record written before the fsync began durable. Called with mu
+// held and no fsync running; returns with mu held.
+func (s *Store) syncJournalLocked() {
+	s.syncing = true
+	target, f, syncFile := s.written, s.journal, s.syncFile
+	s.mu.Unlock()
+	start := time.Now()
+	err := syncFile(f)
+	s.observeFsync(start)
+	s.mu.Lock()
+	s.syncing = false
+	if err != nil {
+		if s.syncErr == nil {
+			s.syncErr = fmt.Errorf("store: syncing journal: %w", err)
+		}
+	} else {
+		s.durable = max(s.durable, target)
+	}
+	s.idle.Broadcast()
+}
+
+// waitSyncIdleLocked waits, releasing mu meanwhile, until no journal
+// fsync is running, so the journal file may be rotated or closed.
+func (s *Store) waitSyncIdleLocked() {
+	for s.syncing {
+		s.idle.Wait()
+	}
+}
+
+// observeFsync counts one fsync of the journal or a snapshot that began
+// at start.
+func (s *Store) observeFsync(start time.Time) {
+	if s.reg == nil {
+		return
+	}
+	s.reg.Counter("store.fsyncs_total").Inc()
+	s.reg.Histogram("store.fsync_duration_seconds", telemetry.DurationBuckets).Observe(time.Since(start).Seconds())
+}
+
+// SetSyncHook replaces the call that fsyncs the journal with fn; nil
+// restores (*os.File).Sync. It lets the tests of the layers above the
+// store observe or fail journal fsyncs.
+func (s *Store) SetSyncHook(fn func(*os.File) error) {
+	if fn == nil {
+		fn = (*os.File).Sync
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.syncFile = fn
 }
 
 // Compact materialises the ledger into a fresh snapshot and starts an
 // empty journal segment, bounding replay time and reclaiming the space
 // of overwritten records. Open compacts implicitly every CompactEvery
 // appends; call this for an explicit checkpoint (e.g. before a backup).
+// It waits for a running journal fsync before it rotates the file.
 func (s *Store) Compact() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		return fmt.Errorf("store: closed")
-	}
+	s.waitSyncIdleLocked()
 	return s.compactLocked()
 }
 
+// compactLocked is called with mu held and no journal fsync running.
 func (s *Store) compactLocked() error {
+	if s.closed {
+		return fmt.Errorf("store: closed")
+	}
+	if s.syncErr != nil {
+		return s.syncErr
+	}
 	next := s.gen + 1
 	snap := snapshot{Version: snapshotVersion, Gen: next}
 	snap.Jobs = make([]*JobRecord, 0, len(s.state))
@@ -511,10 +665,12 @@ func (s *Store) compactLocked() error {
 		f.Close()
 		return fmt.Errorf("store: writing snapshot: %w", err)
 	}
+	start := time.Now()
 	if err := f.Sync(); err != nil {
 		f.Close()
 		return fmt.Errorf("store: syncing snapshot: %w", err)
 	}
+	s.observeFsync(start)
 	if err := f.Close(); err != nil {
 		return fmt.Errorf("store: closing snapshot: %w", err)
 	}
@@ -535,14 +691,14 @@ func (s *Store) compactLocked() error {
 	s.jbytes = 0
 	s.pending = 0
 	s.gen = next
+	// The snapshot holds every record written so far.
+	s.durable = s.written
+	s.idle.Broadcast()
 	old.Close()
 	os.Remove(s.journalPath(oldGen))
 	os.Remove(s.snapshotPath(oldGen))
 	if s.reg != nil {
 		s.reg.Counter("store.compactions_total").Inc()
-		if s.fsync {
-			s.reg.Counter("store.fsyncs_total").Inc()
-		}
 		s.reg.Gauge("store.journal_bytes").Set(0)
 	}
 	if s.log != nil {
@@ -557,8 +713,8 @@ func (s *Store) logWarn(msg string, args ...any) {
 	}
 }
 
-// Close syncs and closes the journal. Further appends fail; Close is
-// idempotent.
+// Close syncs and closes the journal, after any running fsync has
+// finished. Further appends fail; Close is idempotent.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -566,12 +722,13 @@ func (s *Store) Close() error {
 		return nil
 	}
 	s.closed = true
-	if err := s.journal.Sync(); err != nil {
-		s.journal.Close()
-		return fmt.Errorf("store: syncing journal on close: %w", err)
+	s.waitSyncIdleLocked()
+	if s.syncErr == nil {
+		s.syncJournalLocked() // no record can be written meanwhile: closed is set
 	}
-	if s.reg != nil {
-		s.reg.Counter("store.fsyncs_total").Inc()
+	if s.syncErr != nil {
+		s.journal.Close()
+		return s.syncErr
 	}
 	if err := s.journal.Close(); err != nil {
 		return fmt.Errorf("store: closing journal: %w", err)
