@@ -20,7 +20,8 @@ import (
 // the 64-lane row kernel became the only dense kernel: each is what the
 // CLI printed with -batch 64 before, minus the header's kernel suffix,
 // and again when the dense kernel began deciding its Bernoulli lanes
-// bit-serially.
+// bit-serially. The sparse file alone was re-captured when sparse runs
+// began to develop 64-lane tiles of sparse rows.
 // These tests assert the refactors' core compatibility
 // promise: every invocation renders byte-identical output — same variate
 // sequence, same summation order, same report text — and, because each

@@ -160,43 +160,18 @@ type Process interface {
 type IndependentProcess struct {
 	fs *faultmodel.FaultSet
 
-	// Sparse-kernel state, built lazily on first DevelopSparse: faults
-	// grouped by their shared p value, each group with a precomputed
-	// geometric skip sampler.
+	// Sparse-kernel state, built lazily on first DevelopSparseRows:
+	// faults grouped by their shared p value, each group with a
+	// precomputed geometric skip sampler, and whether the groups,
+	// visited in order, emit their faults in ascending order.
 	sparseOnce sync.Once
 	groups     []faultGroup
+	ordered    bool
 
 	// Row-kernel state, built lazily on first DevelopRows: one integer
 	// Bernoulli threshold per fault (see BernoulliThreshold).
 	batchOnce  sync.Once
 	thresholds []uint64
-}
-
-// minGeometricGroup is the smallest group size worth skip-sampling: below
-// it, one Bernoulli draw per fault is cheaper than the logarithm a
-// geometric gap costs, and heterogeneous-p universes (every group a
-// singleton) degrade gracefully to the dense cost instead of paying for
-// useless skips.
-const minGeometricGroup = 4
-
-// faultGroup is a maximal set of faults sharing one presence probability,
-// in ascending fault order. A group whose faults form one contiguous
-// index range — the common case for grouped universes — is addressed by
-// offset alone (fault index = lo + position), with no materialised index
-// slice: skip positions then translate to fault indices arithmetically
-// instead of through a random read into a large per-group array, which
-// would cost a cache miss per surviving fault.
-type faultGroup struct {
-	sampler randx.GeometricSampler
-	// lo and size describe a contiguous group; indices is nil then.
-	// Groups assembled from multiple runs (or split by p = 0 holes)
-	// materialise indices instead, and size mirrors its length.
-	lo      int32
-	size    int
-	indices []int32
-	// dense selects one Bernoulli draw per fault instead of geometric
-	// gap-skipping, for groups too small to amortise the logarithm.
-	dense bool
 }
 
 var _ Process = (*IndependentProcess)(nil)
@@ -209,111 +184,6 @@ func NewIndependentProcess(fs *faultmodel.FaultSet) *IndependentProcess {
 
 // Develop develops one version: lane 0 of a one-lane DevelopRows.
 func (p *IndependentProcess) Develop(r *randx.Stream) *Version { return develop(p, r) }
-
-// sparseGroups builds (once) the equal-p fault groups the sparse kernel
-// skips within. Faults with p = 0 are omitted entirely — they can never
-// be present, so the kernel spends nothing on them. The scan detects
-// maximal runs of equal p first — one float comparison per fault — and
-// only touches the merge map once per run, so grouped universes (the
-// layout the kernel targets) index in O(n) cheap compares instead of
-// O(n) map operations; a worst-case alternating-p layout degrades to
-// one map operation per fault, no worse than mapping every fault.
-func (p *IndependentProcess) sparseGroups() []faultGroup {
-	p.sparseOnce.Do(func() {
-		groupOf := make(map[float64]int)
-		cur := -1 // group index of the run in progress, -1 = none
-		curP := 0.0
-		for i := 0; i < p.fs.N(); i++ {
-			pi := p.fs.Fault(i).P
-			if cur >= 0 && pi == curP {
-				g := &p.groups[cur]
-				if g.indices == nil {
-					g.size++
-				} else {
-					g.indices = append(g.indices, int32(i))
-				}
-				continue
-			}
-			if pi == 0 {
-				cur = -1
-				continue
-			}
-			g, seen := groupOf[pi]
-			if !seen {
-				g = len(p.groups)
-				groupOf[pi] = g
-				p.groups = append(p.groups, faultGroup{
-					sampler: randx.NewGeometricSampler(pi),
-					lo:      int32(i),
-					size:    1,
-				})
-				cur, curP = g, pi
-				continue
-			}
-			// A second run of an already-seen p: the group is no longer
-			// contiguous, so materialise its index slice.
-			grp := &p.groups[g]
-			if grp.indices == nil {
-				grp.indices = make([]int32, 0, grp.size+1)
-				for j := int32(0); j < int32(grp.size); j++ {
-					grp.indices = append(grp.indices, grp.lo+j)
-				}
-			}
-			grp.indices = append(grp.indices, int32(i))
-			cur, curP = g, pi
-		}
-		for g := range p.groups {
-			grp := &p.groups[g]
-			if grp.indices != nil {
-				grp.size = len(grp.indices)
-			}
-			grp.dense = grp.size < minGeometricGroup
-		}
-	})
-	return p.groups
-}
-
-// DevelopSparse implements SparseDeveloper. Within each equal-p group the
-// survivor set is sampled by geometric gap-skipping — the gap to the next
-// introduced fault is Geometric(p), so the cost is one logarithm per
-// survivor plus one per group, O(k + groups) rather than O(n). The draws
-// differ from DevelopRows' but the sampled distribution is identical.
-func (p *IndependentProcess) DevelopSparse(r *randx.Stream, mask *Bitset) int {
-	mask.Reset()
-	skips := 0
-	for _, g := range p.sparseGroups() {
-		if g.dense {
-			pi := g.sampler.P()
-			if g.indices == nil {
-				for i := g.lo; i < g.lo+int32(g.size); i++ {
-					if r.BernoulliValidated(pi) {
-						mask.Set(int(i))
-					}
-				}
-			} else {
-				for _, i := range g.indices {
-					if r.BernoulliValidated(pi) {
-						mask.Set(int(i))
-					}
-				}
-			}
-			continue
-		}
-		if g.indices == nil {
-			for pos := g.sampler.Next(r); pos < g.size; pos += 1 + g.sampler.Next(r) {
-				mask.Set(int(g.lo) + pos)
-				skips++
-			}
-		} else {
-			for pos := g.sampler.Next(r); pos < len(g.indices); pos += 1 + g.sampler.Next(r) {
-				mask.Set(int(g.indices[pos]))
-				skips++
-			}
-		}
-		skips++ // the final gap that overshot the group
-	}
-	return skips
-}
 
 // FaultSet implements Process.
 func (p *IndependentProcess) FaultSet() *faultmodel.FaultSet { return p.fs }

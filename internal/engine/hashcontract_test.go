@@ -46,17 +46,17 @@ func legacySpecs() map[string]Job {
 // captured before the adjudicator refactor and re-pinned once with each
 // hashDomain bump: diversity/engine/v2 left every legacy document
 // unchanged except that workers no longer appears in it, and
-// diversity/engine/v3, v4, v5 and v6 changed only the domain prefix.
+// diversity/engine/v3, v4, v5, v6 and v7 changed only the domain prefix.
 // Regenerate deliberately — only with a hashDomain bump — via: go test
 // ./internal/engine -run TestLegacySpecHashContract -v (the failure
 // message prints got hashes).
 var legacyHashes = map[string]string{
-	"mc-scenario-default-arch": "2f024b3e24d511e0a9c9b55f2b07598f01221e25d55c28a886704bc20f644d4f",
-	"mc-majority":              "1e385ee32c1bb7652f7d8c1416184f88a4ed9a648ca46ae1bdded7bd18245a59",
-	"mc-inline-stream-sparse":  "dba901b1b6f274b720c2204ed578c86837da8208e800f4eac8e79bf53e59efa6",
-	"rare-event":               "e2cf4393553ca0390ae98d1986e1b16819887cbb361cf98c4ae92cf0a5ace5f1",
-	"experiments":              "0bf6361fef8b4e642a6404b3ab0aa4014757ccfd4e1895cc1885018defe29ab7",
-	"analytic":                 "5fbc7e4d645827cff64a11ab4397dae109236792f7f8ad31b438c42486811323",
+	"mc-scenario-default-arch": "e85f887d64f7c4d653cd8b5e7296dd6c9b69456177a168c0c7682c17dc978814",
+	"mc-majority":              "5bb1618aacd65e62aca64e337041f5ca812f1c6b8f1a0e8627a261e028e1ee75",
+	"mc-inline-stream-sparse":  "d9e0f8b5e906e1fcfa5f519867ff83203589c283f9694290f0305f2ef9f7d69b",
+	"rare-event":               "3aebe4dfb21e49205448c233b958848ad92451998d8028369afa7a503f788ebd",
+	"experiments":              "798a3c908330dd83382ef5b873b5dcb41e00648fd49eb6cae99f830d997205a7",
+	"analytic":                 "620230b2c9d3790fb563118f170e3e08ad7654f29a22db71b898018f38f608dc",
 }
 
 // TestLegacySpecHashContract proves that pre-refactor 1oo2 (and legacy

@@ -64,8 +64,12 @@ const (
 // every process develops through its 64-lane rows, so a sparse run of a
 // correlated or tied-pairs process now equals its dense run, and the
 // experiments that develop versions one at a time (E12, E15, E22) moved;
-// no other result moved.
-const hashDomain = "diversity/engine/v6"
+// no other result moved. v7: a sparse run of the independent process
+// develops 64-lane tiles of sparse fault-major rows, and the sparse
+// rare-event estimators skip-sample the same 64-lane grid, which changed
+// every fixed-seed sparse Monte-Carlo, rare-event and experiments result;
+// no dense result moved.
+const hashDomain = "diversity/engine/v7"
 
 // ModelSpec names the fault-set model a job runs against. Exactly one of
 // Scenario or Faults must be set. Model files are resolved to inline

@@ -67,6 +67,28 @@ func BenchmarkDenseKernel(b *testing.B) {
 	}
 }
 
+// BenchmarkSparseKernel times sparse tiles: one streaming worker on the
+// million-fault scenario, the sparse-kernel regime, with the lazily built
+// fault groups excluded. b.N counts replications directly.
+func BenchmarkSparseKernel(b *testing.B) {
+	sc, err := scenario.ByName("million-faults", 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := Config{
+		Process: devsim.NewIndependentProcess(sc.FaultSet), Versions: 2,
+		Reps: 1, Workers: 1, Seed: 1, Streaming: true, Sparse: true,
+	}
+	if _, err := Run(cfg); err != nil {
+		b.Fatal(err)
+	}
+	cfg.Reps = b.N
+	b.ResetTimer()
+	if _, err := Run(cfg); err != nil {
+		b.Fatal(err)
+	}
+}
+
 // BenchmarkSummarized times the summary a serve node computes once per
 // buffered job: a 20,000-replication safety-grade pair, where most
 // version PFDs and nearly all system PFDs are exactly 0.

@@ -15,8 +15,8 @@ func TestHistBinIndexMatchesLog10(t *testing.T) {
 	t.Parallel()
 
 	check := func(v float64) {
-		if got, want := histBinIndex(v), histLog10Bin(v); got != want {
-			t.Fatalf("histBinIndex(%v) = %d, log10 formula %d", v, got, want)
+		if got, want := histBinTable().binIndex(v), histLog10Bin(v); got != want {
+			t.Fatalf("binIndex(%v) = %d, log10 formula %d", v, got, want)
 		}
 	}
 	const ulps = 1 << 14

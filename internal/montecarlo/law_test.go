@@ -34,6 +34,27 @@ func lawFaults(t *testing.T, pScale float64) *faultmodel.FaultSet {
 	return fs
 }
 
+// fragmentedLawFaults returns the gate's fragmented universe, with fault
+// 9's presence probability scaled by pScale. Its q_i are lawFaults' and
+// its p_i make the sparse kernel take every path it has: the p = 0.15
+// group {0, 1, 3, 5, 8} is split by another p (fault 2), by a p = 0 hole
+// (fault 4, never present) and by a run of a third p (faults 6 and 7), so
+// its rows are sorted after drawing, and the p = 0.6 and p = 0.35 groups
+// have two faults each, too few to skip-sample.
+func fragmentedLawFaults(t *testing.T, pScale float64) *faultmodel.FaultSet {
+	t.Helper()
+	p := []float64{0.15, 0.15, 0.6, 0.15, 0, 0.15, 0.35, 0.35, 0.15, 0.6 * pScale}
+	faults := make([]faultmodel.Fault, len(p))
+	for i := range faults {
+		faults[i] = faultmodel.Fault{P: p[i], Q: 1 / float64(uint64(4)<<i)}
+	}
+	fs, err := faultmodel.New(faults)
+	if err != nil {
+		t.Fatalf("faultmodel.New: %v", err)
+	}
+	return fs
+}
+
 // exactLaw returns the exact PFD law of an independent-process pool: fault
 // i reaches the system independently with probability
 // system.DefeatProbability(adj, versions, p_i), so the law is ExactPFD(1)
@@ -93,14 +114,15 @@ func lawPValue(t *testing.T, sample, atoms, probs []float64) float64 {
 // TestSampledLawMatchesExactLaw is a distribution-level gate on every
 // kernel: the version and system PFDs a run samples from the independent
 // process must pass a chi-square test against the exact law, under 1oo2,
-// 2oo3 and 1oo2 with an imperfect stage, for the fault-major row kernel,
-// the sparse kernel and Develop (one-lane developments scored by
-// system.NewVoted, as the experiments use them). Bit pins only freeze
-// what a kernel does; this checks that it samples the paper's law.
+// 2oo3 and 1oo2 with an imperfect stage, for dense tiles of fault-major
+// rows, sparse tiles and Develop (one-lane developments scored by
+// system.NewVoted, as the experiments use them), and for sparse tiles
+// again on the fragmented universe. Bit pins only freeze what a kernel
+// does; this checks that it samples the paper's law.
 //
-// Each of the 18 cells here and the 12 of TestCorrelatedLawsMatchExactLaws
-// tests at α = 1e-3, so correct kernels fail the 30-cell gate at a random
-// seed with probability at most 3% (the Bonferroni bound); the seed is
+// Each of the 21 cells here and the 12 of TestCorrelatedLawsMatchExactLaws
+// tests at α = 1e-3, so correct kernels fail the 33-cell gate at a random
+// seed with probability at most 3.3% (the Bonferroni bound); the seed is
 // fixed, so the outcome is deterministic. The power case tests the same
 // samples against the law with fault 9's p scaled by 1.05, which every
 // system cell must reject.
@@ -109,17 +131,20 @@ func TestSampledLawMatchesExactLaw(t *testing.T) {
 
 	const reps, alpha = 200000, 1e-3
 	fs := lawFaults(t, 1)
-	perturbed := lawFaults(t, 1.05)
+	fragmented := fragmentedLawFaults(t, 1)
 	proc := devsim.NewIndependentProcess(fs)
+	fragProc := devsim.NewIndependentProcess(fragmented)
 	kernels := []struct {
-		name string
-		cfg  Config
+		name          string
+		cfg           Config
+		proc          developer
+		fs, perturbed *faultmodel.FaultSet
 	}{
-		{"rows", Config{Process: proc}},
-		{"sparse", Config{Process: proc, Sparse: true}},
-		{"Develop", Config{}},
+		{"rows", Config{Process: proc}, proc, fs, lawFaults(t, 1.05)},
+		{"sparse", Config{Process: proc, Sparse: true}, proc, fs, lawFaults(t, 1.05)},
+		{"Develop", Config{}, proc, fs, lawFaults(t, 1.05)},
+		{"sparse-fragmented", Config{Process: fragProc, Sparse: true}, fragProc, fragmented, fragmentedLawFaults(t, 1.05)},
 	}
-	versionAtoms, versionProbs := exactLaw(t, fs, system.OneOutOfN{}, 1)
 	for _, rule := range []string{"1oo2", "2oo3", "1oo2@1e-4"} {
 		adj, err := system.ParseAdjudicator(rule)
 		if err != nil {
@@ -129,11 +154,12 @@ func TestSampledLawMatchesExactLaw(t *testing.T) {
 		if rule == "2oo3" {
 			versions = 3
 		}
-		atoms, probs := exactLaw(t, fs, adj, versions)
-		wrongAtoms, wrongProbs := exactLaw(t, perturbed, adj, versions)
 		for _, k := range kernels {
+			versionAtoms, versionProbs := exactLaw(t, k.fs, system.OneOutOfN{}, 1)
+			atoms, probs := exactLaw(t, k.fs, adj, versions)
+			wrongAtoms, wrongProbs := exactLaw(t, k.perturbed, adj, versions)
 			label := fmt.Sprintf("%s/%s", k.name, rule)
-			vpfd, spfd := lawSample(t, label, proc, k.cfg, adj, versions, reps)
+			vpfd, spfd := lawSample(t, label, k.proc, k.cfg, adj, versions, reps)
 			if p := lawPValue(t, vpfd, versionAtoms, versionProbs); p < alpha {
 				t.Errorf("%s version PFD: chi-square p = %.3g < %g against the exact law", label, p, alpha)
 			}

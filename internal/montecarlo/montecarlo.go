@@ -72,28 +72,28 @@ type Config struct {
 	// representation changes. Use Result.VersionSummary and
 	// Result.SystemSummary to read statistics uniformly in either mode.
 	Streaming bool
-	// Sparse selects the sparse development kernel: processes with the
-	// devsim.SparseDeveloper extension (the independent process) sample
-	// each replication's masks by geometric gap-skipping, so
-	// per-replication cost scales with the expected fault count rather
-	// than the universe size. Geometric gaps are sequential per
-	// replication, so sparse runs develop one column at a time. Every
-	// other process has no cheaper sampler than its rows, so Sparse
-	// leaves its run on the row kernel, bit for bit the dense run.
+	// Sparse selects sparse tiles for the independent process
+	// (devsim.IndependentProcess). Every run develops tiles of 64
+	// replications as fault-major mask rows — one word of lane bits per
+	// fault — which system.RowScorer scores word-wide under the voting
+	// rule; the last tile of a block uses fewer lanes. A dense tile holds
+	// every fault's row (devsim.Process's DevelopRows), so it costs O(n)
+	// per tile and versions·n words per worker; a run over more than
+	// 1<<24 of them is an error. A sparse tile holds only the rows of the
+	// faults present in some lane: DevelopSparseRows skip-samples each
+	// equal-p group's grid of (fault, lane) cells by geometric gaps and
+	// RowScorer.ScoreSparse merges the versions' rows, so a tile costs
+	// O(faults present) whatever the universe size. Every other process
+	// has no cheaper sampler than its rows, so Sparse leaves its run on
+	// dense tiles, bit for bit the dense run.
 	//
-	// The row kernel develops tiles of 64 replications as fault-major
-	// rows (devsim.Process's DevelopRows: one word of lane bits per
-	// fault), which system.RowScorer scores word-wide under the voting
-	// rule; the last tile of a block uses fewer lanes. It holds
-	// versions·n words per worker, so a row-kernel run over more than
-	// 1<<24 of them is an error: such universes belong to the sparse
-	// kernel. The two kernels draw different (but distributionally
-	// identical) variate sequences, so fixed-seed results are
-	// reproducible within a kernel yet not bitwise comparable across
-	// kernels. Both compose with both aggregation modes.
+	// The two tile forms draw different (but distributionally identical)
+	// variate sequences, so fixed-seed results are reproducible within a
+	// form yet not bitwise comparable across forms. Both compose with
+	// both aggregation modes.
 	Sparse bool
-	// Deprecated: BatchWidth is ignored. Every dense run uses the 64-lane
-	// row kernel described under Sparse.
+	// Deprecated: BatchWidth is ignored. Every run uses the 64-lane tiles
+	// described under Sparse.
 	BatchWidth int
 	// Progress, when non-nil, is called as replications complete with the
 	// total completed so far and the configured total. It is invoked from
@@ -125,11 +125,12 @@ type Result struct {
 	// buffered runs fill VersionPFD/SystemPFD, streaming runs fill
 	// VersionAgg/SystemAgg, and a summarised result holds neither.
 	Streaming bool
-	// Sparse reports Config.Sparse. A process without the
-	// SparseDeveloper extension ran on the row kernel all the same.
+	// Sparse reports Config.Sparse. A process other than the
+	// independent one ran on dense tiles all the same.
 	Sparse bool
-	// SparseSkips is the total number of geometric skip draws the sparse
-	// kernel consumed (0 for every run on the row kernel).
+	// SparseSkips is the total number of geometric gaps sparse tiles
+	// drew: one per present (fault, lane) cell plus one per skip-sampled
+	// group per tile and version. It is 0 for every run on dense tiles.
 	SparseSkips int64
 	// VersionPFD holds the PFD of the first version of each replication.
 	// It is nil for streaming runs.
@@ -264,12 +265,13 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	}
 
 	fs := cfg.Process.FaultSet()
-	k := kernel{proc: cfg.Process}
-	sparse, hasSparse := cfg.Process.(devsim.SparseDeveloper)
+	// Only the independent process has a sparse sampler.
+	independent, hasSparse := cfg.Process.(*devsim.IndependentProcess)
+	var sparse *devsim.IndependentProcess
 	if cfg.Sparse {
-		k.sparse = sparse
+		sparse = independent
 	}
-	if words := cfg.Versions * fs.N(); k.sparse == nil && words > maxRowWords {
+	if words := cfg.Versions * fs.N(); sparse == nil && words > maxRowWords {
 		remedy := "set Sparse"
 		if !hasSparse {
 			remedy = fmt.Sprintf("%T has no sparse sampler, so Sparse does not lift the bound", cfg.Process)
@@ -315,7 +317,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 			span = cfg.TraceSpan.Child(fmt.Sprintf("shard-%02d", w))
 		}
 		workerStart := time.Now()
-		tw := newTileWorker(fs, adj, cfg.Versions, k)
+		tw := newTileWorker(cfg.Process, sparse, adj, cfg.Versions)
 		if cfg.Streaming {
 			tw.vAgg, tw.sAgg = new(Agg), new(Agg)
 		} else {

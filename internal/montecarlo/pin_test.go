@@ -54,7 +54,7 @@ func TestRunBitPins(t *testing.T) {
 	}
 	denseDigests := map[string]string{}
 	for _, p := range procs {
-		_, hasSparse := p.proc.(devsim.SparseDeveloper)
+		_, hasSparse := p.proc.(*devsim.IndependentProcess)
 		for _, pool := range pools {
 			for _, mode := range modes {
 				for _, streaming := range []bool{false, true} {
@@ -255,12 +255,12 @@ var batchedPins = map[string]string{
 var runPins = map[string]string{
 	"independent/1oon/dense/streaming=false":     "efb84705c1a84b1f",
 	"independent/1oon/dense/streaming=true":      "f5cd807760084dd6",
-	"independent/1oon/sparse/streaming=false":    "e59024f60aee6e6c",
-	"independent/1oon/sparse/streaming=true":     "d6d8642ddaa0eae5",
+	"independent/1oon/sparse/streaming=false":    "41c18aaffdd2ab2a",
+	"independent/1oon/sparse/streaming=true":     "7373a5f763d529f8",
 	"independent/2oo3/dense/streaming=false":     "62952af09a7a7359",
 	"independent/2oo3/dense/streaming=true":      "d229e15086b754dd",
-	"independent/2oo3/sparse/streaming=false":    "82ae5e420ecf1cb2",
-	"independent/2oo3/sparse/streaming=true":     "55352048977f5409",
+	"independent/2oo3/sparse/streaming=false":    "876a5cf5c4a77512",
+	"independent/2oo3/sparse/streaming=true":     "0c72f93b84865deb",
 	"common-cause/1oon/dense/streaming=false":    "370bd6c9ac7b83eb",
 	"common-cause/1oon/dense/streaming=true":     "92812a2ed794f46e",
 	"common-cause/1oon/sparse/streaming=false":   "370bd6c9ac7b83eb",

@@ -34,13 +34,13 @@ type RareOptions struct {
 	// Metrics, when non-nil, receives the replication count and, for
 	// sparse runs, the geometric skip-draw count.
 	Metrics *telemetry.Registry
-	// Sparse samples each replication's fault indicators by geometric
-	// gap-skipping within groups of equal-probability faults instead of
-	// one Bernoulli draw per fault, making the per-replication cost
-	// O(hits + groups) rather than O(n). The estimator is unchanged in
-	// distribution: hit counts per group are Binomial either way, and the
-	// importance weight depends on the indicators only through those
-	// counts.
+	// Sparse samples a tile of 64 replications' fault indicators by
+	// geometric gap-skipping over each group of equal-probability faults
+	// and the tile's lanes, instead of one Hits mask per fault, making the
+	// cost O(hits + groups) per tile rather than O(n). The estimator is
+	// unchanged in distribution: hit counts per group and lane are
+	// Binomial either way, and the importance weight depends on the
+	// indicators only through those counts.
 	Sparse bool
 	// Adjudicator, when non-nil, selects the voting rule whose defeating
 	// faults the estimators count: each fault's system-level presence
@@ -117,7 +117,7 @@ func estimateTilted(ctx context.Context, fs *faultmodel.FaultSet, m, reps int, s
 	if reps < 2 {
 		return RareEventEstimate{}, fmt.Errorf("montecarlo: replication count %d must be at least 2", reps)
 	}
-	k := newTiltKernel(fs, m, tiltTarget, opts)
+	k := newTiltKernel(fs, m, tiltTarget, opts, maxTiltGroup)
 
 	// The weights stream through stats.Moments — the numerically stable
 	// one-pass type the streaming Monte-Carlo harness uses — rather than
@@ -201,9 +201,16 @@ type tiltGroup struct {
 	logDelta float64
 }
 
+// maxTiltGroup caps a tilt group so its grid of size × tileWidth cells
+// stays within randx.MaxGap, the largest bound a skip loop may have; a
+// larger set splits into several groups, whose draws have the same law.
+// Only a 32-bit platform reaches the cap, at 2^24 - 1 faults.
+const maxTiltGroup = randx.MaxGap / tileWidth
+
 // newTiltKernel tilts fs's faults for an m-version system under the
-// options' voting rule and builds the kernel's view of them.
-func newTiltKernel(fs *faultmodel.FaultSet, m int, tiltTarget float64, opts RareOptions) *tiltKernel {
+// options' voting rule and builds the kernel's view of them, with no
+// sparse group larger than maxGroup.
+func newTiltKernel(fs *faultmodel.FaultSet, m int, tiltTarget float64, opts RareOptions, maxGroup int) *tiltKernel {
 	adj := opts.Adjudicator
 	if adj == nil {
 		adj = system.OneOutOfN{}
@@ -226,7 +233,7 @@ func newTiltKernel(fs *faultmodel.FaultSet, m int, tiltTarget float64, opts Rare
 			}
 			k.baseLogW += logStay
 			gi, ok := index[p]
-			if !ok {
+			if !ok || k.groups[gi].size == maxGroup {
 				gi = len(k.groups)
 				index[p] = gi
 				k.groups = append(k.groups, tiltGroup{sampler: randx.NewGeometricSampler(t), logDelta: logHit - logStay})
@@ -255,16 +262,10 @@ type tiltWorker struct {
 // log-weight sums logHit or logStay in fault order.
 func (tw *tiltWorker) dense(n int) {
 	k, r := tw.k, tw.r
-	for base := 0; base < n; base += 64 {
-		b := min(64, n-base)
-		logW := tw.logW[:b]
+	tw.tiles(n, func(logW []float64) (event uint64) {
 		clear(logW)
-		var event uint64
-		if k.certain {
-			event = ^uint64(0)
-		}
 		for _, f := range k.active {
-			m := r.Hits(f.thr, b)
+			m := r.Hits(f.thr, len(logW))
 			event |= m
 			// Indexing by the hit bit adds exactly logHit or logStay
 			// without a branch on the random outcome.
@@ -273,28 +274,50 @@ func (tw *tiltWorker) dense(n int) {
 				logW[j] += terms[m>>uint(j)&1]
 			}
 		}
+		return event
+	})
+}
+
+// sparse runs n replications in tiles of 64, as dense does, sampling
+// each group's hits by skip-sampling its size×width grid of (fault, lane)
+// cells in fault-major order, the grid devsim's DevelopSparseRows skips:
+// cell c falls in lane c mod width, and each hit adds the group's
+// logDelta to its lane's all-miss baseline, in group order.
+func (tw *tiltWorker) sparse(n int) {
+	k, r := tw.k, tw.r
+	tw.tiles(n, func(logW []float64) (event uint64) {
+		width := len(logW)
+		for j := range logW {
+			logW[j] = k.baseLogW
+		}
+		for gi := range k.groups {
+			g := &k.groups[gi]
+			cells := g.size * width
+			for c := g.sampler.Next(r); c < cells; c += 1 + g.sampler.Next(r) {
+				lane := c % width
+				event |= 1 << uint(lane)
+				logW[lane] += g.logDelta
+				tw.skips++
+			}
+			tw.skips++ // the final gap that overshot the grid
+		}
+		return event
+	})
+}
+
+// tiles runs n replications in tiles of up to 64 lanes: tile fills the
+// lanes' log-weights and returns the lanes in which the event occurred
+// (a certain fault adds every lane), and each lane is observed in order.
+func (tw *tiltWorker) tiles(n int, tile func(logW []float64) (event uint64)) {
+	for base := 0; base < n; base += tileWidth {
+		logW := tw.logW[:min(tileWidth, n-base)]
+		event := tile(logW)
+		if tw.k.certain {
+			event = ^uint64(0)
+		}
 		for j, lw := range logW {
 			tw.observe(event>>uint(j)&1 == 1, lw)
 		}
-	}
-}
-
-// sparse runs n replications, sampling each group's hits by geometric
-// gap-skipping.
-func (tw *tiltWorker) sparse(n int) {
-	k, r := tw.k, tw.r
-	for rep := 0; rep < n; rep++ {
-		logW, event := k.baseLogW, k.certain
-		for gi := range k.groups {
-			g := &k.groups[gi]
-			for pos := g.sampler.Next(r); pos < g.size; pos += 1 + g.sampler.Next(r) {
-				event = true
-				logW += g.logDelta
-				tw.skips++
-			}
-			tw.skips++
-		}
-		tw.observe(event, logW)
 	}
 }
 

@@ -248,13 +248,13 @@ func estimateBits(est RareEventEstimate) [3]uint64 {
 
 var rarePins = map[string][3]uint64{
 	"is/1oon/dense":     {0x3f4f3f06429d5e6c, 0x3ef5d8dcb52f5b81, 0x3fee0ebedfa43fe6},
-	"is/1oon/sparse":    {0x3f51105aaef99025, 0x3ef6c124c433037d, 0x3fee395810624dd3},
+	"is/1oon/sparse":    {0x3f5020bdc5da122f, 0x3ef63347fc9439a6, 0x3fee305532617c1c},
 	"is/2oo3/dense":     {0x3f672e68705aa0e6, 0x3f102c44e6259599, 0x3fee0ebedfa43fe6},
-	"is/2oo3/sparse":    {0x3f69513b19afc187, 0x3f10d822b6d55ab2, 0x3fee395810624dd3},
+	"is/2oo3/sparse":    {0x3f67edfa28a22f53, 0x3f106f08a0ce2bcb, 0x3fee305532617c1c},
 	"naive/1oon/dense":  {0x3f4bda5119ce076e, 0x3f2b027b9b38e635, 0x3f4bda5119ce075f},
-	"naive/1oon/sparse": {0x3f4f212d77318fdf, 0x3f2c8d8b5dd374d4, 0x3f4f212d77318fc5},
+	"naive/1oon/sparse": {0x3f547ae147ae1487, 0x3f305fae86880f9d, 0x3f547ae147ae147b},
 	"naive/2oo3/dense":  {0x3f6758e219652bda, 0x3f38b43a93e37cf0, 0x3f6758e219652bd4},
-	"naive/2oo3/sparse": {0x3f68fc504816f00d, 0x3f398db69ad4bb3d, 0x3f68fc504816f007},
+	"naive/2oo3/sparse": {0x3f6f212d77318fd1, 0x3f3c831c6722c5e0, 0x3f6f212d77318fc5},
 }
 
 // TestRareCertainFault: a fault present with probability 1 defeats every
@@ -323,6 +323,44 @@ func BenchmarkEstimateRareNaive(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := EstimateNaiveSystemFaultOpts(context.Background(), fs, 2, 10000, uint64(i), RareOptions{}); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// TestTiltGroupsCap: the sparse tilt groups split an equal-p set past the
+// size cap, which only a 32-bit platform reaches, into groups of the
+// same tilt and weight increment that together hold every fault once.
+func TestTiltGroupsCap(t *testing.T) {
+	t.Parallel()
+
+	faults := make([]faultmodel.Fault, 0, 14)
+	for i := 0; i < 14; i++ {
+		faults = append(faults, faultmodel.Fault{P: []float64{0.01, 0.02}[i%3/2], Q: 1e-3})
+	}
+	fs, err := faultmodel.New(faults)
+	if err != nil {
+		t.Fatalf("faultmodel.New: %v", err)
+	}
+	opts := RareOptions{Sparse: true}
+	whole := newTiltKernel(fs, 2, 0.05, opts, maxTiltGroup)
+	split := newTiltKernel(fs, 2, 0.05, opts, 3)
+	if len(whole.groups) != 2 || len(split.groups) != 6 || split.baseLogW != whole.baseLogW {
+		t.Fatalf("groups %d and %d, baseLogW %v and %v; want 2 and 6, equal",
+			len(whole.groups), len(split.groups), whole.baseLogW, split.baseLogW)
+	}
+	sizes := map[tiltGroup]int{}
+	for _, g := range whole.groups {
+		sizes[tiltGroup{sampler: g.sampler, logDelta: g.logDelta}] += g.size
+	}
+	for _, g := range split.groups {
+		if g.size > 3 {
+			t.Errorf("split group of %d faults, want at most 3", g.size)
+		}
+		sizes[tiltGroup{sampler: g.sampler, logDelta: g.logDelta}] -= g.size
+	}
+	for g, n := range sizes {
+		if n != 0 {
+			t.Errorf("group p = %v: split groups hold %d faults fewer than the whole one", g.sampler.P(), n)
 		}
 	}
 }

@@ -3,10 +3,12 @@ package montecarlo
 import (
 	"context"
 	"math"
+	"runtime"
 	"testing"
 
 	"diversity/internal/devsim"
 	"diversity/internal/faultmodel"
+	"diversity/internal/scenario"
 	"diversity/internal/stats"
 	"diversity/internal/system"
 	"diversity/internal/telemetry"
@@ -75,7 +77,7 @@ func assertSparseMatchesDense(t *testing.T, cfg Config) {
 		t.Fatal("dense result claims the sparse kernel ran")
 	}
 	if !sres.Sparse {
-		t.Fatal("sparse result reports a dense fallback for a SparseDeveloper process")
+		t.Fatal("sparse result of the independent process reports a dense fallback")
 	}
 	for _, pop := range []struct {
 		name   string
@@ -213,8 +215,8 @@ func TestSparseBufferedMatchesSparseStreaming(t *testing.T) {
 	}
 }
 
-// TestSparseFallbackProcess: a process without the SparseDeveloper
-// extension has no cheaper sampler than its rows, so a sparse run of it
+// TestSparseFallbackProcess: a process other than the independent one
+// has no cheaper sampler than its rows, so a sparse run of it
 // develops rows: the run reports Sparse with zero skips and reproduces
 // the dense run bit for bit.
 func TestSparseFallbackProcess(t *testing.T) {
@@ -344,6 +346,54 @@ func TestSparseNoPerRepAllocations(t *testing.T) {
 	})
 	if allocs > 100 {
 		t.Errorf("sparse streaming run of %d reps allocated %v objects, want run-level overhead only (<= 100)", reps, allocs)
+	}
+}
+
+// TestSparseRunMemory: a sparse tile holds only the rows of the faults
+// present, and the scorer reads each q_i from the fault set, so a sparse
+// streaming run allocates O(k) bytes per worker, whatever the universe
+// size. The same run over a million faults and over a thousand, both
+// with k = 5, must allocate alike: any per-worker O(n) structure would
+// show as a difference of 125 kB (a bitset column per version) to 8 MB
+// (a q_i copy) per worker. Each count is the least of three runs, since
+// whatever else the process allocates meanwhile only adds to it.
+func TestSparseRunMemory(t *testing.T) {
+	// Not parallel: the byte counts must be these runs' alone.
+	if testing.Short() {
+		t.Skip("million-fault universe in -short mode")
+	}
+	allocated := func(n, workers int) uint64 {
+		sc, err := scenario.LargeUniverse(n)
+		if err != nil {
+			t.Fatalf("LargeUniverse(%d): %v", n, err)
+		}
+		cfg := Config{
+			Process: devsim.NewIndependentProcess(sc.FaultSet), Versions: 2,
+			Reps: 8 * blockSize, Seed: 1, Streaming: true, Sparse: true, Workers: workers,
+		}
+		// Build the fault groups and the histogram table outside the count.
+		if _, err := Run(cfg); err != nil {
+			t.Fatalf("warm-up Run: %v", err)
+		}
+		least := uint64(math.MaxUint64)
+		for i := 0; i < 3; i++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			if _, err := Run(cfg); err != nil {
+				t.Fatalf("Run: %v", err)
+			}
+			runtime.ReadMemStats(&after)
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+		return least
+	}
+	const perWorker = 16 << 10
+	for _, workers := range []int{1, 4} {
+		large, small := allocated(1_000_000, workers), allocated(1_000, workers)
+		if large > small+uint64(workers*perWorker) {
+			t.Errorf("%d workers allocated %d bytes over 10^6 faults and %d over 10^3, want at most %d more per worker",
+				workers, large, small, perWorker)
+		}
 	}
 }
 

@@ -52,13 +52,12 @@ type PFDHistogram struct {
 	N int64
 }
 
-// histBinIndex maps a positive value on the scale to its bin: the bin
+// binIndex maps a positive value on the scale to its bin: the bin
 // histLog10Bin gives, found without a logarithm. The value's exponent
-// and leading mantissa bits key a cell of histBinTable, and one compare
+// and leading mantissa bits key a cell of the table, and one compare
 // against the cell's exact edge settles the bin. Values off the scale
 // land in the cells at its ends, so the result is always a valid bin.
-func histBinIndex(v float64) int {
-	t := histBinTable()
+func (t *histTable) binIndex(v float64) int {
 	c := &t.cells[min(max(histCellKey(v)-t.keyMin, 0), len(t.cells)-1)]
 	bin := c.bin
 	if v >= c.edge {
@@ -67,7 +66,7 @@ func histBinIndex(v float64) int {
 	return bin
 }
 
-// histLog10Bin is the bin formula histBinIndex reproduces,
+// histLog10Bin is the bin formula binIndex reproduces,
 // floor((log10(v) - histLog10Min) · histBinsPerDecade) clamped to the
 // scale, for a positive finite v.
 func histLog10Bin(v float64) int {
@@ -144,7 +143,10 @@ func histBinLo(idx int) float64 {
 
 // Observe records one positive observation. A NaN, which no valid
 // model produces, is counted in bin 0.
-func (h *PFDHistogram) Observe(v float64) {
+func (h *PFDHistogram) Observe(v float64) { h.observe(histBinTable(), v) }
+
+// observe is Observe with the bin table fetched by the caller.
+func (h *PFDHistogram) observe(bins *histTable, v float64) {
 	h.N++
 	switch {
 	case math.IsNaN(v):
@@ -154,7 +156,7 @@ func (h *PFDHistogram) Observe(v float64) {
 	case v > histMaxValue:
 		h.Over++
 	default:
-		h.Counts[histBinIndex(v)]++
+		h.Counts[bins.binIndex(v)]++
 	}
 }
 
@@ -192,7 +194,12 @@ type Agg struct {
 }
 
 // Observe folds one PFD value into the aggregate.
-func (a *Agg) Observe(v float64) {
+func (a *Agg) Observe(v float64) { a.observe(histBinTable(), v) }
+
+// observe is Observe with the histogram's bin table fetched by the
+// caller, once per tile on the Monte-Carlo path rather than once per
+// value.
+func (a *Agg) observe(bins *histTable, v float64) {
 	if a.N() == 0 {
 		a.Min, a.Max = v, v
 	} else {
@@ -207,7 +214,7 @@ func (a *Agg) Observe(v float64) {
 	if v == 0 {
 		a.Zeros++
 	} else {
-		a.Hist.Observe(v)
+		a.Hist.observe(bins, v)
 	}
 }
 

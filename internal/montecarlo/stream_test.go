@@ -14,8 +14,8 @@ import (
 	"diversity/internal/system"
 )
 
-// opaqueProcess exposes only the wrapped process's Process methods,
-// hiding its sparse sampler, so even a Sparse run develops rows.
+// opaqueProcess exposes only the wrapped process's Process methods, so
+// even a Sparse run of a wrapped independent process develops dense rows.
 type opaqueProcess struct {
 	inner devsim.Process
 }
@@ -172,8 +172,8 @@ func TestStreamingFallbackProcess(t *testing.T) {
 	t.Parallel()
 
 	proc := opaqueProcess{inner: testProcess(t)}
-	if _, ok := devsim.Process(proc).(devsim.SparseDeveloper); ok {
-		t.Fatal("opaqueProcess must not implement SparseDeveloper")
+	if _, ok := devsim.Process(proc).(*devsim.IndependentProcess); ok {
+		t.Fatal("opaqueProcess must not be the independent process")
 	}
 	assertStreamingMatchesBuffered(t, Config{
 		Process: proc, Versions: 2, Reps: 3000, Seed: 5, Workers: 2, Sparse: true,

@@ -80,6 +80,21 @@ func TestGeometricDegenerate(t *testing.T) {
 	}
 }
 
+// TestGeometricTinyP: a p so small that gaps pass the int range must
+// still give non-negative gaps that a skip loop can add to a position
+// below its bound without overflow — on 386, where int is 32 bits, too.
+func TestGeometricTinyP(t *testing.T) {
+	r := NewStream(2)
+	for _, p := range []float64{1e-9, 1e-12, 1e-300} {
+		g := NewGeometricSampler(p)
+		for i := 0; i < 1000; i++ {
+			if k := g.Next(r); k < 0 || k > MaxGap || 1<<20+1+k < 0 {
+				t.Fatalf("Geometric(%v) = %d: negative or past the cap %d", p, k, MaxGap)
+			}
+		}
+	}
+}
+
 func TestGeometricPanicsOnInvalidP(t *testing.T) {
 	for _, p := range []float64{0, -0.1, 1.0000001, math.NaN()} {
 		func() {

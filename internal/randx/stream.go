@@ -191,8 +191,22 @@ func (g GeometricSampler) Next(r *Stream) int {
 	// Inversion: floor(log(U)/log(1-p)) with U uniform on (0, 1) is
 	// Geometric(p)-distributed; both logs are negative so the ratio is a
 	// non-negative float and int() truncation is the floor.
-	return int(math.Log(r.Float64Open()) * g.invLogQ)
+	gap := math.Log(r.Float64Open()) * g.invLogQ
+	if gap >= MaxGap {
+		// A tiny p can give a gap past the int range, whose conversion
+		// is undefined (on 386 it turns negative for gaps past 2^31).
+		return MaxGap
+	}
+	return int(gap)
 }
+
+// MaxGap caps Geometric variates at half the int range, so a skip loop
+// whose bound is at most MaxGap can add one plus a gap to a position
+// below the bound without overflow, and every capped gap still
+// overshoots the bound. Skip loops over grids keep their bound within
+// it — out of reach on 64-bit platforms, 2^30 - 1 cells on 32-bit ones —
+// by splitting larger grids. The cap leaves the draw sequence alone.
+const MaxGap = math.MaxInt / 2
 
 // Normal returns a standard normal variate via the Marsaglia polar method.
 func (r *Stream) Normal() float64 {
