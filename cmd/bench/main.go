@@ -215,7 +215,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		for _, sparse := range []bool{false, true} {
 			cell := cellConfig{
 				scenario: lu.Name, n: n, proc: luProc,
-				reps: sparseReps(n, *quick), workers: 0, streaming: true, sparse: sparse,
+				reps: kernelReps(n, sparse, *quick), workers: 0, streaming: true, sparse: sparse,
 			}
 			if err := appendCell(ctx, &rep, cell, *seed); err != nil {
 				return err
@@ -234,15 +234,21 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	return os.WriteFile(*out, doc, 0o644)
 }
 
-// sparseReps scales the kernel matrix's replication count to the universe
-// size so the dense baseline cells stay feasible: a dense replication is
-// O(n), so the budget shrinks as n grows.
-func sparseReps(n int, quick bool) int {
+// kernelReps is a kernel-matrix cell's replication count. A dense
+// replication is O(n), so the dense budget shrinks as n grows to keep the
+// baseline feasible. A sparse replication costs about the same at every n
+// (it is O(faults present)), so every sparse cell runs
+// sparseKernelReps — at least ~0.1 s of work on two cores, long enough
+// that one scheduling hiccup does not move the cell. -quick runs both
+// forms at one small budget.
+func kernelReps(n int, sparse, quick bool) int {
 	switch {
 	case quick && n <= 1000:
 		return 2000
 	case quick:
 		return 500
+	case sparse:
+		return sparseKernelReps
 	case n <= 1000:
 		return 100000
 	case n <= 100000:
@@ -251,6 +257,11 @@ func sparseReps(n int, quick bool) int {
 		return 5000
 	}
 }
+
+// sparseKernelReps is the full matrix's sparse replication count: about
+// 0.14–0.26 s at the 0.28–0.52 µs/rep the sparse cells have read on a
+// shared 2-vCPU host.
+const sparseKernelReps = 500000
 
 // cellConfig is one matrix cell's parameters. A zero versions runs the
 // default 1oo2 pair; a non-nil adj selects the voting rule.

@@ -21,7 +21,9 @@ import (
 // CLI printed with -batch 64 before, minus the header's kernel suffix,
 // and again when the dense kernel began deciding its Bernoulli lanes
 // bit-serially. The sparse file alone was re-captured when sparse runs
-// began to develop 64-lane tiles of sparse rows.
+// began to develop 64-lane tiles of sparse rows. The sparse rare-event
+// file was captured when the rare-event estimators began to develop their
+// tilted faults through the same sampler.
 // These tests assert the refactors' core compatibility
 // promise: every invocation renders byte-identical output — same variate
 // sequence, same summation order, same report text — and, because each
@@ -82,6 +84,11 @@ func TestGoldenLegacyOutputs(t *testing.T) {
 			name:   "rare-event",
 			args:   []string{"-scenario", "safety-grade", "-seed", "2", "-reps", "10000", "-rare"},
 			golden: "golden_rare.txt",
+		},
+		{
+			name:   "rare-event sparse",
+			args:   []string{"-scenario", "safety-grade", "-seed", "2", "-reps", "10000", "-rare", "-sparse"},
+			golden: "golden_rare_sparse.txt",
 		},
 	}
 	for _, tc := range cases {

@@ -46,17 +46,18 @@ func legacySpecs() map[string]Job {
 // captured before the adjudicator refactor and re-pinned once with each
 // hashDomain bump: diversity/engine/v2 left every legacy document
 // unchanged except that workers no longer appears in it, and
-// diversity/engine/v3, v4, v5, v6 and v7 changed only the domain prefix.
+// diversity/engine/v3, v4, v5, v6, v7 and v8 changed only the domain
+// prefix.
 // Regenerate deliberately — only with a hashDomain bump — via: go test
 // ./internal/engine -run TestLegacySpecHashContract -v (the failure
 // message prints got hashes).
 var legacyHashes = map[string]string{
-	"mc-scenario-default-arch": "e85f887d64f7c4d653cd8b5e7296dd6c9b69456177a168c0c7682c17dc978814",
-	"mc-majority":              "5bb1618aacd65e62aca64e337041f5ca812f1c6b8f1a0e8627a261e028e1ee75",
-	"mc-inline-stream-sparse":  "d9e0f8b5e906e1fcfa5f519867ff83203589c283f9694290f0305f2ef9f7d69b",
-	"rare-event":               "3aebe4dfb21e49205448c233b958848ad92451998d8028369afa7a503f788ebd",
-	"experiments":              "798a3c908330dd83382ef5b873b5dcb41e00648fd49eb6cae99f830d997205a7",
-	"analytic":                 "620230b2c9d3790fb563118f170e3e08ad7654f29a22db71b898018f38f608dc",
+	"mc-scenario-default-arch": "9087b01c5a2f2bdd153fb300193bbb976a20ce2a10d66f3e804c73d9299f71a6",
+	"mc-majority":              "bba468ebc606a8537a890ab30752eb86c469a0a7f27c8ac474bbcf403c96f4f4",
+	"mc-inline-stream-sparse":  "4f3eb71b24097c591a17e8105cf3c4cb68659fc5116db32ff7aa9e8fd395e00d",
+	"rare-event":               "8990a8436e102a967063540a5aefb3bbed1d95f4ba7d60a249d6fea004813346",
+	"experiments":              "978dbbe5b82325616f8029e5964f5804d52c6e779b594f349a6481f54dc9a41a",
+	"analytic":                 "7221f2f5c973a02ae6edf371801be3ed5dfc089f1a8d683199df15b856f43707",
 }
 
 // TestLegacySpecHashContract proves that pre-refactor 1oo2 (and legacy

@@ -68,8 +68,13 @@ const (
 // develops 64-lane tiles of sparse fault-major rows, and the sparse
 // rare-event estimators skip-sample the same 64-lane grid, which changed
 // every fixed-seed sparse Monte-Carlo, rare-event and experiments result;
-// no dense result moved.
-const hashDomain = "diversity/engine/v7"
+// no dense result moved. v8: the rare-event estimators develop their
+// tilted faults through devsim's sampler and fold each lane's weight as
+// the all-miss baseline plus each present fault's increment, which moved
+// every fixed-seed sparse rare-event result and the last bits of the
+// dense importance-sampling probability and standard error; no draw of a
+// dense estimate and no other kind's result moved.
+const hashDomain = "diversity/engine/v8"
 
 // ModelSpec names the fault-set model a job runs against. Exactly one of
 // Scenario or Faults must be set. Model files are resolved to inline

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 
 	"diversity/internal/devsim"
 	"diversity/internal/faultmodel"
@@ -34,13 +35,13 @@ type RareOptions struct {
 	// Metrics, when non-nil, receives the replication count and, for
 	// sparse runs, the geometric skip-draw count.
 	Metrics *telemetry.Registry
-	// Sparse samples a tile of 64 replications' fault indicators by
-	// geometric gap-skipping over each group of equal-probability faults
-	// and the tile's lanes, instead of one Hits mask per fault, making the
+	// Sparse develops each tile of 64 replications' tilted fault
+	// indicators with devsim.IndependentProcess.DevelopSparseRows —
+	// geometric gap-skipping over each group of equal tilted probability
+	// — instead of DevelopRows' one mask per active fault, making the
 	// cost O(hits + groups) per tile rather than O(n). The estimator is
-	// unchanged in distribution: hit counts per group and lane are
-	// Binomial either way, and the importance weight depends on the
-	// indicators only through those counts.
+	// unchanged in distribution: every lane's indicators have the same
+	// law either way, and both forms fold the weights alike.
 	Sparse bool
 	// Adjudicator, when non-nil, selects the voting rule whose defeating
 	// faults the estimators count: each fault's system-level presence
@@ -117,7 +118,10 @@ func estimateTilted(ctx context.Context, fs *faultmodel.FaultSet, m, reps int, s
 	if reps < 2 {
 		return RareEventEstimate{}, fmt.Errorf("montecarlo: replication count %d must be at least 2", reps)
 	}
-	k := newTiltKernel(fs, m, tiltTarget, opts, maxTiltGroup)
+	k, err := newTiltKernel(fs, m, tiltTarget, opts.Adjudicator)
+	if err != nil {
+		return RareEventEstimate{}, err
+	}
 
 	// The weights stream through stats.Moments — the numerically stable
 	// one-pass type the streaming Monte-Carlo harness uses — rather than
@@ -131,14 +135,13 @@ func estimateTilted(ctx context.Context, fs *faultmodel.FaultSet, m, reps int, s
 	}
 	done := runBlocks(ctx, reps, workers, opts.Progress, func(w int) (func(b, lo, hi int), func()) {
 		tw := &tiltWorker{k: k, r: randx.NewStream(0)}
+		if k.proc != nil && !opts.Sparse {
+			tw.rows = make([]uint64, devsim.BatchScratchLen(tileWidth, k.proc.FaultSet().N()))
+		}
 		tws[w] = tw
 		return func(b, lo, hi int) {
 			tw.r.SeedAt(seed, uint64(b))
-			if opts.Sparse {
-				tw.sparse(hi - lo)
-			} else {
-				tw.dense(hi - lo)
-			}
+			tw.run(hi-lo, opts.Sparse)
 			fold.add(b, tw.mom)
 			tw.mom = stats.Moments{}
 		}, nil
@@ -166,159 +169,129 @@ func estimateTilted(ctx context.Context, fs *faultmodel.FaultSet, m, reps int, s
 }
 
 // tiltKernel is an estimation's read-only precomputation, shared by every
-// worker. Faults split three ways once, for both kernels: impossible
-// faults (p = 0) stay impossible and take no part; certain faults (p = 1,
-// hence t = 1) defeat every system without a draw and contribute the
-// likelihood ratio p/t = 1, so they only set the event flag; every other
-// fault is active, with log(p/t) added on a hit and log((1-p)/(1-t)) on a
-// miss.
+// worker. Faults split three ways once: impossible faults (p = 0) stay
+// impossible and take no part; certain faults (p = 1, hence t = 1) defeat
+// every system without a draw and contribute the likelihood ratio p/t = 1,
+// so they only set the event flag; every other fault is active. The
+// active faults are developed, at their tilted probabilities, by one
+// devsim.IndependentProcess, so the estimator draws through the sampler
+// every Monte-Carlo run uses. A lane's log-weight is the all-miss
+// baseline Σ log((1-p)/(1-t)) plus, for each active fault present in it,
+// the increment log(p/t) - log((1-p)/(1-t)).
 type tiltKernel struct {
 	certain bool
-	// Dense kernel: the active faults in fault order.
-	active []activeFault
-	// Sparse kernel: active faults sharing a natural probability also
-	// share their tilt and log terms, so a replication only needs each
-	// group's hit count on top of the all-miss baseline weight.
-	groups   []tiltGroup
+	// proc develops the active faults in fault order at their tilted
+	// probabilities; it is nil when no fault is active.
+	proc *devsim.IndependentProcess
+	// logDelta is each active fault's weight increment on a hit.
+	logDelta []float64
 	baseLogW float64
 }
 
-// activeFault is one active fault of the dense kernel: its tilted
-// probability as a devsim.BernoulliThreshold and its log-weight terms.
-type activeFault struct {
-	thr             uint64
-	logHit, logStay float64
-}
-
-// tiltGroup is a set of active faults sharing one tilted presence
-// probability and importance-weight increment, sampled as a unit by the
-// sparse kernel.
-type tiltGroup struct {
-	sampler randx.GeometricSampler
-	size    int
-	// logDelta is logHit - logStay: the weight adjustment each hit in the
-	// group applies on top of the all-miss baseline.
-	logDelta float64
-}
-
-// maxTiltGroup caps a tilt group so its grid of size × tileWidth cells
-// stays within randx.MaxGap, the largest bound a skip loop may have; a
-// larger set splits into several groups, whose draws have the same law.
-// Only a 32-bit platform reaches the cap, at 2^24 - 1 faults.
-const maxTiltGroup = randx.MaxGap / tileWidth
-
-// newTiltKernel tilts fs's faults for an m-version system under the
-// options' voting rule and builds the kernel's view of them, with no
-// sparse group larger than maxGroup.
-func newTiltKernel(fs *faultmodel.FaultSet, m int, tiltTarget float64, opts RareOptions, maxGroup int) *tiltKernel {
-	adj := opts.Adjudicator
+// newTiltKernel tilts fs's faults for an m-version system under the voting
+// rule adj (nil means 1-out-of-m) to t = max(p, tiltTarget), where p is a
+// fault's defeat probability. A run of faults of equal presence
+// probability shares its defeat probability, tilt and log terms, which
+// are computed once per run.
+func newTiltKernel(fs *faultmodel.FaultSet, m int, tiltTarget float64, adj system.Adjudicator) (*tiltKernel, error) {
 	if adj == nil {
 		adj = system.OneOutOfN{}
 	}
-	k := &tiltKernel{}
-	index := make(map[float64]int)
+	k := &tiltKernel{logDelta: make([]float64, 0, fs.N())}
+	tilted := make([]faultmodel.Fault, 0, fs.N())
+	runP, p, t, logDelta, logStay := math.NaN(), 0.0, 0.0, 0.0, 0.0
 	for i := 0; i < fs.N(); i++ {
-		p := system.DefeatProbability(adj, m, fs.Fault(i).P)
+		if fp := fs.Fault(i).P; fp != runP {
+			runP = fp
+			p = system.DefeatProbability(adj, m, fp)
+			if p > 0 && p < 1 {
+				t = max(p, tiltTarget)
+				logStay = math.Log1p(-p) - math.Log1p(-t)
+				logDelta = math.Log(p) - math.Log(t) - logStay
+			}
+		}
 		switch {
 		case p == 0:
 		case p >= 1:
 			k.certain = true
 		default:
-			t := max(p, tiltTarget)
-			logHit := math.Log(p) - math.Log(t)
-			logStay := math.Log1p(-p) - math.Log1p(-t)
-			if !opts.Sparse {
-				k.active = append(k.active, activeFault{devsim.BernoulliThreshold(t), logHit, logStay})
-				continue
-			}
+			tilted = append(tilted, faultmodel.Fault{P: t})
+			k.logDelta = append(k.logDelta, logDelta)
 			k.baseLogW += logStay
-			gi, ok := index[p]
-			if !ok || k.groups[gi].size == maxGroup {
-				gi = len(k.groups)
-				index[p] = gi
-				k.groups = append(k.groups, tiltGroup{sampler: randx.NewGeometricSampler(t), logDelta: logHit - logStay})
-			}
-			k.groups[gi].size++
 		}
 	}
-	return k
+	if len(tilted) > 0 {
+		tfs, err := faultmodel.New(tilted)
+		if err != nil {
+			return nil, err
+		}
+		k.proc = devsim.NewIndependentProcess(tfs)
+	}
+	return k, nil
 }
 
 // tiltWorker is one worker's replication loop state: the current block's
-// stream and weights, hit and skip counts over all its blocks, and the
-// dense kernel's tile scratch.
+// stream and weights, hit and skip counts over all its blocks, and one
+// tile's rows and log-weights.
 type tiltWorker struct {
-	k     *tiltKernel
-	r     *randx.Stream
-	mom   stats.Moments // the current block's weights
-	hits  int
-	skips int64
-	logW  [64]float64
+	k          *tiltKernel
+	r          *randx.Stream
+	mom        stats.Moments // the current block's weights
+	hits       int
+	skips      int64
+	rows       []uint64 // dense tiles' scratch
+	sparseRows []devsim.SparseRow
+	logW       [tileWidth]float64
 }
 
-// dense runs n replications in tiles of 64 (the last tile of a block
-// fewer). Each active fault's presence in a tile's lanes is one
-// randx.Stream.Hits mask at its tilted threshold; per replication the
-// log-weight sums logHit or logStay in fault order.
-func (tw *tiltWorker) dense(n int) {
-	k, r := tw.k, tw.r
-	tw.tiles(n, func(logW []float64) (event uint64) {
-		clear(logW)
-		for _, f := range k.active {
-			m := r.Hits(f.thr, len(logW))
-			event |= m
-			// Indexing by the hit bit adds exactly logHit or logStay
-			// without a branch on the random outcome.
-			terms := [2]float64{f.logStay, f.logHit}
-			for j := range logW {
-				logW[j] += terms[m>>uint(j)&1]
-			}
-		}
-		return event
-	})
-}
-
-// sparse runs n replications in tiles of 64, as dense does, sampling
-// each group's hits by skip-sampling its size×width grid of (fault, lane)
-// cells in fault-major order, the grid devsim's DevelopSparseRows skips:
-// cell c falls in lane c mod width, and each hit adds the group's
-// logDelta to its lane's all-miss baseline, in group order.
-func (tw *tiltWorker) sparse(n int) {
-	k, r := tw.k, tw.r
-	tw.tiles(n, func(logW []float64) (event uint64) {
-		width := len(logW)
+// run runs n replications in tiles of 64 (the last tile of a block
+// fewer). Each tile's active-fault rows come from the kernel's process —
+// DevelopSparseRows when sparse, DevelopRows otherwise — and both forms
+// fold into the lanes' log-weights the same way, in ascending fault
+// order. Each lane is then observed in order; a certain fault makes
+// every lane an event.
+func (tw *tiltWorker) run(n int, sparse bool) {
+	k := tw.k
+	for base := 0; base < n; base += tileWidth {
+		width := min(tileWidth, n-base)
+		logW := tw.logW[:width]
 		for j := range logW {
 			logW[j] = k.baseLogW
 		}
-		for gi := range k.groups {
-			g := &k.groups[gi]
-			cells := g.size * width
-			for c := g.sampler.Next(r); c < cells; c += 1 + g.sampler.Next(r) {
-				lane := c % width
-				event |= 1 << uint(lane)
-				logW[lane] += g.logDelta
-				tw.skips++
+		var event uint64
+		switch {
+		case k.proc == nil:
+		case sparse:
+			var skips int
+			tw.sparseRows, skips = k.proc.DevelopSparseRows(tw.r, width, tw.sparseRows)
+			tw.skips += int64(skips)
+			for _, row := range tw.sparseRows {
+				event |= tw.foldRow(int(row.Fault), row.Lanes)
 			}
-			tw.skips++ // the final gap that overshot the grid
+		default:
+			for i, lanes := range k.proc.DevelopRows(tw.r, width, tw.rows) {
+				if lanes != 0 {
+					event |= tw.foldRow(i, lanes)
+				}
+			}
 		}
-		return event
-	})
-}
-
-// tiles runs n replications in tiles of up to 64 lanes: tile fills the
-// lanes' log-weights and returns the lanes in which the event occurred
-// (a certain fault adds every lane), and each lane is observed in order.
-func (tw *tiltWorker) tiles(n int, tile func(logW []float64) (event uint64)) {
-	for base := 0; base < n; base += tileWidth {
-		logW := tw.logW[:min(tileWidth, n-base)]
-		event := tile(logW)
-		if tw.k.certain {
+		if k.certain {
 			event = ^uint64(0)
 		}
 		for j, lw := range logW {
 			tw.observe(event>>uint(j)&1 == 1, lw)
 		}
 	}
+}
+
+// foldRow adds active fault i's weight increment to the log-weight of
+// each lane it is present in, and returns those lanes.
+func (tw *tiltWorker) foldRow(i int, lanes uint64) uint64 {
+	d := tw.k.logDelta[i]
+	for m := lanes; m != 0; m &= m - 1 {
+		tw.logW[bits.TrailingZeros64(m)] += d
+	}
+	return lanes
 }
 
 // observe folds one replication's importance weight: exp(logW) when the

@@ -9,6 +9,7 @@ import (
 	"diversity/internal/faultmodel"
 	"diversity/internal/scenario"
 	"diversity/internal/system"
+	"diversity/internal/telemetry"
 )
 
 func rareFaultSet(t *testing.T) *faultmodel.FaultSet {
@@ -247,14 +248,14 @@ func estimateBits(est RareEventEstimate) [3]uint64 {
 }
 
 var rarePins = map[string][3]uint64{
-	"is/1oon/dense":     {0x3f4f3f06429d5e6c, 0x3ef5d8dcb52f5b81, 0x3fee0ebedfa43fe6},
-	"is/1oon/sparse":    {0x3f5020bdc5da122f, 0x3ef63347fc9439a6, 0x3fee305532617c1c},
-	"is/2oo3/dense":     {0x3f672e68705aa0e6, 0x3f102c44e6259599, 0x3fee0ebedfa43fe6},
-	"is/2oo3/sparse":    {0x3f67edfa28a22f53, 0x3f106f08a0ce2bcb, 0x3fee305532617c1c},
+	"is/1oon/dense":     {0x3f4f3f06429d5e6e, 0x3ef5d8dcb52f5b82, 0x3fee0ebedfa43fe6},
+	"is/1oon/sparse":    {0x3f4ffabfe628ad56, 0x3ef63716523dbbac, 0x3fee1d7dbf487fcc},
+	"is/2oo3/dense":     {0x3f672e68705aa0eb, 0x3f102c44e625959b, 0x3fee0ebedfa43fe6},
+	"is/2oo3/sparse":    {0x3f67b9549d3e14c0, 0x3f1071cc25516b49, 0x3fee1d7dbf487fcc},
 	"naive/1oon/dense":  {0x3f4bda5119ce076e, 0x3f2b027b9b38e635, 0x3f4bda5119ce075f},
-	"naive/1oon/sparse": {0x3f547ae147ae1487, 0x3f305fae86880f9d, 0x3f547ae147ae147b},
+	"naive/1oon/sparse": {0x3f4bda5119ce076e, 0x3f2b027b9b38e635, 0x3f4bda5119ce075f},
 	"naive/2oo3/dense":  {0x3f6758e219652bda, 0x3f38b43a93e37cf0, 0x3f6758e219652bd4},
-	"naive/2oo3/sparse": {0x3f6f212d77318fd1, 0x3f3c831c6722c5e0, 0x3f6f212d77318fc5},
+	"naive/2oo3/sparse": {0x3f6758e219652bda, 0x3f38b43a93e37cf0, 0x3f6758e219652bd4},
 }
 
 // TestRareCertainFault: a fault present with probability 1 defeats every
@@ -327,40 +328,130 @@ func BenchmarkEstimateRareNaive(b *testing.B) {
 	}
 }
 
-// TestTiltGroupsCap: the sparse tilt groups split an equal-p set past the
-// size cap, which only a 32-bit platform reaches, into groups of the
-// same tilt and weight increment that together hold every fault once.
-func TestTiltGroupsCap(t *testing.T) {
-	t.Parallel()
-
-	faults := make([]faultmodel.Fault, 0, 14)
-	for i := 0; i < 14; i++ {
-		faults = append(faults, faultmodel.Fault{P: []float64{0.01, 0.02}[i%3/2], Q: 1e-3})
+// rareLawFaults returns the closed-form gate's universe with the p = 0.05
+// group's presence probability scaled by pScale. That group {0, 1, 3, 5,
+// 7, 8} is split by a p = 0.12 fault, a p = 0 hole and a p = 0.15 fault.
+// Each fault reaches the system with its defeat probability under the
+// rule, which the gate's tilt of 0.01 raises for the group alone, under
+// 1-out-of-2 and 2-out-of-3; the group's tilted probability differs from
+// its neighbours' and every tilted probability is at most 0.25. So the
+// sparse kernel inverts geometric gaps over a fragmented group of six
+// faults and sorts its rows, under importance sampling and naive
+// simulation alike.
+func rareLawFaults(t *testing.T, pScale float64) *faultmodel.FaultSet {
+	t.Helper()
+	g := 0.05 * pScale
+	p := []float64{g, g, 0.12, g, 0, g, 0.15, g, g}
+	faults := make([]faultmodel.Fault, len(p))
+	for i := range faults {
+		faults[i] = faultmodel.Fault{P: p[i], Q: 1e-3}
 	}
 	fs, err := faultmodel.New(faults)
 	if err != nil {
 		t.Fatalf("faultmodel.New: %v", err)
 	}
-	opts := RareOptions{Sparse: true}
-	whole := newTiltKernel(fs, 2, 0.05, opts, maxTiltGroup)
-	split := newTiltKernel(fs, 2, 0.05, opts, 3)
-	if len(whole.groups) != 2 || len(split.groups) != 6 || split.baseLogW != whole.baseLogW {
-		t.Fatalf("groups %d and %d, baseLogW %v and %v; want 2 and 6, equal",
-			len(whole.groups), len(split.groups), whole.baseLogW, split.baseLogW)
-	}
-	sizes := map[tiltGroup]int{}
-	for _, g := range whole.groups {
-		sizes[tiltGroup{sampler: g.sampler, logDelta: g.logDelta}] += g.size
-	}
-	for _, g := range split.groups {
-		if g.size > 3 {
-			t.Errorf("split group of %d faults, want at most 3", g.size)
+	return fs
+}
+
+// TestRareEstimatorsMatchClosedForm checks both estimators, in both
+// forms, under 1-out-of-2 and 2-out-of-3, against the closed form
+// system.PAnySystemFault: |estimate − P| ≤ z·StdErr with z = 3.29, a
+// two-sided α = 1e-3 per cell under the normal approximation. Correct
+// estimators fail the 8-cell gate at a random seed with probability at
+// most 0.8% (the Bonferroni bound); the seed is fixed, so the outcome is
+// deterministic. Each naive cell expects at least 5,000 events (P is
+// 0.051 under 1-out-of-2 and 0.137 under 2-out-of-3). The power case
+// holds each estimate against the closed form with the group's p scaled
+// by 1.2, which every cell must reject, and every sparse cell must have
+// drawn geometric gaps.
+func TestRareEstimatorsMatchClosedForm(t *testing.T) {
+	t.Parallel()
+
+	const reps, z, tilt = 100000, 3.29, 0.01
+	fs, perturbed := rareLawFaults(t, 1), rareLawFaults(t, 1.2)
+	for _, rule := range []string{"1oo2", "2oo3"} {
+		adj, err := system.ParseAdjudicator(rule)
+		if err != nil {
+			t.Fatalf("ParseAdjudicator(%q): %v", rule, err)
 		}
-		sizes[tiltGroup{sampler: g.sampler, logDelta: g.logDelta}] -= g.size
-	}
-	for g, n := range sizes {
-		if n != 0 {
-			t.Errorf("group p = %v: split groups hold %d faults fewer than the whole one", g.sampler.P(), n)
+		m := 2
+		if rule == "2oo3" {
+			m = 3
 		}
+		truth, err := system.PAnySystemFault(fs, adj, m)
+		if err != nil {
+			t.Fatalf("PAnySystemFault: %v", err)
+		}
+		wrong, err := system.PAnySystemFault(perturbed, adj, m)
+		if err != nil {
+			t.Fatalf("PAnySystemFault: %v", err)
+		}
+		for _, estimator := range []struct {
+			name string
+			tilt float64
+		}{{"is", tilt}, {"naive", 0}} {
+			for _, sparse := range []bool{false, true} {
+				label := fmt.Sprintf("%s/%s/sparse=%v", estimator.name, rule, sparse)
+				reg := telemetry.NewRegistry()
+				opts := RareOptions{Sparse: sparse, Adjudicator: adj, Metrics: reg}
+				est, err := estimateTilted(context.Background(), fs, m, reps, 9, estimator.tilt, opts, 2)
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				if d := math.Abs(est.Probability - truth); d > z*est.StdErr {
+					t.Errorf("%s: estimate %v ± %v is %.2f standard errors from the closed form %v", label, est.Probability, est.StdErr, d/est.StdErr, truth)
+				}
+				if d := math.Abs(est.Probability - wrong); d <= z*est.StdErr {
+					t.Errorf("%s: estimate %v ± %v is within %.2f standard errors of the perturbed closed form %v; the gate has no power", label, est.Probability, est.StdErr, d/est.StdErr, wrong)
+				}
+				if skips := reg.Counter("montecarlo.sparse_skips_total").Value(); sparse && skips == 0 {
+					t.Errorf("%s: no geometric gaps drawn", label)
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkRareRegimes times one single-worker estimation of 4,096
+// replications per operation in each rare-event regime: safety-grade
+// under sparse importance sampling, LargeUniverse(10^3) dense, and
+// LargeUniverse(10^5) sparse, naive and at two tilts. At tilt 0.3 over
+// 10^5 faults about 30% of faults are present per replication, a regime
+// where the dense form is the right choice; it is timed to show that
+// cost. Run with -benchtime=1x for the slow cells.
+func BenchmarkRareRegimes(b *testing.B) {
+	safety, err := scenario.SafetyGrade(1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	large := func(n int) *faultmodel.FaultSet {
+		sc, err := scenario.LargeUniverse(n)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return sc.FaultSet
+	}
+	large3, large5 := large(1_000), large(100_000)
+	cases := []struct {
+		name   string
+		fs     *faultmodel.FaultSet
+		sparse bool
+		tilt   float64
+	}{
+		{"safety-grade/sparse/tilt=0.3", safety.FaultSet, true, 0.3},
+		{"large=1e3/dense/naive", large3, false, 0},
+		{"large=1e3/dense/tilt=0.3", large3, false, 0.3},
+		{"large=1e5/sparse/naive", large5, true, 0},
+		{"large=1e5/sparse/tilt=1e-3", large5, true, 1e-3},
+		{"large=1e5/sparse/tilt=0.3", large5, true, 0.3},
+	}
+	for _, c := range cases {
+		b.Run(c.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := estimateTilted(context.Background(), c.fs, 2, 4096, uint64(i), c.tilt, RareOptions{Sparse: c.sparse}, 1); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -165,7 +165,10 @@ type Store struct {
 	written uint64 // tickets issued: the number of records written
 	durable uint64 // the highest ticket a finished fsync covers
 	syncing bool   // a journal fsync is running outside mu
-	syncErr error  // the first failed journal fsync; it fails every later append
+	// syncErr is the first failure that makes appending unsafe — a failed
+	// journal fsync, or a compaction that published its snapshot but could
+	// not start the next segment; it fails every later append.
+	syncErr error
 }
 
 // Ticket names one record written to the journal; Sync(t) returns once
@@ -527,7 +530,15 @@ func (s *Store) write(o op) (Ticket, error) {
 	if s.pending < s.compactEvery {
 		return t, nil // another append compacted while this one waited
 	}
-	return t, s.compactLocked()
+	err = s.compactLocked()
+	if err != nil && s.syncErr == nil {
+		// The compaction failed before publishing its snapshot, so the
+		// old generation, which holds this record, is still
+		// authoritative: the append stands, and the next one retries.
+		s.logWarn("compaction failed; retrying on the next append", "err", err)
+		return t, nil
+	}
+	return t, err
 }
 
 // Sync returns once the record t names is durable. Under FsyncAlways
@@ -632,7 +643,11 @@ func (s *Store) Compact() error {
 	return s.compactLocked()
 }
 
-// compactLocked is called with mu held and no journal fsync running.
+// compactLocked is called with mu held and no journal fsync running. A
+// failure before the snapshot's rename leaves the old generation
+// authoritative and the store usable. A failure after it fails the
+// store, as a failed fsync does: the published snapshot hides the old
+// segment on the next open, so a later append to it would be lost.
 func (s *Store) compactLocked() error {
 	if s.closed {
 		return fmt.Errorf("store: closed")
@@ -678,12 +693,14 @@ func (s *Store) compactLocked() error {
 		return fmt.Errorf("store: publishing snapshot: %w", err)
 	}
 	if err := syncDir(s.dir); err != nil {
-		return fmt.Errorf("store: syncing store directory: %w", err)
+		s.syncErr = fmt.Errorf("store: syncing store directory: %w", err)
+		return s.syncErr
 	}
 
 	nj, err := os.OpenFile(s.journalPath(next), os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
-		return fmt.Errorf("store: starting journal segment: %w", err)
+		s.syncErr = fmt.Errorf("store: starting journal segment: %w", err)
+		return s.syncErr
 	}
 	old := s.journal
 	oldGen := s.gen

@@ -2,6 +2,7 @@ package store
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -245,5 +246,97 @@ func TestClosedStoreRefusesAppends(t *testing.T) {
 	}
 	if err := s.Put(record("j-1", 1)); err == nil {
 		t.Fatal("Put on a closed store succeeded")
+	}
+}
+
+// TestFailedCompactionBeforeRenameKeepsTheAppend: a compaction that fails
+// before its snapshot is published leaves the old generation
+// authoritative, so the append that triggered it still succeeds and
+// replays, and the next append retries the compaction. A non-empty
+// directory planted at the snapshot's temporary path blocks it, for root
+// too, and survives the clean-up of a reopen.
+func TestFailedCompactionBeforeRenameKeepsTheAppend(t *testing.T) {
+	t.Parallel()
+	dir := t.TempDir()
+	block := filepath.Join(dir, "snapshot-00000001.json.tmp")
+	if err := os.MkdirAll(filepath.Join(block, "keep"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	every2 := func(o *Options) { o.CompactEvery = 2 }
+	s := openTest(t, dir, every2)
+	for seq := uint64(1); seq <= 2; seq++ {
+		if err := s.Put(record(fmt.Sprintf("j-%d", seq), seq)); err != nil {
+			t.Fatalf("Put %d over a failing compaction: %v", seq, err)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	reg := telemetry.NewRegistry()
+	r := openTest(t, dir, every2, func(o *Options) { o.Registry = reg })
+	if got, st := len(r.Jobs()), r.ReplayStats(); got != 2 || st.Gen != 0 {
+		t.Fatalf("replayed %d jobs on gen %d, want 2 on gen 0", got, st.Gen)
+	}
+	for seq := uint64(3); seq <= 4; seq++ {
+		if err := r.Put(record(fmt.Sprintf("j-%d", seq), seq)); err != nil {
+			t.Fatalf("Put %d over a failing compaction: %v", seq, err)
+		}
+	}
+	if got := reg.Counter("store.compactions_total").Value(); got != 0 {
+		t.Fatalf("%d compactions through a blocked snapshot path, want 0", got)
+	}
+	if err := os.RemoveAll(block); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Put(record("j-5", 5)); err != nil {
+		t.Fatal(err)
+	}
+	if got := reg.Counter("store.compactions_total").Value(); got != 1 {
+		t.Fatalf("%d compactions once the path is free, want the next append to compact", got)
+	}
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := len(openTest(t, dir).Jobs()); got != 5 {
+		t.Fatalf("replayed %d jobs, want 5", got)
+	}
+}
+
+// TestFailedCompactionAfterRenameFailsTheStore: once a compaction has
+// published its snapshot, a failure to start the next segment fails the
+// store, as a failed fsync does — a later append to the old segment would
+// be hidden by the snapshot on the next open. A directory planted at the
+// next segment's path, after Open has cleaned up stray segments, blocks
+// it.
+func TestFailedCompactionAfterRenameFailsTheStore(t *testing.T) {
+	t.Parallel()
+	dir := t.TempDir()
+	s := openTest(t, dir, func(o *Options) { o.CompactEvery = 2 })
+	block := filepath.Join(dir, "journal-00000001.log")
+	if err := os.Mkdir(block, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put(record("j-1", 1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put(record("j-2", 2)); err == nil {
+		t.Fatal("Put whose compaction could not start the next segment succeeded, want an error")
+	}
+	if err := s.Put(record("j-3", 3)); err == nil {
+		t.Fatal("Put after a failed compaction succeeded, want an error")
+	}
+	if _, err := s.WriteUpdate(Update{ID: "j-1", Status: "done"}); err == nil {
+		t.Fatal("WriteUpdate after a failed compaction succeeded, want an error")
+	}
+	s.Close()
+
+	if err := os.Remove(block); err != nil {
+		t.Fatal(err)
+	}
+	r := openTest(t, dir)
+	jobs := r.Jobs()
+	if len(jobs) != 2 || jobs[0].ID != "j-1" || jobs[0].Status != "queued" || jobs[1].ID != "j-2" {
+		t.Fatalf("replayed %+v, want j-1 as put and j-2, the record the published snapshot holds", jobs)
 	}
 }
