@@ -31,7 +31,7 @@
 // -drain-timeout), queued jobs are rejected, then the listener closes.
 //
 // With -store-dir set, the job ledger is durable: every submission and
-// lifecycle transition is journaled to a crash-safe append-only log
+// terminal transition is journaled to a crash-safe append-only log
 // (fsync policy via -fsync, compaction cadence via -compact-every), and
 // a restart replays it — finished results are fetchable again under
 // their original IDs, resubmitting a pre-restart spec hits the warmed

@@ -90,13 +90,13 @@ func summarized(res *engine.Result) (*engine.Result, error) {
 	return &out, nil
 }
 
-// storePut writes a fresh submission's record. Called with s.mu held,
-// before the queue send; submit waits for the returned ticket once it
-// has released s.mu, and answers 202 only when the record is durable. A
-// failure fails the submission (the client sees a 500 and can retry),
-// because acknowledging a job the ledger never saw would silently
-// downgrade the durability contract.
-func (s *Server) storePut(js *jobState, seq uint64) (store.Ticket, error) {
+// storePut writes a fresh submission's record, which also evicts the
+// jobs evict names. Called with s.mu held, before the queue send; submit
+// waits for the returned ticket once it has released s.mu, and answers
+// 202 only when the record is durable. A failure fails the submission
+// (the client sees a 500 and can retry), because acknowledging a job the
+// ledger never saw would silently downgrade the durability contract.
+func (s *Server) storePut(js *jobState, seq uint64, evict []string) (store.Ticket, error) {
 	if s.store == nil {
 		return store.Ticket{}, nil
 	}
@@ -113,7 +113,7 @@ func (s *Server) storePut(js *jobState, seq uint64) (store.Ticket, error) {
 		Spec:      spec,
 		Status:    string(statusQueued),
 		Submitted: js.submitted,
-	})
+	}, evict...)
 }
 
 // storeSync waits until the record t names is durable.
@@ -164,34 +164,23 @@ func (s *Server) storeUpdate(u store.Update) {
 	}
 }
 
-// storeEvict writes a ledger eviction, best effort, without waiting:
-// the next fsync makes it durable, and a crash before that only brings
-// a terminal job back until the next eviction pass. Called with s.mu
-// held.
-func (s *Server) storeEvict(id string) {
-	if s.store == nil {
-		return
-	}
-	if _, err := s.store.WriteEvict(id); err != nil && s.log != nil {
-		s.log.Warn("persisting job eviction failed", "id", id, "error", err)
-	}
-}
-
 // replayFromStore rebuilds the in-memory ledger from the durable store:
 // finished results become fetchable under their original submission IDs
 // again, jobs that were queued or running when the process died are
-// re-marked failed/restart (the re-marks are written, then made durable
-// by one fsync, so the next restart replays them instead of
-// re-deciding), the engine result cache is warmed so resubmitting a
-// pre-restart spec is a cache hit, and submission numbering resumes past
-// the highest replayed sequence. Called from New, before the worker pool
+// re-marked failed/restart, the engine result cache is warmed so
+// resubmitting a pre-restart spec is a cache hit, and submission
+// numbering resumes past the highest replayed sequence. Jobs past
+// RetainJobs (the cap was lowered, or more jobs were in flight than it
+// allows) are evicted in one record. The re-marks and that record are
+// written, then made durable by one fsync, so the next restart replays
+// them instead of re-deciding. Called from New, before the worker pool
 // exists.
 func (s *Server) replayFromStore() {
 	s.mu.Lock()
 	records := s.store.Jobs()
 	s.seq = s.store.MaxSeq()
 	var interrupted, warmed int
-	var remarked store.Ticket // the last re-mark written
+	var last store.Ticket // the last record written
 	for i := range records {
 		rec := &records[i]
 		js := &jobState{
@@ -224,7 +213,7 @@ func (s *Server) replayFromStore() {
 				Error:    restartReason,
 				Finished: js.finished,
 			}); ok {
-				remarked = t
+				last = t
 			}
 			s.reg.Counter("server.jobs_total." + string(statusFailed)).Inc()
 			s.reg.Event("job.failed", js.runID, map[string]string{"id": js.id, "reason": "restart"})
@@ -251,11 +240,19 @@ func (s *Server) replayFromStore() {
 		s.jobs[js.id] = js
 		s.order = append(s.order, js.id)
 	}
-	s.evictOldestLocked()
+	if evict := s.evictionsLocked(0); len(evict) > 0 {
+		t, err := s.store.WriteEvict(evict...)
+		if err == nil {
+			last = t
+			s.forgetLocked(evict)
+		} else if s.log != nil {
+			s.log.Warn("persisting replay evictions failed", "jobs", len(evict), "error", err)
+		}
+	}
 	nextSeq := s.seq + 1
 	s.mu.Unlock()
-	if err := s.storeSync(remarked); err != nil && s.log != nil {
-		s.log.Warn("persisting restart re-marks failed", "error", err)
+	if err := s.storeSync(last); err != nil && s.log != nil {
+		s.log.Warn("persisting restart re-marks and evictions failed", "error", err)
 	}
 	if s.log != nil {
 		s.log.Info("job ledger replayed",

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -190,19 +191,25 @@ func TestRestartMarksInterruptedJobsFailed(t *testing.T) {
 	}
 }
 
-// TestEvictionPersistsAcrossRestart: the RetainJobs cap is a retention
-// policy that the durable ledger follows — an evicted job stays gone
-// after a restart.
-func TestEvictionPersistsAcrossRestart(t *testing.T) {
+// TestRetentionAcrossRestarts pins the retention contract, live and over
+// three restarts: every eviction is journaled, a lowered cap evicts at
+// replay, a raised cap brings no evicted job back, and retained done jobs
+// keep their started timestamps. The live node journals two records per
+// job, the submission (which carries the eviction it causes) and the
+// terminal update.
+func TestRetentionAcrossRestarts(t *testing.T) {
 	dir := t.TempDir()
-	st := openStore(t, dir)
+	reg := telemetry.NewRegistry()
+	st, err := store.Open(store.Options{Dir: dir, Registry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
 	runStub := func(ctx context.Context, job engine.Job, progress func(engine.Progress)) (*engine.Result, error) {
 		return &engine.Result{Kind: job.Kind}, nil
 	}
-	s1, ts1 := newTestServer(t, Config{Workers: 1, RetainJobs: 2, Store: st}, runStub)
-
+	s1, ts1 := newTestServer(t, Config{Workers: 1, RetainJobs: 3, Store: st, Registry: reg}, runStub)
 	var ids []string
-	for i := 0; i < 3; i++ {
+	for i := 0; i < 4; i++ {
 		_, v := postJob(t, ts1, mcJobJSON)
 		pollUntilTerminal(t, ts1, v.ID)
 		ids = append(ids, v.ID)
@@ -211,20 +218,77 @@ func TestEvictionPersistsAcrossRestart(t *testing.T) {
 		t.Fatalf("oldest job still served after eviction: %d", code)
 	}
 	stopServer(t, s1, ts1)
+	var terminal int64
+	for _, status := range []jobStatus{statusDone, statusFailed, statusCancelled} {
+		terminal += reg.Counter("server.jobs_total." + string(status)).Value()
+	}
+	if got := reg.Counter("store.appends_total").Value(); terminal != 4 || got != 2*terminal {
+		t.Fatalf("%d terminal jobs journaled %d records, want 4 jobs of 2 records each", terminal, got)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// The submission that pushed ids[0] out journaled its eviction.
+	st = openStore(t, dir)
+	var kept []string
+	for _, rec := range st.Jobs() {
+		kept = append(kept, rec.ID)
+	}
+	if !slices.Equal(kept, ids[1:]) {
+		t.Fatalf("the journal holds %v, want %v", kept, ids[1:])
+	}
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	st2 := openStore(t, dir)
-	t.Cleanup(func() { st2.Close() })
-	_, ts2 := newTestServer(t, Config{Workers: 1, RetainJobs: 2, Store: st2}, runStub)
-	if code, _ := fetchJob(t, ts2, ids[0]); code != http.StatusNotFound {
-		t.Fatalf("evicted job resurrected by replay: %d", code)
-	}
-	for _, id := range ids[1:] {
-		if code, v := fetchJob(t, ts2, id); code != http.StatusOK || v.Status != "done" {
-			t.Fatalf("retained job %s: code %d status %q", id, code, v.Status)
+	for _, restart := range []struct {
+		retain int
+		gone   int // ids[:gone] answer 404
+	}{{3, 1}, {2, 2}, {100, 2}} {
+		st := openStore(t, dir)
+		s, ts := newTestServer(t, Config{Workers: 1, RetainJobs: restart.retain, Store: st}, runStub)
+		for i, id := range ids {
+			code, v := fetchJob(t, ts, id)
+			if i < restart.gone {
+				if code != http.StatusNotFound {
+					t.Fatalf("restart with -retain-jobs %d: evicted job %s answers %d, want 404", restart.retain, id, code)
+				}
+			} else if code != http.StatusOK || v.Status != "done" || v.Started == nil {
+				t.Fatalf("restart with -retain-jobs %d: retained job %s answers %d, status %q, started %v", restart.retain, id, code, v.Status, v.Started)
+			}
 		}
+		stopServer(t, s, ts)
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestLegacyRunningRecordReplaysInterrupted: in a journal written while
+// a job's start had a record of its own, a job whose last record is that
+// running update replays failed with the restart reason, its started
+// timestamp kept.
+func TestLegacyRunningRecordReplaysInterrupted(t *testing.T) {
+	st := openStore(t, t.TempDir())
+	t.Cleanup(func() { st.Close() })
+	const id = "j-000001-aaaaaaaa"
+	started := time.Date(2026, 8, 8, 12, 0, 1, 0, time.UTC)
+	if err := st.Put(store.JobRecord{
+		ID: id, Seq: 1, Kind: "analytic", Spec: json.RawMessage(analyticJobJSON),
+		Status: string(statusQueued), Submitted: started.Add(-time.Second),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Update(store.Update{ID: id, Status: string(statusRunning), Started: started}); err != nil {
+		t.Fatal(err)
+	}
+	_, ts := newTestServer(t, Config{Workers: 1, Store: st}, nil)
+	code, v := fetchJob(t, ts, id)
+	if code != http.StatusOK || v.Status != "failed" || !strings.Contains(v.Error, "restart") {
+		t.Fatalf("replayed running job: code %d, status %q, error %q; want failed with the restart reason", code, v.Status, v.Error)
+	}
+	if v.Started == nil || !v.Started.Equal(started) {
+		t.Fatalf("replayed running job started %v, want %v", v.Started, started)
 	}
 }
 
@@ -342,10 +406,10 @@ func TestQueueFullJournalsNothing(t *testing.T) {
 	if resp, _ := postJob(t, ts, mcJobJSON); resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("second submit status = %d, want 202", resp.StatusCode)
 	}
-	// Two submissions and the first job's running record.
+	// Two submissions.
 	appends := reg.Counter("store.appends_total")
 	deadline := time.Now().Add(5 * time.Second)
-	for appends.Value() < 3 && time.Now().Before(deadline) {
+	for appends.Value() < 2 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
 	before := appends.Value()

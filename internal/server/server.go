@@ -63,7 +63,7 @@ type Config struct {
 	// engine default of 128).
 	CacheSize int
 	// Store, when non-nil, is the durable job ledger: submissions and
-	// lifecycle transitions are journaled through it, and New replays it
+	// terminal transitions are journaled through it, and New replays it
 	// so finished results survive restarts (see docs/OPERATIONS.md). Nil
 	// keeps the ledger purely in memory — the pre-store behavior.
 	Store *store.Store
@@ -276,15 +276,18 @@ func (s *Server) admit(job engine.Job, engineID, runID string) (*jobState, store
 		submitted: time.Now(),
 	}
 	// Journal before the queue send: a job the client sees accepted is a
-	// job the ledger can replay. A journal failure fails the submission.
-	ticket, err := s.storePut(js, s.seq)
+	// job the ledger can replay. The same record evicts the jobs the new
+	// one pushes past RetainJobs. A journal failure fails the submission
+	// and evicts nothing.
+	evict := s.evictionsLocked(1)
+	ticket, err := s.storePut(js, s.seq, evict)
 	if err != nil {
 		return nil, store.Ticket{}, fmt.Errorf("persisting submission: %w", err)
 	}
 	s.queue <- js
+	s.forgetLocked(evict)
 	s.jobs[js.id] = js
 	s.order = append(s.order, js.id)
-	s.evictOldestLocked()
 	s.reg.Gauge("server.queue_depth").Set(float64(len(s.queue)))
 	return js, ticket, nil
 }
@@ -302,10 +305,7 @@ func (s *Server) abandon(js *jobState) {
 	js.tracker.finish()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	delete(s.jobs, js.id)
-	if i := slices.Index(s.order, js.id); i >= 0 {
-		s.order = slices.Delete(s.order, i, i+1)
-	}
+	s.forgetLocked([]string{js.id})
 }
 
 // logCtx returns a context carrying the job's run ID, so slog lines
@@ -328,31 +328,34 @@ func shortEngineID(engineID string) string {
 	return engineID
 }
 
-// evictOldestLocked forgets the oldest terminal jobs once the ledger
-// exceeds RetainJobs. Called with mu held.
-func (s *Server) evictOldestLocked() {
-	excess := len(s.jobs) - s.cfg.RetainJobs
-	if excess <= 0 {
+// evictionsLocked returns the oldest terminal jobs that adding incoming
+// jobs pushes past RetainJobs. Queued and running jobs are never
+// evicted, so the ledger may stay above the cap. Called with mu held.
+func (s *Server) evictionsLocked(incoming int) []string {
+	var ids []string
+	for _, id := range s.order {
+		if len(ids) >= len(s.jobs)+incoming-s.cfg.RetainJobs {
+			break
+		}
+		js := s.jobs[id]
+		js.mu.Lock()
+		if js.status.terminal() {
+			ids = append(ids, id)
+		}
+		js.mu.Unlock()
+	}
+	return ids
+}
+
+// forgetLocked drops the jobs ids from the ledger. Called with mu held.
+func (s *Server) forgetLocked(ids []string) {
+	if len(ids) == 0 {
 		return
 	}
-	kept := s.order[:0]
-	for _, id := range s.order {
-		js := s.jobs[id]
-		if js == nil {
-			continue
-		}
-		js.mu.Lock()
-		evictable := js.status.terminal()
-		js.mu.Unlock()
-		if excess > 0 && evictable {
-			delete(s.jobs, id)
-			s.storeEvict(id)
-			excess--
-			continue
-		}
-		kept = append(kept, id)
+	for _, id := range ids {
+		delete(s.jobs, id)
 	}
-	s.order = kept
+	s.order = slices.DeleteFunc(s.order, func(id string) bool { return s.jobs[id] == nil })
 }
 
 // lookup returns the job with the given submission ID.
@@ -423,11 +426,7 @@ func (s *Server) execute(js *jobState) {
 	js.status = statusRunning
 	js.started = time.Now()
 	js.cancel = cancel
-	started := js.started
 	js.mu.Unlock()
-	// The running record rides on the next fsync: if a crash loses it,
-	// replay re-marks the queued record exactly as it would a running one.
-	s.storeWrite(store.Update{ID: js.id, Status: string(statusRunning), Started: started})
 
 	s.reg.Gauge("server.jobs_inflight").Set(float64(s.inflight.Add(1)))
 	res, err := s.runJob(ctx, js.job, js.tracker.publish)
@@ -450,7 +449,7 @@ func (s *Server) execute(js *jobState) {
 		js.errMsg = err.Error()
 	}
 	final := js.status
-	update := store.Update{ID: js.id, Status: string(final), Error: js.errMsg, Finished: js.finished}
+	update := store.Update{ID: js.id, Status: string(final), Error: js.errMsg, Started: js.started, Finished: js.finished}
 	js.mu.Unlock()
 	if s.store != nil && final == statusDone && res != nil {
 		raw, encErr := encodeResult(res)

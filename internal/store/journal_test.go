@@ -228,3 +228,120 @@ func FuzzReplayArbitraryBytes(f *testing.F) {
 		}
 	})
 }
+
+// TestLegacyJournalReplays: a journal written while a job took four
+// records — put, a running update, the terminal update and a single-job
+// evict — replays to the ledger it always did: the done job keeps the
+// started timestamp of its running record, the evicted job is gone, and
+// an update that lands after its evict is ignored.
+func TestLegacyJournalReplays(t *testing.T) {
+	t.Parallel()
+	var data []byte
+	for _, payload := range []string{
+		`{"op":"put","job":{"id":"j-000001-aaaa","seq":1,"kind":"analytic","status":"queued","submitted":"2026-08-08T12:00:00Z"}}`,
+		`{"op":"update","update":{"id":"j-000001-aaaa","status":"running","started":"2026-08-08T12:00:01Z"}}`,
+		`{"op":"update","update":{"id":"j-000001-aaaa","status":"done","finished":"2026-08-08T12:00:02Z","result":{"jobId":"job-aaaa"}}}`,
+		`{"op":"put","job":{"id":"j-000002-bbbb","seq":2,"kind":"analytic","status":"queued","submitted":"2026-08-08T12:00:03Z"}}`,
+		`{"op":"evict","id":"j-000002-bbbb"}`,
+		`{"op":"update","update":{"id":"j-000002-bbbb","status":"done","finished":"2026-08-08T12:00:04Z"}}`,
+	} {
+		data = frame(data, []byte(payload))
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "journal-00000000.log"), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s := openTest(t, dir)
+	jobs := s.Jobs()
+	if len(jobs) != 1 {
+		t.Fatalf("replayed %d jobs, want 1: the evicted job must stay gone", len(jobs))
+	}
+	got := jobs[0]
+	started := time.Date(2026, 8, 8, 12, 0, 1, 0, time.UTC)
+	if got.ID != "j-000001-aaaa" || got.Status != "done" || !got.Started.Equal(started) || string(got.Result) != `{"jobId":"job-aaaa"}` {
+		t.Fatalf("replayed %+v, want j-000001-aaaa done, started %v, with its result", got, started)
+	}
+	if s.MaxSeq() != 1 {
+		t.Fatalf("MaxSeq = %d, want 1", s.MaxSeq())
+	}
+	if st := s.ReplayStats(); st.JournalRecords != 6 || st.TornBytes != 0 {
+		t.Fatalf("replay stats = %+v, want 6 journal records and no torn tail", st)
+	}
+}
+
+// TestEvictionReplaysWithItsPut cuts a journal of puts that carry
+// evictions, and terminal updates, at every byte, and opens a store on
+// each cut: the ledger must equal the state after the last whole record,
+// so a job is never gone while the put that evicted it is lost.
+func TestEvictionReplaysWithItsPut(t *testing.T) {
+	t.Parallel()
+	dir := t.TempDir()
+	s := openTest(t, dir, func(o *Options) { o.Fsync = FsyncOff })
+	ledger := func(s *Store) string {
+		b, err := json.Marshal(s.Jobs())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	finished := time.Date(2026, 8, 8, 12, 0, 5, 0, time.UTC)
+	states := []string{ledger(s)} // states[k]: the ledger after k records
+	for seq := uint64(1); seq <= 4; seq++ {
+		id := fmt.Sprintf("j-%d", seq)
+		var evict []string
+		if seq > 2 {
+			evict = []string{fmt.Sprintf("j-%d", seq-2)}
+		}
+		if _, err := s.WritePut(JobRecord{ID: id, Seq: seq, Status: "queued"}, evict...); err != nil {
+			t.Fatal(err)
+		}
+		states = append(states, ledger(s))
+		if _, err := s.WriteUpdate(Update{ID: id, Status: "done", Finished: finished}); err != nil {
+			t.Fatal(err)
+		}
+		states = append(states, ledger(s))
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, "journal-00000000.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := replayJournal(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(full.payloads) != len(states)-1 {
+		t.Fatalf("journal holds %d records, want %d", len(full.payloads), len(states)-1)
+	}
+	var recordEnds []int
+	end := 0
+	for _, p := range full.payloads {
+		end += frameHeaderLen + len(p)
+		recordEnds = append(recordEnds, end)
+	}
+
+	cutDir := t.TempDir()
+	path := filepath.Join(cutDir, "journal-00000000.log")
+	for cut := 0; cut <= len(data); cut++ {
+		if err := os.WriteFile(path, data[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		r, err := Open(Options{Dir: cutDir, Fsync: FsyncOff})
+		if err != nil {
+			t.Fatalf("cut=%d: Open: %v", cut, err)
+		}
+		whole := 0
+		for whole < len(recordEnds) && recordEnds[whole] <= cut {
+			whole++
+		}
+		got := ledger(r)
+		if err := r.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if got != states[whole] {
+			t.Fatalf("cut=%d: ledger\n%s\nwant the state after %d whole records\n%s", cut, got, whole, states[whole])
+		}
+	}
+}

@@ -17,12 +17,12 @@ import (
 
 // Fsync policies for Options.Fsync.
 const (
-	// FsyncAlways makes every acknowledged record durable: Put, Update
-	// and Evict (and Sync for a written record) return only after an
-	// fsync that started after the record was written, so the record
-	// survives an immediate power loss. Records written concurrently share
-	// that fsync (group commit): it runs outside the store's lock and
-	// covers every record written before it started. The default.
+	// FsyncAlways makes every acknowledged record durable: Put and
+	// Update (and Sync for a written record) return only after an fsync
+	// that started after the record was written, so the record survives
+	// an immediate power loss. Records written concurrently share that
+	// fsync (group commit): it runs outside the store's lock and covers
+	// every record written before it started. The default.
 	FsyncAlways = "always"
 	// FsyncOff leaves flushing to the OS page cache: appends are
 	// buffered writes only and nothing waits for an fsync (snapshots are
@@ -95,12 +95,15 @@ type Update struct {
 }
 
 // op is one journal record: a put (full upsert), an update (partial,
-// merged into the stored record) or an evict.
+// merged into the stored record) or an evict. A put or an evict removes
+// the jobs Evict lists; an evict written before evictions were batched
+// names its one job in ID instead.
 type op struct {
 	Op     string     `json:"op"`
 	Job    *JobRecord `json:"job,omitempty"`    // put
 	Update *Update    `json:"update,omitempty"` // update
-	ID     string     `json:"id,omitempty"`     // evict
+	Evict  []string   `json:"evict,omitempty"`  // put, evict
+	ID     string     `json:"id,omitempty"`     // single-job evict
 }
 
 const (
@@ -387,6 +390,9 @@ func (s *Store) apply(o op) {
 	case opEvict:
 		delete(s.state, o.ID)
 	}
+	for _, id := range o.Evict {
+		delete(s.state, id)
+	}
 }
 
 // cleanupStale removes files of generations older than the current one
@@ -458,16 +464,11 @@ func (s *Store) Update(u Update) error {
 	return s.commit(s.WriteUpdate(u))
 }
 
-// Evict journals the removal of a job from the ledger and returns once
-// it is durable.
-func (s *Store) Evict(id string) error {
-	return s.commit(s.WriteEvict(id))
-}
-
 // WritePut is Put without the wait: the record is written and applied,
-// and Sync(ticket) makes it durable.
-func (s *Store) WritePut(job JobRecord) (Ticket, error) {
-	return s.write(op{Op: opPut, Job: &job})
+// and Sync(ticket) makes it durable. The same record evicts the jobs
+// evict names, so a replay keeps both or neither.
+func (s *Store) WritePut(job JobRecord, evict ...string) (Ticket, error) {
+	return s.write(op{Op: opPut, Job: &job, Evict: evict})
 }
 
 // WriteUpdate is Update without the wait for durability.
@@ -475,9 +476,10 @@ func (s *Store) WriteUpdate(u Update) (Ticket, error) {
 	return s.write(op{Op: opUpdate, Update: &u})
 }
 
-// WriteEvict is Evict without the wait for durability.
-func (s *Store) WriteEvict(id string) (Ticket, error) {
-	return s.write(op{Op: opEvict, ID: id})
+// WriteEvict journals the removal of the jobs ids from the ledger in
+// one record, without waiting for durability.
+func (s *Store) WriteEvict(ids ...string) (Ticket, error) {
+	return s.write(op{Op: opEvict, Evict: ids})
 }
 
 func (s *Store) commit(t Ticket, err error) error {

@@ -54,7 +54,7 @@ func TestPutUpdateEvictRoundTrip(t *testing.T) {
 	if err := s.Update(Update{ID: "j-000001-dead", Status: "done", Finished: finished, Result: json.RawMessage(`{"jobId":"job-x"}`)}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Evict("j-000002-beef"); err != nil {
+	if err := s.commit(s.WriteEvict("j-000002-beef")); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
@@ -91,7 +91,7 @@ func TestUpdateAfterEvictIsIgnored(t *testing.T) {
 	if err := s.Put(record("j-1", 1)); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Evict("j-1"); err != nil {
+	if err := s.commit(s.WriteEvict("j-1")); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Update(Update{ID: "j-1", Status: "done"}); err != nil {
@@ -112,7 +112,7 @@ func TestCompactionSnapshotAndFreshSegment(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := s.Evict("j-0"); err != nil {
+	if err := s.commit(s.WriteEvict("j-0")); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Compact(); err != nil {
