@@ -215,8 +215,7 @@ func (s *Server) replayFromStore() {
 			}); ok {
 				last = t
 			}
-			s.reg.Counter("server.jobs_total." + string(statusFailed)).Inc()
-			s.reg.Event("job.failed", js.runID, map[string]string{"id": js.id, "reason": "restart"})
+			s.recordTerminal(js, statusFailed)
 			interrupted++
 		case statusDone:
 			if len(rec.Result) > 0 {

@@ -87,6 +87,9 @@ const (
 	statusCancelled jobStatus = "cancelled"
 )
 
+// shutdownReason fails the jobs a drain finds still queued.
+const shutdownReason = "server shutting down before the job started"
+
 // terminal reports whether the status is final.
 func (s jobStatus) terminal() bool {
 	return s == statusDone || s == statusFailed || s == statusCancelled
@@ -114,6 +117,9 @@ type jobState struct {
 	finished        time.Time
 	cancelRequested bool
 	cancel          context.CancelFunc
+	// settling is set by the settle call that claims the terminal
+	// transition; the status changes only once its record is durable.
+	settling bool
 }
 
 // Server executes engine jobs submitted over HTTP on a bounded worker
@@ -413,13 +419,13 @@ func (s *Server) worker() {
 func (s *Server) execute(js *jobState) {
 	<-js.journaled
 	if s.isDraining() {
-		s.reject(js, "server shutting down before the job started")
+		s.settle(js, statusQueued, statusFailed, shutdownReason, nil)
 		return
 	}
 	ctx, cancel := context.WithCancel(js.logCtx())
 	defer cancel()
 	js.mu.Lock()
-	if js.status != statusQueued { // cancelled while queued, or abandoned
+	if js.status != statusQueued || js.settling { // settled or settling while queued, or abandoned
 		js.mu.Unlock()
 		return
 	}
@@ -432,42 +438,62 @@ func (s *Server) execute(js *jobState) {
 	res, err := s.runJob(ctx, js.job, js.tracker.publish)
 	s.reg.Gauge("server.jobs_inflight").Set(float64(s.inflight.Add(-1)))
 	if err == nil {
-		res = s.keepSummary(js, res)
+		s.settle(js, statusRunning, statusDone, "", s.keepSummary(js, res))
+		return
 	}
-
 	js.mu.Lock()
-	js.finished = time.Now()
-	switch {
-	case err == nil:
-		js.status = statusDone
-		js.result = res
-	case js.cancelRequested || errors.Is(err, context.Canceled):
-		js.status = statusCancelled
-		js.errMsg = err.Error()
-	default:
-		js.status = statusFailed
-		js.errMsg = err.Error()
+	to := statusFailed
+	if js.cancelRequested || errors.Is(err, context.Canceled) {
+		to = statusCancelled
 	}
-	final := js.status
-	update := store.Update{ID: js.id, Status: string(final), Error: js.errMsg, Started: js.started, Finished: js.finished}
 	js.mu.Unlock()
-	if s.store != nil && final == statusDone && res != nil {
-		raw, encErr := encodeResult(res)
-		if encErr != nil {
+	s.settle(js, statusRunning, to, err.Error(), nil)
+}
+
+// settle moves js from status from to the terminal status to, once: the
+// first call that finds js in from claims the transition, and every
+// other call returns without doing anything. The terminal record is
+// journaled and durable before the transition is counted, recorded and
+// published, so a terminal view, once read, is the view a restart
+// replays; until then the job reads as from. A record that cannot be
+// made durable (the store has failed for good) is logged, and the
+// outcome is still published so that no poll or stream waits forever.
+func (s *Server) settle(js *jobState, from, to jobStatus, errMsg string, res *engine.Result) {
+	js.mu.Lock()
+	if js.status != from || js.settling {
+		js.mu.Unlock()
+		return
+	}
+	js.settling = true
+	update := store.Update{ID: js.id, Status: string(to), Error: errMsg, Started: js.started, Finished: time.Now()}
+	js.mu.Unlock()
+	if s.store != nil && res != nil {
+		raw, err := encodeResult(res)
+		if err != nil {
 			if s.log != nil {
-				s.log.Warn("encoding job result for the ledger failed", "id", js.id, "error", encErr)
+				s.log.Warn("encoding job result for the ledger failed", "id", js.id, "error", err)
 			}
 		} else {
 			update.Result = raw
 		}
 	}
 	s.storeUpdate(update)
-	s.reg.Counter("server.jobs_total." + string(final)).Inc()
-	s.reg.Event("job."+string(final), js.runID, map[string]string{"id": js.id, "job": js.engineID})
-	if s.log != nil {
-		s.log.InfoContext(js.logCtx(), "job finished", "id", js.id, "status", string(final))
-	}
+	s.recordTerminal(js, to)
+
+	js.mu.Lock()
+	js.status, js.errMsg, js.result, js.finished = to, errMsg, res, update.Finished
+	js.mu.Unlock()
 	js.tracker.finish()
+}
+
+// recordTerminal counts a job's terminal transition, records its
+// flight-recorder event and logs it.
+func (s *Server) recordTerminal(js *jobState, to jobStatus) {
+	s.reg.Counter("server.jobs_total." + string(to)).Inc()
+	s.reg.Event("job."+string(to), js.runID, map[string]string{"id": js.id, "job": js.engineID})
+	if s.log != nil {
+		s.log.InfoContext(js.logCtx(), "job finished", "id", js.id, "status", string(to))
+	}
 }
 
 // keepSummary reduces a done job's Monte-Carlo result to its summaries,
@@ -490,56 +516,23 @@ func (s *Server) keepSummary(js *jobState, res *engine.Result) *engine.Result {
 	return sum
 }
 
-// reject marks a never-started job failed (used for queued jobs caught
-// by shutdown).
-func (s *Server) reject(js *jobState, reason string) {
-	js.mu.Lock()
-	if js.status.terminal() {
-		js.mu.Unlock()
-		return
-	}
-	js.status = statusFailed
-	js.errMsg = reason
-	finished := time.Now()
-	js.finished = finished
-	js.mu.Unlock()
-	s.storeUpdate(store.Update{ID: js.id, Status: string(statusFailed), Error: reason, Finished: finished})
-	s.reg.Counter("server.jobs_total." + string(statusFailed)).Inc()
-	s.reg.Event("job.failed", js.runID, map[string]string{"id": js.id, "reason": reason})
-	if s.log != nil {
-		s.log.InfoContext(js.logCtx(), "job rejected", "id", js.id, "reason", reason)
-	}
-	js.tracker.finish()
-}
-
 // requestCancel asks for a job's cancellation: a queued job goes
-// terminal immediately, a running job has its context cancelled (the
-// worker records the terminal state when the engine returns), and a
-// terminal job is left untouched.
+// terminal at once, a running job has its context cancelled (the worker
+// settles it when the engine returns), and a terminal job is left
+// untouched. The queued job's claim is taken under the lock hold that
+// sees it queued, so no worker can start it after the cancel.
 func (s *Server) requestCancel(js *jobState) {
+	s.settle(js, statusQueued, statusCancelled, "cancelled before start", nil)
 	js.mu.Lock()
-	switch js.status {
-	case statusQueued:
-		js.status = statusCancelled
-		js.errMsg = "cancelled before start"
-		finished := time.Now()
-		js.finished = finished
+	if js.status != statusRunning {
 		js.mu.Unlock()
-		s.storeUpdate(store.Update{ID: js.id, Status: string(statusCancelled), Error: "cancelled before start", Finished: finished})
-		s.reg.Counter("server.jobs_total." + string(statusCancelled)).Inc()
-		s.reg.Event("job.cancelled", js.runID, map[string]string{"id": js.id, "detail": "cancelled before start"})
-		js.tracker.finish()
 		return
-	case statusRunning:
-		js.cancelRequested = true
-		cancel := js.cancel
-		js.mu.Unlock()
-		if cancel != nil {
-			cancel()
-		}
-		return
-	default:
-		js.mu.Unlock()
+	}
+	js.cancelRequested = true
+	cancel := js.cancel
+	js.mu.Unlock()
+	if cancel != nil {
+		cancel()
 	}
 }
 
@@ -560,13 +553,14 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		s.reg.Event("drain.begin", "", nil)
 	}
 
-	// Reject everything still queued. Workers racing on the same
-	// channel reject too (execute checks draining first), so every
-	// queued job lands terminal exactly once.
+	// Fail everything still queued. Workers racing on the same channel
+	// fail it too (execute checks draining first), and settle lets only
+	// the first claim through, so every queued job lands terminal
+	// exactly once.
 	for {
 		select {
 		case js := <-s.queue:
-			s.reject(js, "server shutting down before the job started")
+			s.settle(js, statusQueued, statusFailed, shutdownReason, nil)
 			continue
 		default:
 		}
